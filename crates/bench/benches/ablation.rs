@@ -5,7 +5,7 @@
 //!   marshaling costs if you give up the memory-image wire format);
 //! * **receiver-makes-right ablation** — decode cost when formats match
 //!   (extract only) vs when byte order / widths differ (full conversion)
-//!   vs the zero-copy `EncodedView` path;
+//!   vs the zero-copy `RecordView` path (`decode_borrowed`);
 //! * **discovery ablation** — binding from an already-loaded definition
 //!   vs parse+bind (isolates the XML parse share of the RDM);
 //! * **plan ablation** — the per-field interpreter vs the compiled
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use openmeta_bench::workloads::{figure8_record, hydrology_schema_xml};
-use openmeta_pbio::{decode, decode_with, EncodedView, FormatRegistry, MachineModel};
+use openmeta_pbio::{decode, decode_borrowed, decode_with, Decoded, FormatRegistry, MachineModel};
 use xmit::Xmit;
 
 fn wire_format_ablation(c: &mut Criterion) {
@@ -72,7 +72,9 @@ fn receiver_makes_right_ablation(c: &mut Criterion) {
     });
     group.bench_function("zero_copy_view_read", |b| {
         b.iter(|| {
-            let view = EncodedView::new(&same_wire, &native).unwrap();
+            let Decoded::View(view) = decode_borrowed(&same_wire, &native, &target).unwrap() else {
+                panic!("same-layout decode must borrow");
+            };
             view.get_i64("seq").unwrap()
         })
     });

@@ -40,7 +40,8 @@ impl Default for TransportConfig {
 
 /// Which connection-handling engine a server runs on.
 ///
-/// Both engines sit behind the same [`ServerConfig`] and feed the same
+/// [`crate::Server`] runs a server's sans-io handler on either engine
+/// behind the same [`ServerConfig`], feeding the same
 /// [`crate::ServerStats`] counters; servers select one without any
 /// change to their public APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

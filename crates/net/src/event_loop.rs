@@ -22,8 +22,9 @@
 //!
 //! Protocol logic never appears here: each connection owns a boxed
 //! [`EventHandler`] (an incremental parser plus request handler) that
-//! consumes byte chunks and appends response bytes — the same sans-io
-//! cores the blocking servers wrap.  All socket I/O goes through
+//! consumes byte chunks and appends response bytes — the same handlers
+//! the threaded engine's blocking driver (`crate::server`) runs.  All
+//! socket I/O goes through
 //! [`crate::nio`]'s readiness probes; `cargo xtask analyze` rejects any
 //! blocking I/O call in this module.
 //!
@@ -129,12 +130,11 @@ struct Shard {
 
 /// A readiness poll loop serving connections on a few shard threads.
 ///
-/// Servers construct one via [`EventLoop::start`] when their
-/// [`ServerConfig`] selects [`crate::config::Backend::EventLoop`], hand
-/// accepted sockets to [`EventLoop::register`], and drain with
-/// [`EventLoop::shutdown`] — the same lifecycle as
-/// [`crate::WorkerPool`].
-pub struct EventLoop {
+/// [`crate::Server`] constructs one via [`EventLoop::start`] when its
+/// [`ServerConfig`] selects [`crate::config::Backend::EventLoop`], hands
+/// accepted sockets to [`EventLoop::register`], and drains with
+/// [`EventLoop::shutdown`] — the same lifecycle as the worker pool.
+pub(crate) struct EventLoop {
     shards: Vec<Arc<Shard>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     open: Arc<AtomicUsize>,
@@ -148,7 +148,7 @@ impl EventLoop {
     /// Spawn the shard threads.  `factory` builds one [`EventHandler`]
     /// per connection; `stats` receives the same counter updates the
     /// threaded backend produces.
-    pub fn start(
+    pub(crate) fn start(
         name: &str,
         cfg: &ServerConfig,
         stats: ServerStats,
@@ -194,7 +194,7 @@ impl EventLoop {
     /// Adopt an accepted connection.  Returns `false` (counting a
     /// rejection) when the `max_connections` bound is hit or the loop is
     /// draining; the caller drops the socket.
-    pub fn register(&self, stream: TcpStream) -> bool {
+    pub(crate) fn register(&self, stream: TcpStream) -> bool {
         if self.open.fetch_add(1, Ordering::SeqCst) >= self.max_connections {
             self.open.fetch_sub(1, Ordering::SeqCst);
             self.stats.rejected();
@@ -216,17 +216,11 @@ impl EventLoop {
         true
     }
 
-    /// Connections currently owned by the loop (registered, not yet
-    /// closed).
-    pub fn open_now(&self) -> usize {
-        self.open.load(Ordering::SeqCst)
-    }
-
     /// Graceful drain: stop reading, flush queued responses, close as
     /// output drains.  Returns `true` if every connection closed inside
     /// `budget`; stragglers past the budget are force-closed either way,
     /// so the loop's threads always exit.
-    pub fn shutdown(&self, budget: Duration) -> bool {
+    pub(crate) fn shutdown(&self, budget: Duration) -> bool {
         let deadline = clock::now() + budget;
         for shard in &self.shards {
             sync::lock(&shard.inbox).draining = true;

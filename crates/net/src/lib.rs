@@ -10,11 +10,15 @@
 //!
 //! * [`TransportConfig`] — client-side connect/read/write deadlines and a
 //!   [`RetryPolicy`] for connect-with-backoff;
+//! * [`Server`] — the one server front-end: a server supplies a listener
+//!   and a sans-io [`EventHandler`] per connection ([`LengthFramer`]
+//!   helps frame-based protocols), and `Server` owns the accept thread,
+//!   the engine and the graceful drain on drop;
 //! * [`ServerConfig`] — worker count, accept-queue cap, max-connections
-//!   bound and per-connection deadlines for servers;
-//! * [`WorkerPool`] — a bounded worker pool replacing detached
-//!   thread-per-connection spawns, with graceful shutdown that drains
-//!   in-flight connections;
+//!   bound and per-connection deadlines for servers, plus the
+//!   [`Backend`] engine: a bounded worker pool running a blocking driver
+//!   over the handler, or a readiness poll loop sweeping nonblocking
+//!   sockets with deadlines from a [`TimerWheel`];
 //! * [`ServerStats`] / [`TransportCounters`] — per-server counters
 //!   (accepted, active, rejected, timed out, frames in/out) surfaced
 //!   through the bench `--json` reports;
@@ -22,34 +26,31 @@
 //!   bytes actually arrive, so an untrusted length prefix cannot force a
 //!   large up-front allocation;
 //! * [`FaultProxy`] — a TCP proxy test fixture injecting stalls,
-//!   mid-frame resets, truncation and partial writes;
-//! * [`EventLoop`] — a readiness poll-loop backend ([`Backend`] selects
-//!   it per server) sweeping nonblocking sockets with per-connection
-//!   state machines, deadlines from a [`TimerWheel`], and sans-io
-//!   protocol cores ([`EventHandler`], [`LengthFramer`]).
+//!   mid-frame resets, truncation and partial writes.
 
 #![deny(unsafe_code)]
 
 pub mod config;
-pub mod event_loop;
+mod event_loop;
 pub mod faults;
 pub mod framing;
 pub mod nio;
 pub mod retry;
 pub mod sansio;
+mod server;
 pub mod stats;
 pub(crate) mod sync;
 pub mod timer;
-pub mod workers;
+mod workers;
 
 pub use config::{
     connect_retrying, connect_with_deadline, harden_stream, Backend, ServerConfig, TransportConfig,
 };
-pub use event_loop::{Dispatch, EventHandler, EventLoop, HandlerFactory};
+pub use event_loop::{Dispatch, EventHandler, HandlerFactory};
 pub use faults::{Fault, FaultProxy};
 pub use framing::{is_timeout, read_exact_capped, write_all_vectored, READ_CHUNK};
 pub use retry::RetryPolicy;
 pub use sansio::{read_frame_blocking, LengthFramer};
+pub use server::Server;
 pub use stats::{ServerStats, TransportCounters};
 pub use timer::TimerWheel;
-pub use workers::{ConnTracker, WorkerPool};

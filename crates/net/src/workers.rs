@@ -47,7 +47,7 @@ struct State<T> {
 
 /// A fixed-size pool of workers with a bounded intake queue, serving
 /// items of type `T` (accepted connections, by default).
-pub struct WorkerPool<T: Send + 'static = TcpStream> {
+pub(crate) struct WorkerPool<T: Send + 'static = TcpStream> {
     shared: Arc<Shared<T>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -73,7 +73,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Spawn `cfg.workers` threads, each running `handler` on items
     /// submitted via [`WorkerPool::submit`].  `stats` receives the
     /// active-connection gauge updates.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         cfg: &ServerConfig,
         stats: ServerStats,
@@ -102,7 +102,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// rejection) when the accept queue or the max-connections bound is
     /// full, or the pool is shutting down; the caller should drop the
     /// item.
-    pub fn submit(&self, item: T) -> bool {
+    pub(crate) fn submit(&self, item: T) -> bool {
         let mut state = sync::lock(&self.shared.queue);
         let in_flight = state.pending.len() + state.active;
         if state.shutting_down
@@ -119,7 +119,8 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 
     /// Items queued but not yet picked up by a worker.
-    pub fn queued_now(&self) -> usize {
+    #[cfg(loom)]
+    pub(crate) fn queued_now(&self) -> usize {
         sync::lock(&self.shared.queue).pending.len()
     }
 
@@ -128,7 +129,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// if everything drained inside `budget`; on `false` the stragglers
     /// are detached (their threads keep running to completion, but the
     /// pool no longer waits for them).
-    pub fn shutdown(&self, budget: Duration) -> bool {
+    pub(crate) fn shutdown(&self, budget: Duration) -> bool {
         let deadline = clock::now() + budget;
         {
             let mut state = sync::lock(&self.shared.queue);
@@ -175,21 +176,21 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 /// read half makes that blocked read return EOF immediately, while a
 /// worker mid-reply keeps its write half and finishes cleanly.
 #[derive(Default)]
-pub struct ConnTracker {
+pub(crate) struct ConnTracker {
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_id: AtomicU64,
 }
 
 impl ConnTracker {
     /// A fresh tracker.
-    pub fn new() -> ConnTracker {
+    pub(crate) fn new() -> ConnTracker {
         ConnTracker::default()
     }
 
     /// Register a connection a worker is about to serve; returns a token
     /// for [`ConnTracker::unregister`].  Streams that cannot be cloned
     /// are simply not tracked.
-    pub fn register(&self, stream: &TcpStream) -> u64 {
+    pub(crate) fn register(&self, stream: &TcpStream) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             sync::lock(&self.conns).insert(id, clone);
@@ -198,13 +199,13 @@ impl ConnTracker {
     }
 
     /// Drop the tracking handle for a finished connection.
-    pub fn unregister(&self, id: u64) {
+    pub(crate) fn unregister(&self, id: u64) {
         sync::lock(&self.conns).remove(&id);
     }
 
     /// Shut down the read half of every tracked connection, unblocking
     /// workers parked in a read while leaving replies writable.
-    pub fn shutdown_reads(&self) {
+    pub(crate) fn shutdown_reads(&self) {
         for stream in sync::lock(&self.conns).values() {
             let _ = stream.shutdown(Shutdown::Read);
         }

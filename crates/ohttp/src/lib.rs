@@ -31,7 +31,7 @@ pub mod url;
 pub use client::{http_get, http_get_conditional, read_response, Fetch, RawResponse, Response};
 pub use error::HttpError;
 pub use pool::{ConnectionPool, IdleSet, PoolConfig, PoolStats};
-pub use server::{default_http_config, HttpServer};
+pub use server::HttpServer;
 
 // The transport-hardening knobs and counters servers and clients share,
 // re-exported so consumers configure [`HttpServer`] without a direct

@@ -1,4 +1,4 @@
-//! A threaded static-content HTTP/1.1 server.
+//! A static-content HTTP/1.1 server.
 //!
 //! Stands in for the Apache server of §4.3: it hosts the XML metadata
 //! documents that XMIT retrieves at format-registration time.  Content is
@@ -6,18 +6,20 @@
 //! is exactly how "changes to the message formats used by distributed
 //! programs can be centralized" in §3).
 //!
-//! Connections are persistent (HTTP/1.1 keep-alive): a worker serves
-//! requests on its connection until the client closes it, asks for
-//! `Connection: close`, or goes idle.  Every response carries a strong
-//! `ETag` derived from the body, and `If-None-Match` revalidation answers
-//! `304 Not Modified` — the substrate the discovery fast path's schema
-//! cache revalidates against.
+//! Connections are persistent (HTTP/1.1 keep-alive): a connection serves
+//! requests until the client closes it, asks for `Connection: close`, or
+//! goes idle.  Every response carries a strong `ETag` derived from the
+//! body, and `If-None-Match` revalidation answers `304 Not Modified` —
+//! the substrate the discovery fast path's schema cache revalidates
+//! against.
 //!
-//! The transport is hardened (see `openmeta_net`): a bounded worker pool
-//! with an accept-queue cap serves connections instead of detached
-//! thread-per-connection spawns, every connection carries read/write
-//! deadlines, excess connects are rejected rather than queued without
-//! bound, and dropping the server drains in-flight requests.
+//! The protocol exists once, as the sans-io `HttpConnHandler` (the
+//! incremental [`RequestParser`] plus `render`); `openmeta_net::Server`
+//! runs it on either connection engine (a bounded worker pool or the
+//! readiness event loop) and owns the hardening: an accept-queue cap
+//! instead of detached thread-per-connection spawns, read/write
+//! deadlines on every connection, rejection of excess connects, and a
+//! drain of in-flight requests when the server is dropped.
 //!
 //! Two built-in routes expose the process-wide metrics registry:
 //! `GET /metrics` answers Prometheus text exposition and
@@ -25,19 +27,12 @@
 //! `openmeta_obs`).  They shadow any published document at those paths.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use openmeta_obs::{Counter, MetricsRegistry};
 
-use openmeta_net::{
-    is_timeout, Backend, ConnTracker, Dispatch, EventHandler, EventLoop, ServerConfig, ServerStats,
-    TransportCounters, WorkerPool,
-};
+use openmeta_net::{Dispatch, EventHandler, Server, ServerConfig, ServerStats, TransportCounters};
 use parking_lot::RwLock;
 
 use crate::content_hash64;
@@ -47,53 +42,20 @@ use crate::request::{Request, RequestParser};
 /// Hosted content: path → (content type, body).
 type ContentMap = HashMap<String, (String, Vec<u8>)>;
 
-/// How long a worker waits for the next request on an idle keep-alive
-/// connection before hanging up (the default read deadline).
-const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
-
-/// The default bounds for [`HttpServer`]: the generic [`ServerConfig`]
-/// with the keep-alive idle deadline this server has always used.
-pub fn default_http_config() -> ServerConfig {
-    ServerConfig { read_timeout: Some(KEEP_ALIVE_IDLE), ..ServerConfig::default() }
-}
-
-/// Shared request-handling state: the content map and the request
-/// counters, used identically by both backends.
+/// The content map and the request counters, shared by the server
+/// handle (which publishes) and every connection's handler (which reads).
 struct HttpShared {
-    content: Arc<RwLock<ContentMap>>,
+    content: RwLock<ContentMap>,
     hits: Arc<Counter>,
     not_modified: Arc<Counter>,
-}
-
-/// The connection-handling engine behind the server: a blocking worker
-/// pool or the readiness event loop, per [`ServerConfig::backend`].
-#[derive(Clone)]
-enum Engine {
-    Threaded { pool: Arc<WorkerPool>, tracker: Arc<ConnTracker> },
-    Event(Arc<EventLoop>),
-}
-
-impl Engine {
-    fn submit(&self, stream: TcpStream) -> bool {
-        match self {
-            Engine::Threaded { pool, .. } => pool.submit(stream),
-            Engine::Event(el) => el.register(stream),
-        }
-    }
 }
 
 /// A running HTTP server; dropping it shuts it down gracefully,
 /// draining in-flight requests.
 pub struct HttpServer {
-    addr: SocketAddr,
-    content: Arc<RwLock<ContentMap>>,
-    hits: Arc<Counter>,
-    not_modified: Arc<Counter>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    engine: Engine,
+    shared: Arc<HttpShared>,
+    server: Server,
     stats: ServerStats,
-    drain_timeout: Duration,
 }
 
 impl HttpServer {
@@ -104,102 +66,45 @@ impl HttpServer {
 
     /// Start a server on a specific localhost port (0 = ephemeral).
     pub fn start_on(port: u16) -> Result<HttpServer, HttpError> {
-        HttpServer::start_with(port, default_http_config())
+        HttpServer::start_with(port, ServerConfig::default())
     }
 
     /// Start a server with explicit worker/queue/deadline bounds.  The
-    /// config's [`Backend`] selects threaded or event-loop serving; the
-    /// rest of the API is identical either way.
+    /// config's backend selects the connection engine; the rest of the
+    /// API is identical either way.
     pub fn start_with(port: u16, cfg: ServerConfig) -> Result<HttpServer, HttpError> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let content: Arc<RwLock<ContentMap>> = Arc::new(RwLock::new(HashMap::new()));
         let m = MetricsRegistry::global();
-        let hits = m.counter("openmeta_http_requests_total");
-        let not_modified = m.counter("openmeta_http_not_modified_total");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = ServerStats::new();
         let shared = Arc::new(HttpShared {
-            content: content.clone(),
-            hits: hits.clone(),
-            not_modified: not_modified.clone(),
+            content: RwLock::new(HashMap::new()),
+            hits: m.counter("openmeta_http_requests_total"),
+            not_modified: m.counter("openmeta_http_not_modified_total"),
         });
-
-        let engine = match cfg.backend {
-            Backend::Threaded => {
-                let tracker = Arc::new(ConnTracker::new());
-                let (sh, st) = (shared.clone(), stop.clone());
-                let (stats_w, tracker_w) = (stats.clone(), tracker.clone());
-                let pool = Arc::new(WorkerPool::new(
-                    "http-server",
-                    &cfg,
-                    stats.clone(),
-                    move |stream: TcpStream| {
-                        let id = tracker_w.register(&stream);
-                        let _ = serve(stream, &cfg, &sh, &st, &stats_w);
-                        tracker_w.unregister(id);
-                    },
-                ));
-                Engine::Threaded { pool, tracker }
-            }
-            Backend::EventLoop => {
-                let sh = shared.clone();
-                let el = EventLoop::start(
-                    "http-server",
-                    &cfg,
-                    stats.clone(),
-                    Arc::new(move || {
-                        Box::new(HttpConnHandler {
-                            shared: sh.clone(),
-                            parser: RequestParser::new(),
-                        }) as Box<dyn EventHandler>
-                    }),
-                );
-                Engine::Event(Arc::new(el))
-            }
-        };
-
-        let (stop_a, stats_a, engine_a) = (stop.clone(), stats.clone(), engine.clone());
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop_a.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                stats_a.accepted();
-                // submit() counts rejections; the dropped stream closes,
-                // so a flood is bounded by the queue, not thread count.
-                let _ = engine_a.submit(stream);
-            }
+        let stats = ServerStats::new();
+        let sh = shared.clone();
+        let factory = Arc::new(move || {
+            Box::new(HttpConnHandler { shared: sh.clone(), parser: RequestParser::new() })
+                as Box<dyn EventHandler>
         });
-        Ok(HttpServer {
-            addr,
-            content,
-            hits,
-            not_modified,
-            stop,
-            accept_thread: Some(accept_thread),
-            engine,
-            stats,
-            drain_timeout: cfg.drain_timeout,
-        })
+        let server = Server::start("http-server", listener, &cfg, stats.clone(), factory)?;
+        Ok(HttpServer { shared, server, stats })
     }
 
     /// Address for clients.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Full `http://` URL for a hosted path.
     pub fn url_for(&self, path: &str) -> String {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        format!("http://{}{}", self.addr, path)
+        format!("http://{}{}", self.addr(), path)
     }
 
     /// Publish (or replace) a text document.
     pub fn put(&self, path: &str, content_type: &str, body: impl Into<Vec<u8>>) {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        self.content.write().insert(path, (content_type.to_string(), body.into()));
+        self.shared.content.write().insert(path, (content_type.to_string(), body.into()));
     }
 
     /// Publish an XML document (convenience for metadata hosting).
@@ -210,50 +115,24 @@ impl HttpServer {
     /// Remove a document; `true` if it existed.
     pub fn remove(&self, path: &str) -> bool {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        self.content.write().remove(&path).is_some()
+        self.shared.content.write().remove(&path).is_some()
     }
 
     /// Number of requests served (for amortization experiments).
     pub fn hit_count(&self) -> u64 {
-        self.hits.get()
+        self.shared.hits.get()
     }
 
     /// Number of requests answered `304 Not Modified` (successful
     /// `If-None-Match` revalidations).
     pub fn not_modified_count(&self) -> u64 {
-        self.not_modified.get()
+        self.shared.not_modified.get()
     }
 
     /// Transport counters: accepted/active/rejected/timed-out connections
     /// and requests/responses (frames) in/out.
     pub fn transport_counters(&self) -> TransportCounters {
         self.stats.snapshot()
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock accept() with a throwaway connection — bounded, so a
-        // filtered loopback can never wedge the drop.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        match &self.engine {
-            Engine::Threaded { pool, tracker } => {
-                // Workers parked waiting for a peer's next request get EOF
-                // and exit; a worker mid-reply keeps its write half and
-                // finishes.
-                tracker.shutdown_reads();
-                pool.shutdown(self.drain_timeout);
-            }
-            Engine::Event(el) => {
-                // The loop stops reading, flushes queued responses and
-                // closes connections as their output drains.
-                el.shutdown(self.drain_timeout);
-            }
-        }
     }
 }
 
@@ -267,79 +146,8 @@ fn if_none_match_matches(header: &str, etag: &str) -> bool {
     header.split(',').map(str::trim).any(|candidate| candidate == "*" || candidate == etag)
 }
 
-/// Serve a connection on the threaded backend: a thin blocking wrapper
-/// around the sans-io [`RequestParser`] — the event loop runs the same
-/// parser and the same [`render`] on its shard threads.
-fn serve(
-    stream: TcpStream,
-    cfg: &ServerConfig,
-    shared: &HttpShared,
-    stop: &AtomicBool,
-    stats: &ServerStats,
-) -> std::io::Result<()> {
-    // Bound idle time so keep-alive workers do not linger forever.
-    stream.set_read_timeout(cfg.read_timeout)?;
-    stream.set_write_timeout(cfg.write_timeout)?;
-    // Responses are written in one piece; without TCP_NODELAY a reused
-    // connection can stall ~40 ms per exchange (Nagle vs delayed ACK).
-    stream.set_nodelay(true)?;
-    let mut stream = stream;
-    let mut parser = RequestParser::new();
-    let mut scratch = [0u8; 8 * 1024];
-    loop {
-        let n = match stream.read(&mut scratch) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => n,
-            Err(e) => {
-                // A peer that stalls mid-request hits the read deadline
-                // and loses the connection; an *idle* keep-alive expiry
-                // (no partial request buffered) is a routine close.
-                if is_timeout(&e) && parser.has_partial() {
-                    stats.timed_out();
-                    return Ok(());
-                }
-                if is_timeout(&e) {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-        };
-        parser.push(&scratch[..n]);
-        // A stopped server must not answer from its now-stale content
-        // map; closing mid-request makes pooled clients reconnect.
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        loop {
-            let request = match parser.next_request() {
-                Ok(Some(r)) => r,
-                Ok(None) => break,
-                // Blank request line / oversized head: close, as the
-                // line-based loop always did.
-                Err(_) => return Ok(()),
-            };
-            stats.frame_in();
-            let out = render(shared, &request);
-            // A peer that stops draining its response hits the write
-            // deadline; count it like a read stall so both backends
-            // report write-side stalls under `timed_out`.
-            if let Err(e) = stream.write_all(&out).and_then(|_| stream.flush()) {
-                if is_timeout(&e) {
-                    stats.timed_out();
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            stats.frame_out();
-            if request.close_requested {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// The event-loop handler: the same parser and renderer, fed by the
-/// readiness sweep instead of blocking reads.
+/// One connection's protocol core: the incremental parser plus
+/// [`render`], run by either connection engine.
 struct HttpConnHandler {
     shared: Arc<HttpShared>,
     parser: RequestParser,
@@ -361,14 +169,13 @@ impl EventHandler for HttpConnHandler {
     }
 
     /// Only a mid-request stall counts as a timeout; an idle keep-alive
-    /// connection expiring is a routine close (threaded parity).
+    /// connection expiring is a routine close.
     fn deadline_counts_as_timeout(&self) -> bool {
         self.parser.has_partial()
     }
 }
 
 /// Handle one parsed request, returning the complete response bytes.
-/// Shared verbatim by both backends.
 fn render(shared: &HttpShared, request: &Request) -> Vec<u8> {
     shared.hits.inc();
     if request.method != "GET" {
@@ -443,6 +250,8 @@ mod tests {
     use super::*;
     use crate::client::{http_get, http_get_conditional, Fetch};
     use crate::url::Url;
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn serves_published_documents() {

@@ -82,9 +82,7 @@ pub use error::PbioError;
 pub use field::IOField;
 pub use format::{FormatDescriptor, FormatId, FormatSpec};
 pub use machine::{ByteOrder, MachineModel};
-pub use marshal::{
-    decode, decode_borrowed, decode_with, encode, encode_into, Decoded, EncodedView,
-};
+pub use marshal::{decode, decode_borrowed, decode_with, encode, encode_into, Decoded};
 pub use plan::{layouts_match, ConvertPlan, EncodePlan, Encoder, MarshalStats, ViewPlan};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use record::RawRecord;

@@ -21,7 +21,8 @@
 //!
 //! The fixed part is copied with one `memcpy`-equivalent; only pointer
 //! slots are patched.  A receiver whose machine model and format match the
-//! sender can read fields **in place** via [`EncodedView`] — the
+//! sender can read fields **in place**: [`decode_borrowed`] returns a
+//! [`crate::view::RecordView`] over the wire bytes — the
 //! "receiver-makes-right with nothing to make right" fast path.  Otherwise
 //! [`decode`] converts to the receiver's native format via
 //! [`crate::convert`].
@@ -33,9 +34,9 @@ use crate::error::PbioError;
 use crate::format::{FormatDescriptor, FormatId};
 use crate::layout::align_up;
 use crate::machine::ByteOrder;
-use crate::record::{read_float, read_int, read_uint, write_uint, RawRecord, VarData};
+use crate::record::{read_uint, write_uint, RawRecord, VarData};
 use crate::registry::FormatRegistry;
-use crate::types::{BaseType, FieldKind};
+use crate::types::FieldKind;
 
 /// Wire header size in bytes.
 pub const HEADER_SIZE: usize = 20;
@@ -322,146 +323,6 @@ pub fn decode_with_interpreted(
     convert_record(&fixed, &varlen, &sender, target)
 }
 
-/// Zero-copy read access to an encoded record whose format the receiver
-/// shares — PBIO's homogeneous-exchange fast path, where no per-message
-/// work happens at all beyond locating fields.
-pub struct EncodedView<'a> {
-    data: &'a [u8],
-    desc: Arc<FormatDescriptor>,
-}
-
-impl<'a> EncodedView<'a> {
-    /// Wrap an encoded buffer, resolving its format from `registry`.
-    pub fn new(wire: &'a [u8], registry: &FormatRegistry) -> Result<Self, PbioError> {
-        let header = parse_header(wire)?;
-        let desc = registry
-            .lookup_id(header.format_id)
-            .ok_or(PbioError::UnknownFormatId(header.format_id.0))?;
-        Ok(EncodedView { data: &wire[HEADER_SIZE..HEADER_SIZE + header.data_size], desc })
-    }
-
-    /// The sender's format descriptor.
-    pub fn format(&self) -> &Arc<FormatDescriptor> {
-        &self.desc
-    }
-
-    fn field(&self, path: &str) -> Result<(usize, FieldKind), PbioError> {
-        self.desc.field_path(path).map(|(off, f, _)| (off, f.kind.clone())).ok_or_else(|| {
-            PbioError::NoSuchField { format: self.desc.name.clone(), field: path.to_string() }
-        })
-    }
-
-    fn scalar_slice(&self, off: usize, size: usize) -> Result<&'a [u8], PbioError> {
-        self.data
-            .get(off..off + size)
-            .ok_or_else(|| PbioError::BadWireData("field beyond data section".to_string()))
-    }
-
-    /// Read an integer scalar in place.
-    pub fn get_i64(&self, path: &str) -> Result<i64, PbioError> {
-        let (off, kind) = self.field(path)?;
-        let size = match kind {
-            FieldKind::Scalar(BaseType::Integer) => {
-                let f = self.desc.field_path(path).expect("resolved above").1;
-                return Ok(read_int(self.scalar_slice(off, f.size)?, self.desc.machine.byte_order));
-            }
-            FieldKind::Scalar(_) => self.desc.field_path(path).expect("resolved above").1.size,
-            _ => {
-                return Err(PbioError::TypeMismatch {
-                    field: path.to_string(),
-                    expected: "an integer scalar".to_string(),
-                    actual: kind.describe(),
-                })
-            }
-        };
-        Ok(read_uint(self.scalar_slice(off, size)?, self.desc.machine.byte_order) as i64)
-    }
-
-    /// Read a float scalar in place.
-    pub fn get_f64(&self, path: &str) -> Result<f64, PbioError> {
-        let (off, kind) = self.field(path)?;
-        match kind {
-            FieldKind::Scalar(BaseType::Float) => {
-                let f = self.desc.field_path(path).expect("resolved above").1;
-                Ok(read_float(self.scalar_slice(off, f.size)?, self.desc.machine.byte_order))
-            }
-            other => Err(PbioError::TypeMismatch {
-                field: path.to_string(),
-                expected: "a float scalar".to_string(),
-                actual: other.describe(),
-            }),
-        }
-    }
-
-    fn pointer_value(&self, slot_off: usize, slot_size: usize) -> Result<usize, PbioError> {
-        let slot = self.scalar_slice(slot_off, slot_size)?;
-        let order = self.desc.machine.byte_order;
-        let bytes = match order {
-            ByteOrder::Big => &slot[slot_size - 4..],
-            ByteOrder::Little => &slot[..4],
-        };
-        Ok(read_uint(bytes, order) as usize)
-    }
-
-    /// Read a string field in place (borrowed from the wire buffer).
-    pub fn get_str(&self, path: &str) -> Result<&'a str, PbioError> {
-        let (off, kind) = self.field(path)?;
-        if !matches!(kind, FieldKind::String) {
-            return Err(PbioError::TypeMismatch {
-                field: path.to_string(),
-                expected: "a string".to_string(),
-                actual: kind.describe(),
-            });
-        }
-        let f = self.desc.field_path(path).expect("resolved above").1;
-        let at = self.pointer_value(off, f.size)?;
-        if at == 0 {
-            return Ok("");
-        }
-        let tail = self
-            .data
-            .get(at..)
-            .ok_or_else(|| PbioError::BadWireData("string offset out of range".to_string()))?;
-        let end = tail
-            .iter()
-            .position(|&b| b == 0)
-            .ok_or_else(|| PbioError::BadWireData("unterminated string".to_string()))?;
-        std::str::from_utf8(&tail[..end])
-            .map_err(|_| PbioError::BadWireData("string is not UTF-8".to_string()))
-    }
-
-    /// Read a dynamic float array in place.
-    pub fn get_f64_array(&self, path: &str) -> Result<Vec<f64>, PbioError> {
-        let (off, kind) = self.field(path)?;
-        let FieldKind::DynamicArray { elem: BaseType::Float, elem_size, length_field } = kind
-        else {
-            return Err(PbioError::TypeMismatch {
-                field: path.to_string(),
-                expected: "a dynamic float array".to_string(),
-                actual: kind.describe(),
-            });
-        };
-        let (_, f, _) = self.desc.field_path(path).expect("resolved above");
-        let parent = match path.rfind('.') {
-            Some(i) => &path[..=i],
-            None => "",
-        };
-        let count = self.get_i64(&format!("{parent}{length_field}"))? as usize;
-        let at = self.pointer_value(off, f.size)?;
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let bytes = self
-            .data
-            .get(at..at + count * elem_size)
-            .ok_or_else(|| PbioError::BadWireData("array payload out of range".to_string()))?;
-        Ok(bytes
-            .chunks_exact(elem_size)
-            .map(|c| read_float(c, self.desc.machine.byte_order))
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_view_reads_in_place() {
+    fn borrowed_view_reads_in_place() {
         let reg = registry(MachineModel::native());
         let fmt = reg
             .register(FormatSpec::new(
@@ -585,13 +446,15 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let mut rec = RawRecord::new(fmt);
+        let mut rec = RawRecord::new(fmt.clone());
         rec.set_i64("id", -7).unwrap();
         rec.set_f64("x", 6.5).unwrap();
         rec.set_string("who", "vis5d").unwrap();
         rec.set_f64_array("vals", &[1.0, 2.0]).unwrap();
         let wire = encode(&rec).unwrap();
-        let view = EncodedView::new(&wire, &reg).unwrap();
+        let Decoded::View(view) = decode_borrowed(&wire, &reg, &fmt).unwrap() else {
+            panic!("same-layout decode must borrow");
+        };
         assert_eq!(view.get_i64("id").unwrap(), -7);
         assert_eq!(view.get_f64("x").unwrap(), 6.5);
         assert_eq!(view.get_str("who").unwrap(), "vis5d");

@@ -12,25 +12,23 @@
 //! response := 0x00 body | 0x01 (not found) | 0x02 message (error)
 //! ```
 //!
-//! The transport is hardened (see `openmeta_net`): connections are served
-//! by a bounded worker pool with an accept-queue cap instead of detached
-//! thread-per-connection spawns, every socket carries read/write
-//! deadlines, shutdown drains in-flight requests, and the client holds
-//! one persistent connection with retry-with-backoff connects and a
-//! single transparent reconnect when the held connection has gone stale.
+//! The protocol exists once, as the sans-io `FormatConn` handler;
+//! `openmeta_net::Server` runs it on either connection engine (a bounded
+//! worker pool or the readiness event loop) and owns the hardening:
+//! accept-queue and connection caps instead of detached
+//! thread-per-connection spawns, read/write deadlines on every socket,
+//! and a drain of in-flight requests on shutdown.  The client holds one
+//! persistent connection with retry-with-backoff connects and a single
+//! transparent reconnect when the held connection has gone stale.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::sync::{self, Mutex};
 use openmeta_net::{
-    connect_retrying, is_timeout, read_frame_blocking, Backend, ConnTracker, Dispatch,
-    EventHandler, EventLoop, LengthFramer, ServerConfig, ServerStats, TransportConfig,
-    TransportCounters, WorkerPool,
+    connect_retrying, read_frame_blocking, Dispatch, EventHandler, LengthFramer, Server,
+    ServerConfig, ServerStats, TransportConfig, TransportCounters,
 };
 
 use crate::codec::{decode_descriptor, encode_descriptor};
@@ -85,34 +83,12 @@ pub fn fetch_request_payload(id: FormatId) -> Vec<u8> {
     req
 }
 
-/// The connection-handling engine behind a [`FormatServer`]:
-/// blocking workers or the readiness poll loop, selected by
-/// [`ServerConfig::backend`] with no API difference.
-#[derive(Clone)]
-enum Engine {
-    Threaded { pool: Arc<WorkerPool>, tracker: Arc<ConnTracker> },
-    Event(Arc<EventLoop>),
-}
-
-impl Engine {
-    fn submit(&self, stream: TcpStream) -> bool {
-        match self {
-            Engine::Threaded { pool, .. } => pool.submit(stream),
-            Engine::Event(el) => el.register(stream),
-        }
-    }
-}
-
 /// A running format server.  Dropping it shuts the server down
 /// gracefully: in-flight requests finish, idle keep-alive connections
-/// are closed, and the worker pool (or event loop) is drained.
+/// are closed, and the connection engine is drained.
 pub struct FormatServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    engine: Engine,
+    server: Server,
     stats: ServerStats,
-    drain_timeout: Duration,
 }
 
 impl FormatServer {
@@ -121,80 +97,26 @@ impl FormatServer {
         FormatServer::start_with(ServerConfig::default())
     }
 
-    /// Start a server with explicit worker/queue/deadline bounds.
+    /// Start a server with explicit worker/queue/deadline bounds.  The
+    /// config's backend selects the connection engine; the API is
+    /// identical either way.
     pub fn start_with(cfg: ServerConfig) -> Result<FormatServer, PbioError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         // The store's machine model is irrelevant: it only warehouses
         // descriptors that carry their own models.
         let store = Arc::new(FormatRegistry::new(MachineModel::native()));
         let stats = ServerStats::new();
-
-        let engine = match cfg.backend {
-            Backend::Threaded => {
-                let tracker = Arc::new(ConnTracker::new());
-                let (stop_w, stats_w, tracker_w, store_w) =
-                    (stop.clone(), stats.clone(), tracker.clone(), store.clone());
-                let pool = WorkerPool::new(
-                    "format-server",
-                    &cfg,
-                    stats.clone(),
-                    move |stream: TcpStream| {
-                        let _ = stream.set_read_timeout(cfg.read_timeout);
-                        let _ = stream.set_write_timeout(cfg.write_timeout);
-                        let _ = stream.set_nodelay(true);
-                        let id = tracker_w.register(&stream);
-                        let _ = serve_connection(stream, &store_w, &stop_w, &stats_w);
-                        tracker_w.unregister(id);
-                    },
-                );
-                Engine::Threaded { pool: Arc::new(pool), tracker }
-            }
-            Backend::EventLoop => {
-                let store_e = store.clone();
-                let el = EventLoop::start(
-                    "format-server",
-                    &cfg,
-                    stats.clone(),
-                    Arc::new(move || {
-                        Box::new(FormatConn {
-                            store: store_e.clone(),
-                            framer: LengthFramer::new(MAX_FRAME),
-                        }) as Box<dyn EventHandler>
-                    }),
-                );
-                Engine::Event(Arc::new(el))
-            }
-        };
-
-        let (stop_a, stats_a, engine_a) = (stop.clone(), stats.clone(), engine.clone());
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop_a.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                stats_a.accepted();
-                // submit() counts the rejection and we drop the stream,
-                // so a connection flood costs a closed socket, never an
-                // unbounded thread.
-                let _ = engine_a.submit(stream);
-            }
+        let factory = Arc::new(move || {
+            Box::new(FormatConn { store: store.clone(), framer: LengthFramer::new(MAX_FRAME) })
+                as Box<dyn EventHandler>
         });
-        Ok(FormatServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            engine,
-            stats,
-            drain_timeout: cfg.drain_timeout,
-        })
+        let server = Server::start("format-server", listener, &cfg, stats.clone(), factory)?;
+        Ok(FormatServer { server, stats })
     }
 
     /// Address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Transport counters: accepted/active/rejected/timed-out connections
@@ -204,73 +126,10 @@ impl FormatServer {
     }
 }
 
-impl Drop for FormatServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock accept() with a throwaway connection — bounded, so a
-        // filtered loopback can never wedge the drop.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        match &self.engine {
-            Engine::Threaded { pool, tracker } => {
-                // Unblock workers parked in a read (idle keep-alive
-                // clients); a worker mid-reply keeps its write half and
-                // finishes.
-                tracker.shutdown_reads();
-                pool.shutdown(self.drain_timeout);
-            }
-            Engine::Event(el) => {
-                // The loop stops reading, flushes queued replies and
-                // closes connections as their output drains.
-                el.shutdown(self.drain_timeout);
-            }
-        }
-    }
-}
-
-/// Threaded-backend connection loop: a thin blocking wrapper around the
-/// sans-io [`LengthFramer`] — the event loop runs the same framer and
-/// the same `handle_request` on its shard threads.
-fn serve_connection(
-    mut stream: TcpStream,
-    store: &FormatRegistry,
-    stop: &AtomicBool,
-    stats: &ServerStats,
-) -> Result<(), PbioError> {
-    let mut framer = LengthFramer::new(MAX_FRAME);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let req = match read_frame_blocking(&mut stream, &mut framer) {
-            Ok(Some((_, payload))) => payload,
-            Ok(None) => return Ok(()), // clean hang-up between frames
-            Err(e) => {
-                if is_timeout(&e) {
-                    // A peer that stalled mid-frame (or idled past the
-                    // keep-alive deadline) loses the connection; the
-                    // worker moves on.
-                    stats.timed_out();
-                }
-                return Ok(()); // timeout, mid-frame EOF, or garbage: close
-            }
-        };
-        stats.frame_in();
-        let reply = {
-            let _span = openmeta_obs::span!("server.request");
-            handle_request(&req, store)
-        };
-        write_frame(&mut stream, &reply)?;
-        stats.frame_out();
-    }
-}
-
-/// The event-loop handler: the same framer and `handle_request`, fed by
-/// the readiness sweep instead of blocking reads.  Any read-deadline
-/// expiry counts as a timeout, matching [`serve_connection`], which
-/// counts idle keep-alive expiry too (the trait's default).
+/// One connection's protocol core: the sans-io [`LengthFramer`] plus
+/// `handle_request`, run by either connection engine.  Any read-deadline
+/// expiry counts as a timeout, idle keep-alive expiry included (the
+/// trait's default).
 struct FormatConn {
     store: Arc<FormatRegistry>,
     framer: LengthFramer,
@@ -333,7 +192,7 @@ fn handle_request(req: &[u8], store: &FormatRegistry) -> Vec<u8> {
 /// Client handle for a [`FormatServer`].
 ///
 /// Holds one persistent connection and reuses it across requests (the
-/// server's `serve_connection` loops for exactly this reason).  When the
+/// server keeps connections alive for exactly this reason).  When the
 /// held connection has gone stale — the server idle-closed it or
 /// restarted — the next request transparently reconnects once and
 /// retries; both operations are idempotent (register is content-addressed
@@ -438,6 +297,7 @@ mod tests {
     use crate::field::IOField;
     use crate::format::FormatSpec;
     use openmeta_net::RetryPolicy;
+    use std::time::Duration;
 
     fn descriptor(name: &str) -> FormatDescriptor {
         FormatDescriptor::resolve(

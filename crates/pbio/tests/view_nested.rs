@@ -1,9 +1,11 @@
-//! `EncodedView` over composed formats: the zero-copy fast path must
+//! `RecordView` over composed formats: the zero-copy fast path must
 //! reach fields inside nested records (dotted paths) directly in the wire
 //! buffer, including out-of-line strings and arrays owned by subrecords.
 
+use std::sync::Arc;
+
 use openmeta_pbio::prelude::*;
-use openmeta_pbio::EncodedView;
+use openmeta_pbio::{decode_borrowed, Decoded, RecordView};
 
 fn setup() -> (FormatRegistry, RawRecord) {
     let reg = FormatRegistry::new(MachineModel::native());
@@ -36,11 +38,24 @@ fn setup() -> (FormatRegistry, RawRecord) {
     (reg, rec)
 }
 
+/// Decode `wire` as the record's own format, which must take the
+/// borrowed path.
+fn borrowed_view<'a>(
+    wire: &'a [u8],
+    reg: &FormatRegistry,
+    target: &Arc<FormatDescriptor>,
+) -> RecordView<'a> {
+    match decode_borrowed(wire, reg, target).unwrap() {
+        Decoded::View(view) => view,
+        Decoded::Owned(_) => panic!("same-layout decode must borrow"),
+    }
+}
+
 #[test]
 fn nested_scalars_and_strings_read_in_place() {
     let (reg, rec) = setup();
     let wire = encode(&rec).unwrap();
-    let view = EncodedView::new(&wire, &reg).unwrap();
+    let view = borrowed_view(&wire, &reg, rec.format());
     assert_eq!(view.get_i64("hdr.seq").unwrap(), 41);
     assert_eq!(view.get_str("hdr.src").unwrap(), "coupler");
     assert_eq!(view.get_f64("value").unwrap(), -8.5);
@@ -52,7 +67,7 @@ fn nested_scalars_and_strings_read_in_place() {
 fn view_agrees_with_full_decode() {
     let (reg, rec) = setup();
     let wire = encode(&rec).unwrap();
-    let view = EncodedView::new(&wire, &reg).unwrap();
+    let view = borrowed_view(&wire, &reg, rec.format());
     let full = decode(&wire, &reg).unwrap();
     assert_eq!(view.get_i64("hdr.seq").unwrap(), full.get_i64("hdr.seq").unwrap());
     assert_eq!(view.get_str("hdr.src").unwrap(), full.get_string("hdr.src").unwrap());
@@ -66,10 +81,10 @@ fn view_agrees_with_full_decode() {
 fn view_errors_are_typed_not_panics() {
     let (reg, rec) = setup();
     let wire = encode(&rec).unwrap();
-    let view = EncodedView::new(&wire, &reg).unwrap();
+    let view = borrowed_view(&wire, &reg, rec.format());
     assert!(view.get_i64("hdr.src").is_err(), "wrong type");
     assert!(view.get_str("hdr.seq").is_err(), "wrong type");
     assert!(view.get_f64("hdr.missing").is_err(), "no such field");
     // Truncated buffer: view construction already fails.
-    assert!(EncodedView::new(&wire[..wire.len() - 4], &reg).is_err());
+    assert!(decode_borrowed(&wire[..wire.len() - 4], &reg, rec.format()).is_err());
 }

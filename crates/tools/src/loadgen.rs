@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use openmeta_net::nio::{read_ready, write_ready, ReadOutcome, WriteOutcome};
 use openmeta_net::{Backend, LengthFramer, ServerConfig, TransportCounters};
 use openmeta_obs::MetricsRegistry;
-use openmeta_ohttp::{default_http_config, HttpServer};
+use openmeta_ohttp::HttpServer;
 use openmeta_pbio::server::{fetch_request_payload, FormatServer, FormatServerClient};
 use openmeta_pbio::{FormatDescriptor, FormatSpec, IOField, MachineModel};
 
@@ -181,10 +181,7 @@ impl ServerUnderTest {
 /// by one takes longer than the keep-alive idle default, and an
 /// idle-killed connection would show up as a spurious client error.
 fn server_config(opts: &LoadgenOptions) -> ServerConfig {
-    let base = match opts.server {
-        ServerKind::Http => default_http_config(),
-        ServerKind::Pbio => ServerConfig::default(),
-    };
+    let base = ServerConfig::default();
     ServerConfig {
         backend: opts.backend,
         workers: opts.connections.max(base.workers),

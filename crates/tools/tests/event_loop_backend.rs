@@ -9,8 +9,9 @@ use std::time::{Duration, Instant};
 
 use openmeta_net::{Backend, Fault, FaultProxy, ServerConfig, TransportCounters};
 use openmeta_ohttp::HttpServer;
-use openmeta_pbio::server::{FormatServer, FormatServerClient};
-use openmeta_pbio::{FormatDescriptor, FormatSpec, IOField, MachineModel};
+use openmeta_pbio::codec::encode_descriptor;
+use openmeta_pbio::server::{fetch_request_payload, FormatServer, FormatServerClient};
+use openmeta_pbio::{FormatDescriptor, FormatId, FormatSpec, IOField, MachineModel};
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::EventLoop];
 
@@ -235,5 +236,102 @@ fn drop_drains_promptly_on_both_backends() {
             "{backend:?}: drop took {:?}",
             started.elapsed()
         );
+    }
+}
+
+/// `payloads` as `len:u32be payload` frames, concatenated for one write.
+fn pbio_frames(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for p in payloads {
+        wire.extend_from_slice(&(p.len() as u32).to_be_bytes());
+        wire.extend_from_slice(p);
+    }
+    wire
+}
+
+fn read_pbio_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut payload = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut payload).unwrap();
+    payload
+}
+
+#[test]
+fn pbio_write_stall_counts_timed_out_on_both_backends() {
+    // ~1 MiB of descriptor per fetch reply: long field names, many fields.
+    let fields = (0..4000)
+        .map(|i| IOField::auto(format!("field_{i:04}_{}", "n".repeat(200)), "integer", 4))
+        .collect();
+    let big =
+        FormatDescriptor::resolve(&FormatSpec::new("Big", fields), MachineModel::native(), &|_| {
+            None
+        })
+        .unwrap();
+    for backend in BACKENDS {
+        let server = FormatServer::start_with(ServerConfig {
+            write_timeout: Some(Duration::from_millis(300)),
+            ..config(backend)
+        })
+        .unwrap();
+        let id = FormatServerClient::connect(server.addr()).register(&big).unwrap();
+        // Every fetch gets through, but the proxy relays only 4 KiB of
+        // the ~32 MiB of replies before it stops reading: the server's
+        // send buffer fills and its write stalls.
+        let proxy = FaultProxy::start(server.addr(), Fault::Stall { after: 4096 }).unwrap();
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        let fetches = vec![fetch_request_payload(id); 32];
+        stream.write_all(&pbio_frames(&fetches)).unwrap();
+        let c = wait_for(|| server.transport_counters(), |c| c.timed_out >= 1);
+        assert_eq!(c.timed_out, 1, "{backend:?}: {c:?}");
+        drop(stream);
+    }
+}
+
+#[test]
+fn pipelined_requests_in_one_segment_on_both_backends() {
+    for backend in BACKENDS {
+        let server = FormatServer::start_with(config(backend)).unwrap();
+        let (a, b) = (descriptor("PipeA"), descriptor("PipeB"));
+        let client = FormatServerClient::connect(server.addr());
+        let (id_a, id_b) = (client.register(&a).unwrap(), client.register(&b).unwrap());
+        let before = wait_for(|| server.transport_counters(), |c| c.frames_out >= 2);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let fetches = [fetch_request_payload(id_b), fetch_request_payload(id_a)];
+        stream.write_all(&pbio_frames(&fetches)).unwrap();
+        for desc in [&b, &a] {
+            let mut want = vec![0u8]; // ST_OK
+            want.extend_from_slice(&encode_descriptor(desc));
+            assert_eq!(read_pbio_frame(&mut stream), want, "{backend:?}: reply order");
+        }
+        let c = wait_for(|| server.transport_counters(), |c| c.frames_out >= before.frames_out + 2);
+        assert_eq!(c.frames_in - before.frames_in, 2, "{backend:?}: {c:?}");
+        assert_eq!(c.frames_out - before.frames_out, 2, "{backend:?}: {c:?}");
+        assert_eq!(client.fetch(FormatId(0)).unwrap(), None, "{backend:?}: server still serves");
+    }
+    for backend in BACKENDS {
+        let server = HttpServer::start_with(0, config(backend)).unwrap();
+        server.put("/a", "text/xml", "<a/>".as_bytes().to_vec());
+        server.put("/b", "text/xml", "<b/>".as_bytes().to_vec());
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .write_all(
+                b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n\
+                  GET /b HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        // The server answers both, in order, then closes: read to EOF.
+        let mut all = Vec::new();
+        stream.read_to_end(&mut all).unwrap();
+        let text = String::from_utf8(all).unwrap();
+        let second = text.rfind("HTTP/1.1 200 OK").unwrap();
+        assert!(second > 0 && text.starts_with("HTTP/1.1 200 OK"), "{backend:?}: {text}");
+        assert!(text[..second].ends_with("<a/>"), "{backend:?}: {text}");
+        assert!(text[second..].ends_with("<b/>"), "{backend:?}: {text}");
+        let c = wait_for(|| server.transport_counters(), |c| c.frames_out >= 2);
+        assert_eq!(c.frames_in, 2, "{backend:?}: {c:?}");
+        assert_eq!(c.frames_out, 2, "{backend:?}: {c:?}");
     }
 }
