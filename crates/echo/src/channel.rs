@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use openmeta_net::{Backend, READ_CHUNK};
+use openmeta_net::{read_frame_blocking, Backend, LengthFramer};
 use openmeta_obs::span;
 use openmeta_pbio::codec::encode_descriptor;
 use openmeta_pbio::{
@@ -44,7 +44,7 @@ use xmit::{project_type, NegotiationCache, NegotiationStats, Projection, Xmit, X
 
 use crate::fanout::{Engine, Frame, Instruments, Offer, Seat, SlowPolicy};
 use crate::sync;
-use crate::wire::{self, HandshakeServer, FRAME_FORMAT, FRAME_RECORD, FRAME_SUB_ERR, FRAME_SUB_OK};
+use crate::wire::{self, FRAME_FORMAT, FRAME_RECORD, FRAME_SUB_ERR, FRAME_SUB_OK};
 use crate::EchoError;
 
 /// Host-wide channel configuration.
@@ -539,38 +539,18 @@ fn handshake(host: &Arc<HostInner>, mut stream: TcpStream) {
     }
 }
 
-/// Drive the sans-io [`HandshakeServer`] from the blocking accept path
-/// and resolve the decoded SUBSCRIBE request to a group.  Reads exactly
-/// the bytes the machine still needs, so the delivery stream is never
+/// Read the one SUBSCRIBE frame and resolve it to a group.  The framer
+/// reads exactly to the frame boundary, so the delivery stream is never
 /// consumed by the handshake.
 fn subscribe(
     host: &Arc<HostInner>,
     stream: &mut TcpStream,
 ) -> Result<(Arc<Group>, Arc<Instruments>), EchoError> {
-    use std::io::Read;
-    let mut hs = HandshakeServer::new();
-    let req = loop {
-        if let Some(req) = hs.poll()? {
-            break req;
-        }
-        let need = hs.bytes_needed().clamp(1, READ_CHUNK);
-        let mut chunk = vec![0u8; need];
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if hs.buffered() == 0 {
-                    EchoError::Closed
-                } else {
-                    EchoError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-handshake",
-                    ))
-                })
-            }
-            Ok(n) => hs.push(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    };
+    let mut framer = LengthFramer::with_kind_byte(wire::MAX_FRAME);
+    let (kind, payload) = read_frame_blocking(stream, &mut framer)
+        .map_err(wire::read_error)?
+        .ok_or(EchoError::Closed)?;
+    let req = wire::subscribe_from_frame(kind, &payload)?;
     let channel = sync::lock(&host.channels).get(&req.channel.0).cloned().ok_or_else(|| {
         EchoError::Rejected(format!("no channel with format id {}", req.channel.0))
     })?;

@@ -18,9 +18,12 @@
 //!   metadata on demand", turned into a rendezvous).
 //! * **Framing** — the wire is XMIT's `len:u32be kind:u8 payload`
 //!   framing, extended with `SUBSCRIBE`/`SUB_OK`/`SUB_ERR` handshake
-//!   kinds ([`wire`]).  A [`ChannelSubscriber`] is an `XmitReceiver`
-//!   with a handshake bolted on: after `SUB_OK` it reads plain
-//!   FORMAT/RECORD frames.
+//!   kinds ([`wire`]).  The handshake is one frame each way, read by
+//!   the connection's framer and decoded by
+//!   [`wire::subscribe_from_frame`] / [`wire::reply_from_frame`].  A
+//!   [`ChannelSubscriber`] is an `XmitReceiver` with that handshake
+//!   bolted on: after `SUB_OK` the same framer reads plain FORMAT/RECORD
+//!   frames.
 //! * **Shared derived encodes** — subscribers submitting the *same*
 //!   projection join one *group*; each event is encoded **once per
 //!   group**, not once per subscriber.  1000 subscribers across 3
@@ -83,7 +86,7 @@ use std::fmt;
 pub use channel::{Channel, ChannelConfig, ChannelHost, ChannelStats, PublishReceipt};
 pub use fanout::SlowPolicy;
 pub use subscriber::ChannelSubscriber;
-pub use wire::{HandshakeClient, HandshakeReply, HandshakeServer, SubscribeRequest};
+pub use wire::{HandshakeReply, SubscribeRequest};
 
 // Re-exports so channel applications only need this crate.
 pub use openmeta_net::Backend;

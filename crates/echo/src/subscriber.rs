@@ -12,9 +12,7 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
-use openmeta_net::{
-    connect_retrying, read_frame_blocking, LengthFramer, TransportConfig, READ_CHUNK,
-};
+use openmeta_net::{connect_retrying, read_frame_blocking, LengthFramer, TransportConfig};
 use openmeta_pbio::codec::decode_descriptor;
 use openmeta_pbio::{
     decode, FormatDescriptor, FormatId, FormatRegistry, MachineModel, PbioError, RawRecord,
@@ -22,8 +20,7 @@ use openmeta_pbio::{
 use xmit::Projection;
 
 use crate::wire::{
-    self, HandshakeClient, HandshakeReply, SubscribeRequest, FRAME_FORMAT, FRAME_RECORD,
-    FRAME_SUBSCRIBE,
+    self, HandshakeReply, SubscribeRequest, FRAME_FORMAT, FRAME_RECORD, FRAME_SUBSCRIBE,
 };
 use crate::EchoError;
 
@@ -83,44 +80,24 @@ impl ChannelSubscriber {
         request: SubscribeRequest,
         cfg: &TransportConfig,
     ) -> Result<ChannelSubscriber, EchoError> {
-        use std::io::Read;
         let mut stream = connect_retrying(addr, cfg)?;
         let payload = request.encode();
         let mut frame = Vec::with_capacity(5 + payload.len());
         wire::build_frame(&mut frame, FRAME_SUBSCRIBE, &[&payload])?;
         stream.write_all(&frame)?;
 
-        // Drive the sans-io client machine from the blocking socket:
-        // read exactly the bytes it still needs, so delivery frames
-        // pipelined behind SUB_OK stay in the machine's framer.
-        let mut hs = HandshakeClient::new();
-        let reply = loop {
-            if let Some(reply) = hs.poll()? {
-                break reply;
-            }
-            let need = hs.bytes_needed().clamp(1, READ_CHUNK);
-            let mut chunk = vec![0u8; need];
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(if hs.buffered() == 0 {
-                        EchoError::Closed
-                    } else {
-                        EchoError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-handshake",
-                        ))
-                    })
-                }
-                Ok(n) => hs.push(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        };
-        match reply {
+        // The reply is one frame; the framer that reads it stays with
+        // the subscription, so delivery frames pipelined behind SUB_OK
+        // are kept for `recv`.
+        let mut framer = LengthFramer::with_kind_byte(wire::MAX_FRAME);
+        let (kind, payload) = read_frame_blocking(&mut stream, &mut framer)
+            .map_err(wire::read_error)?
+            .ok_or(EchoError::Closed)?;
+        match wire::reply_from_frame(kind, &payload)? {
             HandshakeReply::Accepted(delivered_format) => Ok(ChannelSubscriber {
                 stream,
                 registry: Arc::new(FormatRegistry::new(MachineModel::native())),
-                framer: hs.into_framer(),
+                framer,
                 delivered_format,
             }),
             HandshakeReply::Rejected(reason) => Err(EchoError::Rejected(reason)),
@@ -142,13 +119,8 @@ impl ChannelSubscriber {
     /// channel cleanly.
     pub fn recv(&mut self) -> Result<Option<RawRecord>, EchoError> {
         loop {
-            let frame = read_frame_blocking(&mut self.stream, &mut self.framer).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::InvalidData {
-                    EchoError::Bcm(PbioError::BadWireData(e.to_string()))
-                } else {
-                    EchoError::Io(e)
-                }
-            })?;
+            let frame = read_frame_blocking(&mut self.stream, &mut self.framer)
+                .map_err(wire::read_error)?;
             let Some((kind, payload)) = frame else { return Ok(None) };
             let _span = openmeta_obs::span!("transport.recv");
             match kind {

@@ -29,8 +29,13 @@
 //! channel's format: the host negotiates the pair exactly like an XMIT
 //! `HELLO` and delivers records converted to the subscriber's version —
 //! or answers `SUB_ERR` when the versions are incompatible.
+//!
+//! The handshake is one frame each way.  Both ends read it with
+//! `openmeta_net::read_frame_blocking` on the connection's kind-byte
+//! `LengthFramer`, which stops exactly at the frame boundary, and
+//! decode it with [`subscribe_from_frame`] (host) or
+//! [`reply_from_frame`] (subscriber).
 
-use openmeta_net::LengthFramer;
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::{FormatDescriptor, FormatId, PbioError};
 use xmit::Projection;
@@ -67,6 +72,16 @@ pub(crate) fn build_frame(out: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) -> Resul
         out.extend_from_slice(part);
     }
     Ok(())
+}
+
+/// Classify an error from `read_frame_blocking`: an oversized length
+/// prefix is bad wire data; anything else belongs to the socket.
+pub(crate) fn read_error(e: std::io::Error) -> EchoError {
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        EchoError::Bcm(PbioError::BadWireData(e.to_string()))
+    } else {
+        EchoError::Io(e)
+    }
 }
 
 /// What a subscriber asks of a channel.
@@ -223,98 +238,19 @@ impl Cursor<'_> {
     }
 }
 
-// ------------------------------------------------- handshake machines
+// ---------------------------------------------------- handshake frames
 
-/// Sans-io server side of the subscription handshake.
-///
-/// Push bytes as they arrive (in any fragmentation), poll for the
-/// decoded [`SubscribeRequest`].  The machine accepts exactly one
-/// `SUBSCRIBE` frame: any other leading frame kind, a malformed
-/// payload, or bytes trailing the frame are protocol errors (a
-/// subscriber sends nothing else before `SUB_OK`/`SUB_ERR`).  Both the
-/// threaded accept loop and the analyzer's exhaustive model checker
-/// drive this same type, so every byte-split schedule the checker
-/// proves safe is the code that runs in production.
-#[derive(Debug)]
-pub struct HandshakeServer {
-    framer: LengthFramer,
-    done: bool,
+/// Decode the subscriber's first frame — the host's whole handshake
+/// input.  Anything but a well-formed `SUBSCRIBE` refuses the seat (the
+/// host answers `SUB_ERR` where the socket still permits, then drops).
+pub fn subscribe_from_frame(kind: u8, payload: &[u8]) -> Result<SubscribeRequest, EchoError> {
+    if kind != FRAME_SUBSCRIBE {
+        return Err(EchoError::Rejected(format!("expected SUBSCRIBE frame, got kind {kind}")));
+    }
+    SubscribeRequest::decode(payload)
 }
 
-impl HandshakeServer {
-    /// A machine with the production frame cap ([`MAX_FRAME`]).
-    pub fn new() -> HandshakeServer {
-        HandshakeServer::with_max_frame(MAX_FRAME)
-    }
-
-    /// A machine with an explicit frame cap (the model checker uses a
-    /// tiny cap so oversized-length scenarios stay short).
-    pub fn with_max_frame(max_frame: usize) -> HandshakeServer {
-        HandshakeServer { framer: LengthFramer::with_kind_byte(max_frame), done: false }
-    }
-
-    /// Append newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.framer.push(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a decision.
-    pub fn buffered(&self) -> usize {
-        self.framer.buffered()
-    }
-
-    /// How many more bytes are needed before [`HandshakeServer::poll`]
-    /// can decide; 0 once a decision is available (or the machine is
-    /// done).
-    pub fn bytes_needed(&self) -> usize {
-        if self.done {
-            0
-        } else {
-            self.framer.bytes_needed()
-        }
-    }
-
-    /// The handshake has produced its decision; the connection hands
-    /// over to the delivery engine.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Poll for the subscription request.  `Ok(None)` means more bytes
-    /// are needed; errors end the handshake (the host answers
-    /// `SUB_ERR` where the socket still permits, then drops).
-    pub fn poll(&mut self) -> Result<Option<SubscribeRequest>, EchoError> {
-        if self.done {
-            if self.framer.is_empty() {
-                return Ok(None);
-            }
-            return Err(EchoError::Rejected("unexpected bytes after SUBSCRIBE".to_string()));
-        }
-        let frame = self
-            .framer
-            .next_frame()
-            .map_err(|e| EchoError::Bcm(PbioError::BadWireData(e.to_string())))?;
-        match frame {
-            None => Ok(None),
-            Some((FRAME_SUBSCRIBE, payload)) => {
-                self.done = true;
-                SubscribeRequest::decode(&payload).map(Some)
-            }
-            Some((kind, _)) => {
-                self.done = true;
-                Err(EchoError::Rejected(format!("expected SUBSCRIBE frame, got kind {kind}")))
-            }
-        }
-    }
-}
-
-impl Default for HandshakeServer {
-    fn default() -> HandshakeServer {
-        HandshakeServer::new()
-    }
-}
-
-/// The host's answer to a subscription, as seen by the client machine.
+/// The host's answer to a subscription.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandshakeReply {
     /// `SUB_OK`: the content id of the format this seat will receive
@@ -324,103 +260,33 @@ pub enum HandshakeReply {
     Rejected(String),
 }
 
-/// Sans-io client side of the subscription handshake: awaits exactly
-/// one `SUB_OK`/`SUB_ERR` frame.
+/// Decode the host's first frame: exactly one `SUB_OK`/`SUB_ERR`.
 ///
 /// After `SUB_OK` the same connection carries ordinary FORMAT/RECORD
-/// frames, so bytes beyond the reply are *not* an error here — they
-/// stay buffered, and [`HandshakeClient::into_framer`] hands the framer
-/// (with any such delivery bytes intact) to the receive loop.
-#[derive(Debug)]
-pub struct HandshakeClient {
-    framer: LengthFramer,
-    done: bool,
-}
-
-impl HandshakeClient {
-    /// A machine with the production frame cap ([`MAX_FRAME`]).
-    pub fn new() -> HandshakeClient {
-        HandshakeClient::with_max_frame(MAX_FRAME)
-    }
-
-    /// A machine with an explicit frame cap (for the model checker).
-    pub fn with_max_frame(max_frame: usize) -> HandshakeClient {
-        HandshakeClient { framer: LengthFramer::with_kind_byte(max_frame), done: false }
-    }
-
-    /// Append newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.framer.push(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a reply.
-    pub fn buffered(&self) -> usize {
-        self.framer.buffered()
-    }
-
-    /// How many more bytes are needed before [`HandshakeClient::poll`]
-    /// can decide; 0 once the reply is in (or the machine is done).
-    pub fn bytes_needed(&self) -> usize {
-        if self.done {
-            0
-        } else {
-            self.framer.bytes_needed()
+/// frames; the subscriber keeps reading them through the framer that
+/// delivered this reply, so delivery bytes pipelined behind `SUB_OK`
+/// stay buffered there.
+pub fn reply_from_frame(kind: u8, payload: &[u8]) -> Result<HandshakeReply, EchoError> {
+    match kind {
+        FRAME_SUB_OK => {
+            let id: [u8; 8] = payload.try_into().map_err(|_| {
+                EchoError::Bcm(PbioError::BadWireData("malformed SUB_OK".to_string()))
+            })?;
+            Ok(HandshakeReply::Accepted(FormatId(u64::from_be_bytes(id))))
         }
-    }
-
-    /// The reply has been consumed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Poll for the host's reply.  `Ok(None)` means more bytes are
-    /// needed.
-    pub fn poll(&mut self) -> Result<Option<HandshakeReply>, EchoError> {
-        if self.done {
-            return Ok(None);
+        FRAME_SUB_ERR => {
+            Ok(HandshakeReply::Rejected(String::from_utf8_lossy(payload).into_owned()))
         }
-        let frame = self
-            .framer
-            .next_frame()
-            .map_err(|e| EchoError::Bcm(PbioError::BadWireData(e.to_string())))?;
-        match frame {
-            None => Ok(None),
-            Some((FRAME_SUB_OK, payload)) => {
-                self.done = true;
-                let id: [u8; 8] = payload.as_slice().try_into().map_err(|_| {
-                    EchoError::Bcm(PbioError::BadWireData("malformed SUB_OK".to_string()))
-                })?;
-                Ok(Some(HandshakeReply::Accepted(FormatId(u64::from_be_bytes(id)))))
-            }
-            Some((FRAME_SUB_ERR, payload)) => {
-                self.done = true;
-                Ok(Some(HandshakeReply::Rejected(String::from_utf8_lossy(&payload).into_owned())))
-            }
-            Some((kind, _)) => {
-                self.done = true;
-                Err(EchoError::Bcm(PbioError::BadWireData(format!(
-                    "unexpected handshake frame kind {kind}"
-                ))))
-            }
-        }
-    }
-
-    /// Hand the framer — including any already-buffered delivery bytes
-    /// that arrived behind `SUB_OK` — to the receive loop.
-    pub fn into_framer(self) -> LengthFramer {
-        self.framer
-    }
-}
-
-impl Default for HandshakeClient {
-    fn default() -> HandshakeClient {
-        HandshakeClient::new()
+        kind => Err(EchoError::Bcm(PbioError::BadWireData(format!(
+            "unexpected handshake frame kind {kind}"
+        )))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openmeta_net::LengthFramer;
 
     fn version_desc() -> FormatDescriptor {
         use openmeta_pbio::{FormatRegistry, FormatSpec, IOField, MachineModel};
@@ -514,75 +380,84 @@ mod tests {
         assert_eq!(frame, [0, 0, 0, 5, FRAME_RECORD, b'a', b'b', b'c', b'd', b'e']);
     }
 
+    fn subscribe_frame(req: &SubscribeRequest) -> Vec<u8> {
+        let mut frame = Vec::new();
+        build_frame(&mut frame, FRAME_SUBSCRIBE, &[&req.encode()]).unwrap();
+        frame
+    }
+
     #[test]
-    fn server_machine_decodes_split_subscribe() {
+    fn subscribe_frame_decodes_byte_at_a_time() {
         let req = SubscribeRequest { channel: FormatId(11), projection: None, version: None };
-        let mut frame = Vec::new();
-        build_frame(&mut frame, FRAME_SUBSCRIBE, &[&req.encode()]).unwrap();
-        let mut hs = HandshakeServer::new();
-        for b in &frame {
-            assert!(hs.poll().unwrap().is_none());
-            assert!(hs.bytes_needed() > 0);
-            hs.push(&[*b]);
+        let mut framer = LengthFramer::with_kind_byte(MAX_FRAME);
+        for b in &subscribe_frame(&req) {
+            assert!(framer.next_frame().unwrap().is_none());
+            assert!(framer.bytes_needed() > 0);
+            framer.push(&[*b]);
         }
-        assert_eq!(hs.poll().unwrap(), Some(req));
-        assert!(hs.is_done());
-        assert!(hs.poll().unwrap().is_none());
+        let (kind, payload) = framer.next_frame().unwrap().expect("whole frame");
+        assert_eq!(subscribe_from_frame(kind, &payload).unwrap(), req);
     }
 
     #[test]
-    fn server_machine_rejects_wrong_kind_and_trailing_bytes() {
-        let mut frame = Vec::new();
-        build_frame(&mut frame, FRAME_RECORD, &[b"zz"]).unwrap();
-        let mut hs = HandshakeServer::new();
-        hs.push(&frame);
-        assert!(matches!(hs.poll(), Err(EchoError::Rejected(_))));
+    fn subscribe_rejects_wrong_kind_and_leaves_trailing_bytes_unread() {
+        assert!(matches!(subscribe_from_frame(FRAME_RECORD, b"zz"), Err(EchoError::Rejected(_))));
 
+        // Bytes behind SUBSCRIBE stay in the framer: the handshake reads
+        // one frame and never looks further.
         let req = SubscribeRequest { channel: FormatId(1), projection: None, version: None };
-        let mut frame = Vec::new();
-        build_frame(&mut frame, FRAME_SUBSCRIBE, &[&req.encode()]).unwrap();
-        frame.push(0xFF);
-        let mut hs = HandshakeServer::new();
-        hs.push(&frame);
-        assert!(hs.poll().unwrap().is_some());
-        assert!(matches!(hs.poll(), Err(EchoError::Rejected(_))));
+        let mut wire = subscribe_frame(&req);
+        wire.push(0xFF);
+        let mut framer = LengthFramer::with_kind_byte(MAX_FRAME);
+        framer.push(&wire);
+        let (kind, payload) = framer.next_frame().unwrap().unwrap();
+        assert_eq!(subscribe_from_frame(kind, &payload).unwrap(), req);
+        assert_eq!(framer.buffered(), 1);
     }
 
     #[test]
-    fn client_machine_consumes_reply_and_keeps_delivery_bytes() {
+    fn deeply_nested_version_offer_is_rejected() {
+        // A version offer whose descriptor nests 5 000 levels deep.
+        let level =
+            [0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, 4];
+        let mut desc = level.repeat(5_000);
+        desc.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        let mut payload = 7u64.to_be_bytes().to_vec();
+        payload.extend_from_slice(&[0, 1]);
+        payload.extend_from_slice(&0u64.to_be_bytes());
+        payload.extend_from_slice(&(desc.len() as u32).to_be_bytes());
+        payload.extend_from_slice(&desc);
+        let err = subscribe_from_frame(FRAME_SUBSCRIBE, &payload).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn reply_frame_keeps_delivery_bytes_in_the_framer() {
         let mut wire = Vec::new();
         build_frame(&mut wire, FRAME_SUB_OK, &[&7u64.to_be_bytes()]).unwrap();
         build_frame(&mut wire, FRAME_FORMAT, &[b"descriptor-bytes"]).unwrap();
-        let mut hs = HandshakeClient::new();
-        hs.push(&wire);
-        assert_eq!(hs.poll().unwrap(), Some(HandshakeReply::Accepted(FormatId(7))));
-        let mut framer = hs.into_framer();
+        let mut framer = LengthFramer::with_kind_byte(MAX_FRAME);
+        framer.push(&wire);
+        let (kind, payload) = framer.next_frame().unwrap().unwrap();
+        assert_eq!(
+            reply_from_frame(kind, &payload).unwrap(),
+            HandshakeReply::Accepted(FormatId(7))
+        );
         let (kind, payload) = framer.next_frame().unwrap().expect("delivery frame intact");
         assert_eq!(kind, FRAME_FORMAT);
         assert_eq!(payload, b"descriptor-bytes");
     }
 
     #[test]
-    fn client_machine_surfaces_rejection_and_bad_kinds() {
-        let mut wire = Vec::new();
-        build_frame(&mut wire, FRAME_SUB_ERR, &[b"no such channel"]).unwrap();
-        let mut hs = HandshakeClient::new();
-        hs.push(&wire);
+    fn reply_surfaces_rejection_and_bad_kinds() {
         assert_eq!(
-            hs.poll().unwrap(),
-            Some(HandshakeReply::Rejected("no such channel".to_string()))
+            reply_from_frame(FRAME_SUB_ERR, b"no such channel").unwrap(),
+            HandshakeReply::Rejected("no such channel".to_string())
         );
-
-        let mut wire = Vec::new();
-        build_frame(&mut wire, FRAME_RECORD, &[b"x"]).unwrap();
-        let mut hs = HandshakeClient::new();
-        hs.push(&wire);
-        assert!(hs.poll().is_err());
-
-        let mut wire = Vec::new();
-        build_frame(&mut wire, FRAME_SUB_OK, &[b"short"]).unwrap();
-        let mut hs = HandshakeClient::new();
-        hs.push(&wire);
-        assert!(hs.poll().is_err(), "SUB_OK payload must be exactly 8 bytes");
+        assert!(reply_from_frame(FRAME_RECORD, b"x").is_err());
+        assert!(
+            reply_from_frame(FRAME_SUB_OK, b"short").is_err(),
+            "SUB_OK payload must be exactly 8 bytes"
+        );
     }
 }

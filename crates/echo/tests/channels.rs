@@ -2,12 +2,18 @@
 //! shared projected encodes, slow-subscriber policies, rejection paths
 //! — each on both transport backends.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use openmeta_echo::wire::{FRAME_FORMAT, FRAME_RECORD, FRAME_SUBSCRIBE, FRAME_SUB_OK};
 use openmeta_echo::{
-    Backend, ChannelConfig, ChannelHost, ChannelSubscriber, EchoError, Projection, SlowPolicy,
+    Backend, ChannelConfig, ChannelHost, ChannelSubscriber, EchoError, FormatId, Projection,
+    SlowPolicy, SubscribeRequest,
 };
+use openmeta_pbio::codec::decode_descriptor;
+use openmeta_pbio::{decode, FormatRegistry, MachineModel, PbioError};
 use openmeta_schema::{parse_str, ComplexType};
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::EventLoop];
@@ -399,4 +405,103 @@ fn publish_frames_recycle_through_the_buffer_pool() {
         after.reuses > before.reuses,
         "publish must recycle pooled frame buffers ({before:?} → {after:?})"
     );
+}
+
+fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+    out.push(kind);
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Read one whole `len kind payload` frame from a raw socket.
+fn read_frame(stream: &mut TcpStream) -> (u8, Vec<u8>) {
+    let mut header = [0u8; 5];
+    stream.read_exact(&mut header).unwrap();
+    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload).unwrap();
+    (header[4], payload)
+}
+
+/// A stand-in host: accepts one subscriber, reads its whole SUBSCRIBE
+/// frame, writes `reply` (possibly a partial or lying frame) and hangs
+/// up.
+fn scripted_host(reply: Vec<u8>) -> (SocketAddr, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, _) = read_frame(&mut stream);
+        assert_eq!(kind, FRAME_SUBSCRIBE);
+        stream.write_all(&reply).unwrap();
+    });
+    (addr, handle)
+}
+
+#[test]
+fn subscriber_handshake_reports_eof_and_oversized_replies() {
+    let connect = |reply: Vec<u8>| {
+        let (addr, host) = scripted_host(reply);
+        let err = ChannelSubscriber::connect(addr, FormatId(7), None).err().expect("must fail");
+        host.join().unwrap();
+        err
+    };
+
+    // The host hangs up before replying: a clean close.
+    let err = connect(Vec::new());
+    assert!(matches!(err, EchoError::Closed), "{err:?}");
+
+    // The host hangs up after half a SUB_OK: a truncated frame.
+    let half = frame(FRAME_SUB_OK, &7u64.to_be_bytes())[..9].to_vec();
+    let err = connect(half);
+    assert!(matches!(&err, EchoError::Io(e) if e.kind() == ErrorKind::UnexpectedEof), "{err:?}");
+
+    // A reply header claiming more than the frame cap.
+    let mut oversized = u32::MAX.to_be_bytes().to_vec();
+    oversized.push(FRAME_SUB_OK);
+    let err = connect(oversized);
+    assert!(matches!(err, EchoError::Bcm(PbioError::BadWireData(_))), "{err:?}");
+}
+
+#[test]
+fn subscribe_with_trailing_junk_still_gets_sub_ok_and_events() {
+    for backend in BACKENDS {
+        let host = ChannelHost::start(config(backend)).unwrap();
+        let chan = host.create_channel(&flow_type()).unwrap();
+        let request =
+            SubscribeRequest { channel: chan.format_id(), projection: None, version: None };
+        // SUBSCRIBE plus bytes that belong to no frame, in one write: the
+        // host reads exactly to the frame boundary and never reads the
+        // seat again, so the junk is neither parsed nor fatal.
+        let mut wire = frame(FRAME_SUBSCRIBE, &request.encode());
+        wire.extend_from_slice(&[0xFF, 0, 0, 0, 9, b'j', b'u', b'n', b'k']);
+        let mut stream = TcpStream::connect(host.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&wire).unwrap();
+
+        let (kind, payload) = read_frame(&mut stream);
+        assert_eq!(kind, FRAME_SUB_OK, "{backend:?}");
+        assert_eq!(payload, chan.format_id().0.to_be_bytes(), "{backend:?}");
+        assert_eq!(chan.subscriber_count(), 1, "{backend:?}");
+
+        let registry = FormatRegistry::new(MachineModel::native());
+        for t in 0..2 {
+            let mut rec = chan.new_record();
+            rec.set_i64("timestep", t).unwrap();
+            rec.set_string("station", "gauge-7").unwrap();
+            rec.set_f64_array("depth", &[1.0]).unwrap();
+            rec.set_f64("quality", 0.5).unwrap();
+            assert_eq!(chan.publish(&rec).unwrap().delivered, 1, "{backend:?}");
+            if t == 0 {
+                let (kind, payload) = read_frame(&mut stream);
+                assert_eq!(kind, FRAME_FORMAT, "{backend:?}");
+                registry.register_descriptor(decode_descriptor(&payload).unwrap());
+            }
+            let (kind, payload) = read_frame(&mut stream);
+            assert_eq!(kind, FRAME_RECORD, "{backend:?}");
+            let got = decode(&payload, &registry).unwrap();
+            assert_eq!(got.get_i64("timestep").unwrap(), t, "{backend:?}");
+        }
+    }
 }

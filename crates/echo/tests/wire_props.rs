@@ -1,13 +1,17 @@
 //! Property tests for the echo handshake wire frames: however the byte
-//! stream is fragmented, SUBSCRIBE / SUB_OK / SUB_ERR must decode to
+//! stream is fragmented, the connection's `LengthFramer` must deliver
+//! the same first frame, and SUBSCRIBE / SUB_OK / SUB_ERR must decode to
 //! the same decision — the split-invariance the analyzer's exhaustive
 //! explorer proves for short streams, checked here over long random
 //! ones.
 
 use proptest::prelude::*;
 
-use openmeta_echo::wire::{FRAME_SUBSCRIBE, FRAME_SUB_ERR, FRAME_SUB_OK};
-use openmeta_echo::{HandshakeClient, HandshakeReply, HandshakeServer, SubscribeRequest};
+use openmeta_echo::wire::{
+    reply_from_frame, subscribe_from_frame, FRAME_SUBSCRIBE, FRAME_SUB_ERR, FRAME_SUB_OK,
+};
+use openmeta_echo::{HandshakeReply, SubscribeRequest};
+use openmeta_net::LengthFramer;
 use openmeta_pbio::FormatId;
 use xmit::Projection;
 
@@ -43,29 +47,27 @@ fn version_desc() -> openmeta_pbio::FormatDescriptor {
     (*reg.register(FormatSpec::new("V", vec![IOField::auto("x", "integer", 4)])).unwrap()).clone()
 }
 
-/// Feed `wire` to `push` in fragments cut at `splits` (positions taken
-/// modulo the remaining length), invoking `poll` after every push.
-fn drive<M>(
-    wire: &[u8],
-    splits: &[usize],
-    machine: &mut M,
-    mut push: impl FnMut(&mut M, &[u8]),
-    mut poll: impl FnMut(&mut M) -> Option<()>,
-) {
+/// Feed `wire` to a fresh framer in fragments cut at `splits`
+/// (positions taken modulo the remaining length), stopping at the first
+/// complete frame as a blocking handshake does.  Returns that frame and
+/// the framer, which still holds whatever arrived behind it.
+fn first_frame(wire: &[u8], splits: &[usize]) -> (Option<(u8, Vec<u8>)>, LengthFramer) {
+    let mut framer = LengthFramer::with_kind_byte(64 << 20);
     let mut rest = wire;
     for s in splits {
         if rest.is_empty() {
             break;
         }
         let n = 1 + (s % rest.len());
-        push(machine, &rest[..n]);
+        framer.push(&rest[..n]);
         rest = &rest[n..];
-        if poll(machine).is_some() {
-            return;
+        if let Some(frame) = framer.next_frame().expect("frame within the cap") {
+            framer.push(rest);
+            return (Some(frame), framer);
         }
     }
-    push(machine, rest);
-    poll(machine);
+    framer.push(rest);
+    (framer.next_frame().expect("frame within the cap"), framer)
 }
 
 proptest! {
@@ -77,21 +79,10 @@ proptest! {
         splits in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let wire = frame(FRAME_SUBSCRIBE, &req.encode());
-        let mut server = HandshakeServer::new();
-        let mut got = None;
-        drive(
-            &wire,
-            &splits,
-            &mut server,
-            HandshakeServer::push,
-            |m| {
-                got = m.poll().expect("valid subscribe frame");
-                got.as_ref().map(|_| ())
-            },
-        );
-        prop_assert_eq!(got, Some(req));
-        prop_assert!(server.is_done());
-        prop_assert_eq!(server.bytes_needed(), 0);
+        let (got, framer) = first_frame(&wire, &splits);
+        let (kind, payload) = got.expect("whole frame");
+        prop_assert_eq!(subscribe_from_frame(kind, &payload).expect("valid subscribe frame"), req);
+        prop_assert!(framer.is_empty());
     }
 
     #[test]
@@ -104,27 +95,13 @@ proptest! {
         // the receive loop, not be lost or treated as an error.
         let mut wire = frame(FRAME_SUB_OK, &id.to_be_bytes());
         wire.extend_from_slice(&frame(2, &delivery));
-        let mut client = HandshakeClient::new();
-        let mut got = None;
-        let mut rest = wire.as_slice();
-        for s in &splits {
-            if rest.is_empty() {
-                break;
-            }
-            let n = 1 + (s % rest.len());
-            client.push(&rest[..n]);
-            rest = &rest[n..];
-            if got.is_none() {
-                got = client.poll().expect("valid SUB_OK frame");
-            }
-        }
-        client.push(rest);
-        if got.is_none() {
-            got = client.poll().expect("valid SUB_OK frame");
-        }
-        prop_assert_eq!(got, Some(HandshakeReply::Accepted(FormatId(id))));
+        let (got, mut framer) = first_frame(&wire, &splits);
+        let (kind, payload) = got.expect("whole frame");
+        prop_assert_eq!(
+            reply_from_frame(kind, &payload).expect("valid SUB_OK frame"),
+            HandshakeReply::Accepted(FormatId(id))
+        );
         // Whatever arrived behind the reply is handed over intact.
-        let mut framer = client.into_framer();
         let trailing = framer.next_frame().expect("valid delivery frame");
         prop_assert_eq!(trailing, Some((2u8, delivery)));
         prop_assert!(framer.is_empty());
@@ -136,39 +113,23 @@ proptest! {
         splits in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let wire = frame(FRAME_SUB_ERR, &msg);
-        let mut client = HandshakeClient::new();
-        let mut got = None;
-        drive(
-            &wire,
-            &splits,
-            &mut client,
-            HandshakeClient::push,
-            |m| {
-                got = m.poll().expect("valid SUB_ERR frame");
-                got.as_ref().map(|_| ())
-            },
-        );
+        let (got, _) = first_frame(&wire, &splits);
+        let (kind, payload) = got.expect("whole frame");
         let want = String::from_utf8_lossy(&msg).into_owned();
-        prop_assert_eq!(got, Some(HandshakeReply::Rejected(want)));
+        prop_assert_eq!(
+            reply_from_frame(kind, &payload).expect("valid SUB_ERR frame"),
+            HandshakeReply::Rejected(want)
+        );
     }
 
     #[test]
     fn byte_at_a_time_equals_one_push(req in requests()) {
         let wire = frame(FRAME_SUBSCRIBE, &req.encode());
-
-        let mut whole = HandshakeServer::new();
-        whole.push(&wire);
-        let want = whole.poll().expect("valid frame");
-
-        let mut trickle = HandshakeServer::new();
-        let mut got = None;
-        for b in &wire {
-            trickle.push(&[*b]);
-            if got.is_none() {
-                got = trickle.poll().expect("valid frame");
-            }
-        }
-        prop_assert_eq!(got, want);
+        let (whole, _) = first_frame(&wire, &[]);
+        let (trickle, _) = first_frame(&wire, &vec![0; wire.len()]);
+        prop_assert_eq!(&trickle, &whole);
+        let (kind, payload) = trickle.expect("whole frame");
+        prop_assert_eq!(subscribe_from_frame(kind, &payload).expect("valid frame"), req);
     }
 
     #[test]
@@ -178,25 +139,27 @@ proptest! {
         splits in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let wire = frame(kind, &payload);
-        let mut server = HandshakeServer::new();
-        let mut rejected = false;
-        let mut rest = wire.as_slice();
-        for s in &splits {
-            if rest.is_empty() {
-                break;
-            }
-            let n = 1 + (s % rest.len());
-            server.push(&rest[..n]);
-            rest = &rest[n..];
-            if server.poll().is_err() {
-                rejected = true;
-                break;
-            }
+        let (got, _) = first_frame(&wire, &splits);
+        let (kind, payload) = got.expect("whole frame");
+        prop_assert!(
+            subscribe_from_frame(kind, &payload).is_err(),
+            "non-SUBSCRIBE frame must end the handshake"
+        );
+        prop_assert!(reply_from_frame(kind, &payload).is_err(), "not a reply either");
+    }
+
+    #[test]
+    fn malformed_sub_ok_is_rejected_under_every_split(
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+        splits in proptest::collection::vec(any::<usize>(), 0..64),
+    ) {
+        let mut payload = payload;
+        if payload.len() == 8 {
+            payload.push(0);
         }
-        if !rejected {
-            server.push(rest);
-            rejected = server.poll().is_err();
-        }
-        prop_assert!(rejected, "non-SUBSCRIBE frame must end the handshake");
+        let wire = frame(FRAME_SUB_OK, &payload);
+        let (got, _) = first_frame(&wire, &splits);
+        let (kind, payload) = got.expect("whole frame");
+        prop_assert!(reply_from_frame(kind, &payload).is_err(), "SUB_OK carries exactly 8 bytes");
     }
 }

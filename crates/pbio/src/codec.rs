@@ -20,6 +20,11 @@ const KIND_STATIC: u8 = 2;
 const KIND_DYNAMIC: u8 = 3;
 const KIND_NESTED: u8 = 4;
 
+/// Deepest nesting [`decode_descriptor`] accepts: the outer format is
+/// level 1, each nested member one more.  Decoding recurses once per
+/// level, so a peer-chosen depth would otherwise choose our stack depth.
+const MAX_NESTING_DEPTH: usize = 64;
+
 /// Serialize a descriptor to its canonical byte string.
 pub fn encode_descriptor(d: &FormatDescriptor) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + d.fields.len() * 24);
@@ -110,7 +115,7 @@ impl<'a> Cur<'a> {
 /// Deserialize a descriptor produced by [`encode_descriptor`].
 pub fn decode_descriptor(bytes: &[u8]) -> Result<FormatDescriptor, PbioError> {
     let mut cur = Cur { buf: bytes, pos: 0 };
-    let d = read_descriptor(&mut cur)?;
+    let d = read_descriptor(&mut cur, 1)?;
     if cur.pos != bytes.len() {
         return Err(PbioError::BadWireData(format!(
             "{} trailing bytes after descriptor",
@@ -120,7 +125,12 @@ pub fn decode_descriptor(bytes: &[u8]) -> Result<FormatDescriptor, PbioError> {
     Ok(d)
 }
 
-fn read_descriptor(cur: &mut Cur<'_>) -> Result<FormatDescriptor, PbioError> {
+fn read_descriptor(cur: &mut Cur<'_>, depth: usize) -> Result<FormatDescriptor, PbioError> {
+    if depth > MAX_NESTING_DEPTH {
+        return Err(PbioError::BadWireData(format!(
+            "descriptor nesting exceeds {MAX_NESTING_DEPTH} levels"
+        )));
+    }
     let name = cur.str()?;
     let machine = MachineModel::from_tag(cur.u32()?);
     let record_size = cur.u32()? as usize;
@@ -147,7 +157,7 @@ fn read_descriptor(cur: &mut Cur<'_>) -> Result<FormatDescriptor, PbioError> {
                 let length_field = cur.str()?;
                 FieldKind::DynamicArray { elem, elem_size, length_field }
             }
-            KIND_NESTED => FieldKind::Nested(Arc::new(read_descriptor(cur)?)),
+            KIND_NESTED => FieldKind::Nested(Arc::new(read_descriptor(cur, depth + 1)?)),
             other => {
                 return Err(PbioError::BadWireData(format!("unknown field kind code {other}")))
             }
@@ -236,6 +246,31 @@ mod tests {
         let mut bytes = encode_descriptor(&sample());
         bytes.push(0);
         assert!(decode_descriptor(&bytes).is_err());
+    }
+
+    /// A descriptor nested `levels` deep below its root, encoded by hand:
+    /// building it as a value would recurse as deep as the decoder.
+    fn nested_chain(levels: usize) -> Vec<u8> {
+        // Name "N", machine tag, size, align, then one field "f" (offset,
+        // size, align) whose kind is nested.
+        let mut level = vec![0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1];
+        level.extend_from_slice(&[0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, KIND_NESTED]);
+        let mut out = level.repeat(levels);
+        out.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        out
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // Exactly the budget decodes (the hand encoding is valid) ...
+        let at_budget = decode_descriptor(&nested_chain(MAX_NESTING_DEPTH - 1)).unwrap();
+        assert_eq!(at_budget.name, "N");
+        // ... one level more, or a hostile 5 000, is bad wire data, not
+        // a stack overflow.
+        for levels in [MAX_NESTING_DEPTH, 5_000] {
+            let err = decode_descriptor(&nested_chain(levels)).unwrap_err();
+            assert!(matches!(&err, PbioError::BadWireData(m) if m.contains("nesting")), "{err:?}");
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use mapping::{map_document, map_type};
 pub use matching::{best_match, match_message, MatchReport};
 pub use messaging::{XmitReceiver, XmitSender};
 pub use negotiate::{
-    classify, Accept, AcceptEntry, Hello, NegotiateInitiator, NegotiateReply, NegotiateResponder,
-    NegotiationCache, NegotiationStats, PairVerdict, VersionOffer,
+    classify, Accept, AcceptEntry, Hello, NegotiateReply, NegotiationCache, NegotiationStats,
+    PairVerdict, VersionOffer,
 };
 pub use projection::{project_type, Projection};
 pub use toolkit::{BindingToken, LoadOutcome, SchemaCacheStats, Xmit};

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use openmeta_net::{
     connect_retrying, harden_stream, read_frame_blocking, write_all_vectored, LengthFramer,
-    TransportConfig, READ_CHUNK,
+    TransportConfig,
 };
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::{
@@ -28,7 +28,7 @@ use openmeta_pbio::{
 
 use crate::error::XmitError;
 use crate::negotiate::{
-    Accept, Hello, NegotiateInitiator, NegotiateReply, NegotiationCache, FRAME_ACCEPT, FRAME_HELLO,
+    reply_from_frame, Accept, Hello, NegotiateReply, NegotiationCache, FRAME_ACCEPT, FRAME_HELLO,
     FRAME_REJECT,
 };
 
@@ -55,6 +55,16 @@ fn write_frame(stream: &mut TcpStream, kind: u8, payload: &[u8]) -> Result<(), X
     let hdr = frame_header(kind, payload)?;
     write_all_vectored(stream, &[&hdr, payload]).map_err(PbioError::from)?;
     Ok(())
+}
+
+/// Classify an error from `read_frame_blocking`: an oversized length
+/// prefix is bad wire data; anything else belongs to the socket.
+fn frame_error(e: std::io::Error) -> XmitError {
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        XmitError::Bcm(PbioError::BadWireData(e.to_string()))
+    } else {
+        XmitError::Bcm(PbioError::from(e))
+    }
 }
 
 /// Sends records over a TCP stream, announcing formats on first use.
@@ -134,31 +144,21 @@ impl XmitSender {
     /// their descriptors from the `HELLO`, so [`XmitSender::send`] never
     /// emits a separate FORMAT frame for them.
     pub fn negotiate(&mut self, formats: &[&Arc<FormatDescriptor>]) -> Result<Accept, XmitError> {
-        use std::io::Read;
         let _span = openmeta_obs::span!("negotiate.handshake");
         let hello = Hello::from_formats(formats);
         write_frame(&mut self.stream, FRAME_HELLO, &hello.encode())?;
         self.stream.flush().map_err(PbioError::from)?;
 
-        let mut m = NegotiateInitiator::new();
-        let reply = loop {
-            if let Some(reply) = m.poll()? {
-                break reply;
-            }
-            let need = m.bytes_needed().clamp(1, READ_CHUNK);
-            let mut chunk = vec![0u8; need];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(XmitError::Negotiation(
-                        "connection closed during handshake".to_string(),
-                    ))
-                }
-                Ok(n) => m.push(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(XmitError::Bcm(PbioError::from(e))),
-            }
+        // The answer is one frame; read exactly that much.
+        let mut framer = LengthFramer::with_kind_byte(MAX_FRAME);
+        let closed = || XmitError::Negotiation("connection closed during handshake".to_string());
+        let (kind, payload) = match read_frame_blocking(&mut self.stream, &mut framer) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Err(closed()),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(closed()),
+            Err(e) => return Err(frame_error(e)),
         };
-        match reply {
+        match reply_from_frame(kind, &payload)? {
             NegotiateReply::Accepted(accept) => {
                 for entry in &accept.entries {
                     self.announced.insert(entry.sender);
@@ -222,13 +222,7 @@ impl XmitReceiver {
     /// buffers bytes that actually arrived, and an oversized length
     /// prefix is rejected as soon as the header is complete.
     fn read_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, XmitError> {
-        match read_frame_blocking(&mut self.stream, &mut self.framer) {
-            Ok(frame) => Ok(frame),
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                Err(XmitError::Bcm(PbioError::BadWireData(e.to_string())))
-            }
-            Err(e) => Err(XmitError::Bcm(PbioError::from(e))),
-        }
+        read_frame_blocking(&mut self.stream, &mut self.framer).map_err(frame_error)
     }
 
     /// Receive the next record; `Ok(None)` when the sender hung up
@@ -569,6 +563,56 @@ mod tests {
         assert!(err.to_string().contains("incompatible versions"), "{err}");
         // The receiver failed the same way, before any record existed.
         assert!(matches!(rx_thread.join().unwrap(), Err(XmitError::Negotiation(_))));
+    }
+
+    /// A stand-in receiver: accepts one sender, reads its whole HELLO
+    /// frame, writes `reply` (possibly a partial or lying frame) and
+    /// hangs up.
+    fn scripted_receiver(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        use std::io::Write as _;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut header = [0u8; 5];
+            stream.read_exact(&mut header).unwrap();
+            assert_eq!(header[4], FRAME_HELLO);
+            let mut payload =
+                vec![0u8; u32::from_be_bytes(header[..4].try_into().unwrap()) as usize];
+            stream.read_exact(&mut payload).unwrap();
+            stream.write_all(&reply).unwrap();
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn negotiate_reports_eof_and_oversized_replies() {
+        let xmit = Xmit::new(MachineModel::native());
+        xmit.load_str(&simple_data_xml()).unwrap();
+        let token = xmit.bind("SimpleData").unwrap();
+        let negotiate = |reply: Vec<u8>| {
+            let (addr, peer) = scripted_receiver(reply);
+            let mut tx = XmitSender::connect(addr).unwrap();
+            let err = tx.negotiate(&[&token.format]).unwrap_err();
+            peer.join().unwrap();
+            err
+        };
+
+        // The receiver hangs up before replying.
+        let err = negotiate(Vec::new());
+        assert!(matches!(err, XmitError::Negotiation(_)), "{err:?}");
+
+        // The receiver hangs up mid-ACCEPT.
+        let mut half = 19u32.to_be_bytes().to_vec();
+        half.extend_from_slice(&[FRAME_ACCEPT, 0, 1, 0xAA]);
+        let err = negotiate(half);
+        assert!(matches!(err, XmitError::Negotiation(_)), "{err:?}");
+
+        // An ACCEPT header claiming more than the frame cap.
+        let mut oversized = u32::MAX.to_be_bytes().to_vec();
+        oversized.push(FRAME_ACCEPT);
+        let err = negotiate(oversized);
+        assert!(matches!(err, XmitError::Bcm(PbioError::BadWireData(_))), "{err:?}");
     }
 
     #[test]

@@ -31,15 +31,16 @@
 //! reconnects and sibling connections between the same two versions
 //! cost one map lookup (counted in
 //! `openmeta_negotiate_pair_cache_hits_total`), zero diffs and zero
-//! plan compiles.  Both handshake ends are sans-io machines
-//! ([`NegotiateInitiator`], [`NegotiateResponder`]) driven by
-//! `xmit::messaging` and explored by the analyzer's split-schedule
-//! checker.
+//! plan compiles.  Each direction of the handshake is one frame, read
+//! through `xmit::messaging`'s `LengthFramer`: the receiver decodes the
+//! `HELLO` with [`Hello::decode`] wherever it arrives in its stream, and
+//! the sender decodes the answer with [`reply_from_frame`].  The
+//! analyzer's split-schedule checker explores that same framer and
+//! those same decoders.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use openmeta_net::LengthFramer;
 use openmeta_obs::{Counter, MetricsRegistry};
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::verify::verify_convert_plan;
@@ -48,7 +49,6 @@ use parking_lot::RwLock;
 
 use crate::error::XmitError;
 use crate::evolution::{diff_descriptors, Compatibility, EvolutionReport, FieldChange};
-use crate::messaging::MAX_FRAME;
 
 /// Frame kind: sender's format offers (`HELLO`).
 pub const FRAME_HELLO: u8 = 6;
@@ -235,7 +235,7 @@ impl Accept {
     }
 }
 
-/// The receiver's answer, as seen by the sender's machine.
+/// The receiver's answer, as seen by the sender.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NegotiateReply {
     /// `ACCEPT`: every offer has a verdict; records may flow.
@@ -275,171 +275,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// ------------------------------------------------- handshake machines
-
-/// Sans-io receiver side of the negotiation: awaits exactly one `HELLO`
-/// frame.
-///
-/// Bytes beyond the `HELLO` are *not* an error — a pipelining sender
-/// may push RECORD frames behind its offers — they stay buffered, and
-/// [`NegotiateResponder::into_framer`] hands the framer (delivery bytes
-/// intact) to the receive loop, exactly like echo's `HandshakeClient`.
-#[derive(Debug)]
-pub struct NegotiateResponder {
-    framer: LengthFramer,
-    done: bool,
-}
-
-impl NegotiateResponder {
-    /// A machine with the production frame cap.
-    pub fn new() -> NegotiateResponder {
-        NegotiateResponder::with_max_frame(MAX_FRAME)
-    }
-
-    /// A machine with an explicit frame cap (for the model checker).
-    pub fn with_max_frame(max_frame: usize) -> NegotiateResponder {
-        NegotiateResponder { framer: LengthFramer::with_kind_byte(max_frame), done: false }
-    }
-
-    /// Append newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.framer.push(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a decision.
-    pub fn buffered(&self) -> usize {
-        self.framer.buffered()
-    }
-
-    /// How many more bytes are needed before [`NegotiateResponder::poll`]
-    /// can decide; 0 once the `HELLO` is in (or the machine is done).
-    pub fn bytes_needed(&self) -> usize {
-        if self.done {
-            0
-        } else {
-            self.framer.bytes_needed()
+/// Decode the receiver's one-frame answer to a `HELLO`: `ACCEPT` or
+/// `REJECT`.  The sender reads that frame with `read_frame_blocking`
+/// and hands it here.
+pub fn reply_from_frame(kind: u8, payload: &[u8]) -> Result<NegotiateReply, XmitError> {
+    match kind {
+        FRAME_ACCEPT => Accept::decode(payload).map(NegotiateReply::Accepted),
+        FRAME_REJECT => Ok(NegotiateReply::Rejected(String::from_utf8_lossy(payload).into_owned())),
+        kind => {
+            Err(XmitError::Negotiation(format!("expected ACCEPT or REJECT frame, got kind {kind}")))
         }
-    }
-
-    /// The `HELLO` has been consumed; retained bytes belong to delivery.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Poll for the sender's offers.  `Ok(None)` means more bytes are
-    /// needed.
-    pub fn poll(&mut self) -> Result<Option<Hello>, XmitError> {
-        if self.done {
-            return Ok(None);
-        }
-        let frame = self.framer.next_frame().map_err(|e| bad(e.to_string()))?;
-        match frame {
-            None => Ok(None),
-            Some((FRAME_HELLO, payload)) => {
-                self.done = true;
-                Hello::decode(&payload).map(Some)
-            }
-            Some((kind, _)) => {
-                self.done = true;
-                Err(XmitError::Negotiation(format!("expected HELLO frame, got kind {kind}")))
-            }
-        }
-    }
-
-    /// Hand the framer — including any delivery bytes pipelined behind
-    /// the `HELLO` — to the receive loop.
-    pub fn into_framer(self) -> LengthFramer {
-        self.framer
-    }
-}
-
-impl Default for NegotiateResponder {
-    fn default() -> NegotiateResponder {
-        NegotiateResponder::new()
-    }
-}
-
-/// Sans-io sender side of the negotiation: awaits exactly one
-/// `ACCEPT`/`REJECT` frame after its `HELLO` went out.
-#[derive(Debug)]
-pub struct NegotiateInitiator {
-    framer: LengthFramer,
-    done: bool,
-}
-
-impl NegotiateInitiator {
-    /// A machine with the production frame cap.
-    pub fn new() -> NegotiateInitiator {
-        NegotiateInitiator::with_max_frame(MAX_FRAME)
-    }
-
-    /// A machine with an explicit frame cap (for the model checker).
-    pub fn with_max_frame(max_frame: usize) -> NegotiateInitiator {
-        NegotiateInitiator { framer: LengthFramer::with_kind_byte(max_frame), done: false }
-    }
-
-    /// Append newly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.framer.push(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a reply.
-    pub fn buffered(&self) -> usize {
-        self.framer.buffered()
-    }
-
-    /// How many more bytes are needed before [`NegotiateInitiator::poll`]
-    /// can decide; 0 once the reply is in (or the machine is done).
-    pub fn bytes_needed(&self) -> usize {
-        if self.done {
-            0
-        } else {
-            self.framer.bytes_needed()
-        }
-    }
-
-    /// The reply has been consumed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Poll for the receiver's reply.  `Ok(None)` means more bytes are
-    /// needed.
-    pub fn poll(&mut self) -> Result<Option<NegotiateReply>, XmitError> {
-        if self.done {
-            return Ok(None);
-        }
-        let frame = self.framer.next_frame().map_err(|e| bad(e.to_string()))?;
-        match frame {
-            None => Ok(None),
-            Some((FRAME_ACCEPT, payload)) => {
-                self.done = true;
-                Accept::decode(&payload).map(|a| Some(NegotiateReply::Accepted(a)))
-            }
-            Some((FRAME_REJECT, payload)) => {
-                self.done = true;
-                Ok(Some(NegotiateReply::Rejected(String::from_utf8_lossy(&payload).into_owned())))
-            }
-            Some((kind, _)) => {
-                self.done = true;
-                Err(XmitError::Negotiation(format!(
-                    "expected ACCEPT or REJECT frame, got kind {kind}"
-                )))
-            }
-        }
-    }
-
-    /// Hand the framer to whatever follows (nothing, today — the
-    /// receiver speaks only during the handshake — but symmetry keeps
-    /// the machines interchangeable under the model checker).
-    pub fn into_framer(self) -> LengthFramer {
-        self.framer
-    }
-}
-
-impl Default for NegotiateInitiator {
-    fn default() -> NegotiateInitiator {
-        NegotiateInitiator::new()
     }
 }
 
@@ -740,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn responder_machine_handles_split_hello_and_keeps_delivery_bytes() {
+    fn hello_frame_splits_cleanly_and_keeps_delivery_bytes() {
         let hello = Hello::from_formats(&[&v1()]);
         let payload = hello.encode();
         let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
@@ -749,26 +594,26 @@ mod tests {
         // Delivery bytes pipelined behind the HELLO.
         frame.extend_from_slice(&[0, 0, 0, 1, 2, 0xAB]);
 
-        let mut m = NegotiateResponder::new();
+        let mut framer = openmeta_net::LengthFramer::with_kind_byte(1 << 20);
         let mut got = None;
         for b in frame {
             if got.is_none() {
-                assert!(m.bytes_needed() > 0);
+                assert!(framer.bytes_needed() > 0);
             }
-            m.push(&[b]);
-            if let Some(h) = m.poll().unwrap() {
-                got = Some(h);
+            framer.push(&[b]);
+            if got.is_none() {
+                got = framer.next_frame().unwrap();
             }
         }
-        assert_eq!(got, Some(hello));
-        assert!(m.is_done());
-        let mut framer = m.into_framer();
+        let (kind, payload) = got.expect("whole HELLO");
+        assert_eq!(kind, FRAME_HELLO);
+        assert_eq!(Hello::decode(&payload).unwrap(), hello);
         let (kind, payload) = framer.next_frame().unwrap().expect("delivery frame intact");
         assert_eq!((kind, payload.as_slice()), (2u8, &[0xAB][..]));
     }
 
     #[test]
-    fn initiator_machine_surfaces_accept_reject_and_bad_kinds() {
+    fn reply_surfaces_accept_reject_and_bad_kinds() {
         let accept = Accept {
             entries: vec![AcceptEntry {
                 sender: FormatId(1),
@@ -776,27 +621,31 @@ mod tests {
                 receiver: FormatId(1),
             }],
         };
-        let payload = accept.encode();
-        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-        frame.push(FRAME_ACCEPT);
-        frame.extend_from_slice(&payload);
-        let mut m = NegotiateInitiator::new();
-        m.push(&frame);
-        assert_eq!(m.poll().unwrap(), Some(NegotiateReply::Accepted(accept)));
+        assert_eq!(
+            reply_from_frame(FRAME_ACCEPT, &accept.encode()).unwrap(),
+            NegotiateReply::Accepted(accept)
+        );
+        assert_eq!(
+            reply_from_frame(FRAME_REJECT, b"nope").unwrap(),
+            NegotiateReply::Rejected("nope".to_string())
+        );
+        // A RECORD before the reply.
+        assert!(matches!(reply_from_frame(2, &[0]), Err(XmitError::Negotiation(_))));
+    }
 
-        let mut frame = 4u32.to_be_bytes().to_vec();
-        frame.push(FRAME_REJECT);
-        frame.extend_from_slice(b"nope");
-        let mut m = NegotiateInitiator::new();
-        m.push(&frame);
-        assert_eq!(m.poll().unwrap(), Some(NegotiateReply::Rejected("nope".to_string())));
-
-        let mut frame = 1u32.to_be_bytes().to_vec();
-        frame.push(2); // RECORD before the reply
-        frame.push(0);
-        let mut m = NegotiateInitiator::new();
-        m.push(&frame);
-        assert!(m.poll().is_err());
+    #[test]
+    fn deeply_nested_offer_is_rejected() {
+        // One offer whose descriptor nests 5 000 levels deep.
+        let level =
+            [0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, 4];
+        let mut desc = level.repeat(5_000);
+        desc.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        let mut payload = 1u16.to_be_bytes().to_vec();
+        payload.extend_from_slice(&0u64.to_be_bytes());
+        payload.extend_from_slice(&(desc.len() as u32).to_be_bytes());
+        payload.extend_from_slice(&desc);
+        let err = Hello::decode(&payload).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

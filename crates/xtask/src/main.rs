@@ -11,9 +11,10 @@
 //! `TcpStream::connect` without a deadline outside `crates/net`, direct
 //! `Instant::now()` timing outside `crates/obs`/`crates/bench`, a crate
 //! missing `#![deny(unsafe_code)]`, blocking socket I/O inside an
-//! event-loop module), on any curated clippy lint, on any
-//! error-severity `planlint` diagnostic over `fixtures/schemas/`, and
-//! on any `protolint` diagnostic: the sans-io explorer, lock-order
+//! event-loop module, a hand-rolled frame read loop — `.bytes_needed()`
+//! outside `crates/net`/`crates/analyzer`), on any curated clippy lint,
+//! on any error-severity `planlint` diagnostic over `fixtures/schemas/`,
+//! and on any `protolint` diagnostic: the sans-io explorer, lock-order
 //! graph, and wire-input taint lint must all pass on the real tree,
 //! every explorer mutant must be caught (`--mutants`), and the
 //! seeded-broken source fixtures under `fixtures/protolint/` must be
@@ -37,6 +38,12 @@ const CONNECT_EXEMPT: &[&str] = &["net", "xtask"];
 /// stopwatches: the clock shim itself, the benchmark harness (whose
 /// entire job is timing), and this tool.
 const INSTANT_EXEMPT: &[&str] = &["obs", "bench", "xtask"];
+
+/// Crates whose library code may call `.bytes_needed()`: the framer's
+/// home (whose `read_frame_blocking` is the one blocking frame reader),
+/// the protocol explorer that checks it, and this tool.  Anywhere else
+/// a `.bytes_needed()` call is a hand-rolled read loop.
+const FRAME_LOOP_EXEMPT: &[&str] = &["net", "analyzer", "xtask"];
 
 /// Library crates that must carry `#![deny(unsafe_code)]` at the root.
 /// The whole workspace is unsafe-free; this keeps it that way.
@@ -269,6 +276,7 @@ fn lint_tree(root: &Path) -> Vec<String> {
             allow_unwrap: UNWRAP_EXEMPT.contains(&name.as_str()),
             allow_raw_connect: CONNECT_EXEMPT.contains(&name.as_str()),
             allow_raw_instant: INSTANT_EXEMPT.contains(&name.as_str()),
+            allow_frame_loops: FRAME_LOOP_EXEMPT.contains(&name.as_str()),
             event_loop_module: false,
         };
         for file in &files {
@@ -312,6 +320,7 @@ struct LintOpts {
     allow_unwrap: bool,
     allow_raw_connect: bool,
     allow_raw_instant: bool,
+    allow_frame_loops: bool,
     /// File is an event-loop module: blocking I/O spellings are banned.
     event_loop_module: bool,
 }
@@ -364,6 +373,12 @@ fn lint_source(rel: &str, text: &str, opts: LintOpts) -> Vec<String> {
             violations.push(format!(
                 "{rel}:{lineno}: direct `Instant::now()` timing in library code — use \
                  `openmeta_obs::clock::now()` or a stage span (`openmeta_obs::span!`)"
+            ));
+        }
+        if !opts.allow_frame_loops && line.contains(".bytes_needed()") {
+            violations.push(format!(
+                "{rel}:{lineno}: hand-rolled frame read loop (`.bytes_needed()`) — drive \
+                 frames with net::read_frame_blocking"
             ));
         }
         if opts.event_loop_module {
@@ -455,6 +470,7 @@ mod tests {
         allow_unwrap: false,
         allow_raw_connect: false,
         allow_raw_instant: false,
+        allow_frame_loops: false,
         event_loop_module: false,
     };
 
@@ -518,6 +534,21 @@ mod tests {
         assert!(v.iter().all(|m| m.contains("blocking I/O")), "{v:?}");
         // The same source in any other file passes.
         assert!(lint_source("crates/net/src/framing.rs", src, OPTS).is_empty());
+    }
+
+    #[test]
+    fn hand_rolled_frame_read_loop_is_flagged_outside_net() {
+        let src = "fn f(s: &mut TcpStream, f: &mut LengthFramer) {\n    \
+                   let need = f.bytes_needed();\n    \
+                   let frame = read_frame_blocking(s, f);\n}\n\n#[cfg(test)]\nmod tests {\n    \
+                   fn t(f: &LengthFramer) { assert!(f.bytes_needed() > 0); }\n}\n";
+        let v = lint_source("crates/echo/src/channel.rs", src, OPTS);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("channel.rs:2"), "{v:?}");
+        assert!(v[0].contains("drive frames with net::read_frame_blocking"), "{v:?}");
+        // The framer's own crate (and the explorer) may ask it.
+        let exempt = LintOpts { allow_frame_loops: true, ..OPTS };
+        assert!(lint_source("crates/net/src/sansio.rs", src, exempt).is_empty());
     }
 
     #[test]
