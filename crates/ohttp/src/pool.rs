@@ -211,10 +211,8 @@ impl ConnectionPool {
         url: &Url,
         etag: Option<&str>,
     ) -> Result<Fetch, HttpError> {
-        let mut writer = stream.try_clone()?;
-        write_get_request(&mut writer, url, etag, true)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let raw = read_response(&mut reader)?;
+        write_get_request(&mut &stream, url, etag, true)?;
+        let raw = read_response(&mut BufReader::new(&stream))?;
         // Check the connection back in even when the status is an error:
         // a framed 404 leaves the connection perfectly reusable.
         if raw.reusable {

@@ -39,8 +39,16 @@ use crate::content_hash64;
 use crate::error::HttpError;
 use crate::request::{Request, RequestParser};
 
-/// Hosted content: path → (content type, body).
-type ContentMap = HashMap<String, (String, Vec<u8>)>;
+/// A published document with the strong `ETag` computed once, when it
+/// was published.
+struct Document {
+    content_type: String,
+    body: Vec<u8>,
+    etag: String,
+}
+
+/// Hosted content: path → document.
+type ContentMap = HashMap<String, Arc<Document>>;
 
 /// The content map and the request counters, shared by the server
 /// handle (which publishes) and every connection's handler (which reads).
@@ -104,7 +112,9 @@ impl HttpServer {
     /// Publish (or replace) a text document.
     pub fn put(&self, path: &str, content_type: &str, body: impl Into<Vec<u8>>) {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        self.shared.content.write().insert(path, (content_type.to_string(), body.into()));
+        let body = body.into();
+        let doc = Document { content_type: content_type.to_string(), etag: etag_for(&body), body };
+        self.shared.content.write().insert(path, Arc::new(doc));
     }
 
     /// Publish an XML document (convenience for metadata hosting).
@@ -192,20 +202,20 @@ fn render(shared: &HttpShared, request: &Request) -> Vec<u8> {
             response_bytes(200, "OK", "application/json", None, Some(body.as_bytes()))
         }
         path => {
-            let body = shared.content.read().get(path).cloned();
-            match body {
-                Some((ctype, bytes)) => {
-                    let etag = etag_for(&bytes);
+            let doc = shared.content.read().get(path).cloned();
+            match doc {
+                Some(doc) => {
                     let fresh = request
                         .if_none_match
                         .as_deref()
-                        .is_some_and(|inm| if_none_match_matches(inm, &etag));
-                    if fresh {
+                        .is_some_and(|inm| if_none_match_matches(inm, &doc.etag));
+                    let (code, reason, body) = if fresh {
                         shared.not_modified.inc();
-                        response_bytes(304, "Not Modified", &ctype, Some(&etag), None)
+                        (304, "Not Modified", None)
                     } else {
-                        response_bytes(200, "OK", &ctype, Some(&etag), Some(&bytes))
-                    }
+                        (200, "OK", Some(doc.body.as_slice()))
+                    };
+                    response_bytes(code, reason, &doc.content_type, Some(&doc.etag), body)
                 }
                 None => response_bytes(
                     404,

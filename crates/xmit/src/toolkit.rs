@@ -145,6 +145,37 @@ impl Default for CacheCounters {
     }
 }
 
+/// Global-registry-backed binding-cache counters
+/// (`openmeta_binding_cache_*_total`): lookups answered from the cache,
+/// lookups that had to map and register, and cached bindings dropped
+/// because a definition they were built from changed.
+struct BindingCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    invalidated: Arc<Counter>,
+}
+
+impl Default for BindingCounters {
+    fn default() -> BindingCounters {
+        let m = MetricsRegistry::global();
+        BindingCounters {
+            hits: m.counter("openmeta_binding_cache_hits_total"),
+            misses: m.counter("openmeta_binding_cache_misses_total"),
+            invalidated: m.counter("openmeta_binding_cache_invalidated_total"),
+        }
+    }
+}
+
+/// A cached binding and the names it was built from.
+#[derive(Clone)]
+struct Bound {
+    format: Arc<FormatDescriptor>,
+    /// Sorted, deduplicated: the type's own name, every name it
+    /// references (enumerations included), and the names each composed
+    /// type was built from.
+    deps: Arc<[String]>,
+}
+
 /// The XMIT toolkit instance.
 ///
 /// Holds loaded (but not yet bound) complex types, a PBIO format registry
@@ -166,14 +197,16 @@ pub struct Xmit {
     /// served from different URLs.
     content_index: RwLock<HashMap<u64, Arc<ParsedDoc>>>,
     /// Successfully bound formats by type name, so repeat binds are a
-    /// lookup instead of a re-map + re-register.  Cleared whenever any
-    /// type or enum definition actually changes (a changed dependency
-    /// must invalidate every composition that embeds it).
-    bound: RwLock<HashMap<String, Arc<FormatDescriptor>>>,
+    /// lookup instead of a re-map + re-register.  An entry is dropped
+    /// when the definition of any name it was built from actually
+    /// changes, so a composition re-binds when a dependency evolves and
+    /// every other binding stays cached.
+    bound: RwLock<HashMap<String, Bound>>,
     /// Freshness window within which cached entries skip the network
     /// entirely.  `None` (the default) always revalidates.
     cache_ttl: RwLock<Option<Duration>>,
     cache_counters: CacheCounters,
+    binding_counters: BindingCounters,
     /// Optional format server for resolving unknown format ids on decode.
     format_server: RwLock<Option<FormatServerClient>>,
 }
@@ -194,6 +227,7 @@ impl Xmit {
             bound: RwLock::new(HashMap::new()),
             cache_ttl: RwLock::new(None),
             cache_counters: CacheCounters::default(),
+            binding_counters: BindingCounters::default(),
             format_server: RwLock::new(None),
         }
     }
@@ -357,29 +391,42 @@ impl Xmit {
     /// name, and a cached load must win over whatever another document
     /// installed since.
     fn apply_doc(&self, doc: &ParsedDoc, url: &str) {
-        let mut changed = false;
-        {
-            let mut types = self.types.write();
-            for ct in &doc.types {
-                if types.get(&ct.name) != Some(ct) {
-                    types.insert(ct.name.clone(), ct.clone());
-                    changed = true;
-                }
-            }
-        }
-        {
-            let mut enums = self.enums.write();
-            for en in &doc.enums {
-                if enums.get(&en.name) != Some(en) {
-                    enums.insert(en.name.clone(), en.clone());
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            self.bound.write().clear();
-        }
+        self.install(&doc.types, &doc.enums);
         self.documents.write().insert(url.to_string(), doc.names.clone());
+    }
+
+    /// Make `types` and `enums` the latest definitions of their names,
+    /// then drop every cached binding built from a name whose definition
+    /// actually changed.
+    fn install(&self, types: &[ComplexType], enums: &[EnumType]) {
+        let mut changed = Vec::new();
+        {
+            let mut map = self.types.write();
+            for ct in types {
+                if map.get(&ct.name) != Some(ct) {
+                    map.insert(ct.name.clone(), ct.clone());
+                    changed.push(ct.name.as_str());
+                }
+            }
+        }
+        {
+            let mut map = self.enums.write();
+            for en in enums {
+                if map.get(&en.name) != Some(en) {
+                    map.insert(en.name.clone(), en.clone());
+                    changed.push(en.name.as_str());
+                }
+            }
+        }
+        if changed.is_empty() {
+            return;
+        }
+        let mut bound = self.bound.write();
+        let before = bound.len();
+        bound.retain(|_, b| {
+            !changed.iter().any(|&n| b.deps.binary_search_by(|d| d.as_str().cmp(n)).is_ok())
+        });
+        self.binding_counters.invalidated.add((before - bound.len()) as u64);
     }
 
     fn store_entry(&self, url: &str, etag: Option<String>, hash: u64, doc: Arc<ParsedDoc>) {
@@ -391,32 +438,9 @@ impl Xmit {
 
     /// Load definitions from already-fetched XML text.
     pub fn load_str(&self, text: &str) -> Result<Vec<String>, XmitError> {
-        let mut changed = false;
         let doc = parse_str(text)?;
-        let mut names = Vec::with_capacity(doc.types.len());
-        {
-            let mut types = self.types.write();
-            for ct in doc.types {
-                names.push(ct.name.clone());
-                if types.get(&ct.name) != Some(&ct) {
-                    types.insert(ct.name.clone(), ct);
-                    changed = true;
-                }
-            }
-        }
-        {
-            let mut enums = self.enums.write();
-            for en in doc.enums {
-                if enums.get(&en.name) != Some(&en) {
-                    enums.insert(en.name.clone(), en);
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            self.bound.write().clear();
-        }
-        Ok(names)
+        self.install(&doc.types, &doc.enums);
+        Ok(doc.types.into_iter().map(|ct| ct.name).collect())
     }
 
     /// Re-fetch a previously loaded URL, picking up centralized format
@@ -467,18 +491,16 @@ impl Xmit {
     pub fn bind(&self, name: &str) -> Result<BindingToken, XmitError> {
         let _span = openmeta_obs::span!("binding.bind");
         let mut visiting = Vec::new();
-        let format = self.bind_inner(name, &mut visiting)?;
-        Ok(BindingToken { type_name: name.to_string(), format })
+        let bound = self.bind_inner(name, &mut visiting)?;
+        Ok(BindingToken { type_name: name.to_string(), format: bound.format })
     }
 
-    fn bind_inner(
-        &self,
-        name: &str,
-        visiting: &mut Vec<String>,
-    ) -> Result<Arc<FormatDescriptor>, XmitError> {
-        if let Some(fmt) = self.bound.read().get(name).cloned() {
-            return Ok(fmt);
+    fn bind_inner(&self, name: &str, visiting: &mut Vec<String>) -> Result<Bound, XmitError> {
+        if let Some(hit) = self.bound.read().get(name).cloned() {
+            self.binding_counters.hits.inc();
+            return Ok(hit);
         }
+        self.binding_counters.misses.inc();
         if visiting.iter().any(|v| v == name) {
             return Err(XmitError::Binding(format!(
                 "circular composition: {} -> {name}",
@@ -494,21 +516,25 @@ impl Xmit {
         visiting.push(name.to_string());
         // Bind composed types first so registry resolution succeeds;
         // enumeration references map to a scalar and need no binding.
+        let mut deps = vec![name.to_string()];
         for e in &ct.elements {
             if let TypeRef::Named(n) = &e.type_ref {
+                deps.push(n.clone());
                 if self.enums.read().contains_key(n) {
                     continue;
                 }
-                self.bind_inner(n, visiting)?;
+                deps.extend_from_slice(&self.bind_inner(n, visiting)?.deps);
             }
         }
         visiting.pop();
+        deps.sort_unstable();
+        deps.dedup();
         let enums = self.enums.read();
         let spec = map_type_with_enums(&ct, &self.registry.machine(), &|n| enums.contains_key(n))?;
         drop(enums);
-        let format = self.registry.register(spec)?;
-        self.bound.write().insert(name.to_string(), format.clone());
-        Ok(format)
+        let bound = Bound { format: self.registry.register(spec)?, deps: deps.into() };
+        self.bound.write().insert(name.to_string(), bound.clone());
+        Ok(bound)
     }
 
     /// Bind every loaded type; returns tokens sorted by type name.
@@ -715,6 +741,122 @@ mod tests {
         let t2 = xmit.bind("Msg").unwrap();
         assert_ne!(t1.id(), t2.id(), "changed dependency must re-bind the composition");
         assert!(t2.format.field_path("hdr.flags").is_some());
+    }
+
+    #[test]
+    fn unrelated_change_keeps_other_bindings_cached() {
+        let evt = |extra: &str| {
+            format!(
+                r#"<xsd:complexType name="Evt" xmlns:xsd="{XSD}">
+                     <xsd:element name="a" type="xsd:int" />{extra}</xsd:complexType>"#
+            )
+        };
+        let xmit = Xmit::new(MachineModel::native());
+        xmit.load_str(&evt("")).unwrap();
+        xmit.load_str(&format!(
+            r#"<xsd:schema xmlns:xsd="{XSD}">
+                 <xsd:complexType name="Msg"><xsd:element name="hdr" type="Hdr" /></xsd:complexType>
+                 <xsd:complexType name="Hdr"><xsd:element name="seq" type="xsd:int" /></xsd:complexType>
+               </xsd:schema>"#
+        ))
+        .unwrap();
+        xmit.bind("Evt").unwrap();
+        let msg = xmit.bind("Msg").unwrap();
+        let hdr = xmit.bind("Hdr").unwrap();
+        let registered = xmit.registry().len();
+        let c = &xmit.binding_counters;
+        let (hits, misses) = (c.hits.get(), c.misses.get());
+
+        xmit.load_str(&evt(r#"<xsd:element name="b" type="xsd:double" />"#)).unwrap();
+        assert_eq!(c.invalidated.get(), 1, "only Evt's own binding read Evt");
+        assert!(Arc::ptr_eq(&xmit.bind("Msg").unwrap().format, &msg.format));
+        assert!(Arc::ptr_eq(&xmit.bind("Hdr").unwrap().format, &hdr.format));
+        assert_eq!((c.hits.get(), c.misses.get()), (hits + 2, misses), "all hits");
+        assert_eq!(xmit.registry().len(), registered, "nothing registered for Msg/Hdr");
+        assert_eq!(xmit.bind("Evt").unwrap().format.fields.len(), 2);
+    }
+
+    #[test]
+    fn revalidated_leaf_rebinds_a_cross_document_chain() {
+        let server = HttpServer::start().unwrap();
+        let leaf = |extra: &str| {
+            format!(
+                r#"<xsd:complexType name="Leaf" xmlns:xsd="{XSD}">
+                     <xsd:element name="x" type="xsd:int" />{extra}</xsd:complexType>"#
+            )
+        };
+        server.put_xml("/a.xsd", leaf(""));
+        server.put_xml(
+            "/b.xsd",
+            format!(
+                r#"<xsd:schema xmlns:xsd="{XSD}">
+                     <xsd:complexType name="Outer"><xsd:element name="mid" type="Mid" /></xsd:complexType>
+                     <xsd:complexType name="Mid"><xsd:element name="leaf" type="Leaf" /></xsd:complexType>
+                   </xsd:schema>"#
+            ),
+        );
+        let xmit = Xmit::new(MachineModel::native());
+        let a = server.url_for("/a.xsd");
+        xmit.load_url(&a).unwrap();
+        xmit.load_url(&server.url_for("/b.xsd")).unwrap();
+        let t1 = xmit.bind("Outer").unwrap();
+
+        server.put_xml("/a.xsd", leaf(r#"<xsd:element name="y" type="xsd:double" />"#));
+        assert!(matches!(xmit.revalidate(&a).unwrap(), LoadOutcome::Loaded(_)));
+        let t2 = xmit.bind("Outer").unwrap();
+        assert_ne!(t1.id(), t2.id(), "a changed leaf must re-bind every level above it");
+        assert!(t2.format.field_path("mid.leaf.y").is_some());
+    }
+
+    #[test]
+    fn enumeration_change_rebinds_its_referrers() {
+        let doc = |symbols: &str| {
+            format!(
+                r#"<xsd:schema xmlns:xsd="{XSD}">
+                     <xsd:simpleType name="Kind"><xsd:restriction base="xsd:string">{symbols}</xsd:restriction></xsd:simpleType>
+                     <xsd:complexType name="Update"><xsd:element name="kind" type="Kind" /></xsd:complexType>
+                   </xsd:schema>"#
+            )
+        };
+        let xmit = Xmit::new(MachineModel::native());
+        xmit.load_str(&doc(r#"<xsd:enumeration value="open" />"#)).unwrap();
+        xmit.load_str(&join_request_xml()).unwrap();
+        xmit.bind("Update").unwrap();
+        xmit.bind("JoinRequest").unwrap();
+        let c = &xmit.binding_counters;
+        let misses = c.misses.get();
+
+        xmit.load_str(&doc(r#"<xsd:enumeration value="open" /><xsd:enumeration value="wall" />"#))
+            .unwrap();
+        assert_eq!(c.invalidated.get(), 1, "only Update references Kind");
+        xmit.bind("JoinRequest").unwrap();
+        assert_eq!(c.misses.get(), misses);
+        xmit.bind("Update").unwrap();
+        assert_eq!(c.misses.get(), misses + 1, "Update must re-bind");
+        assert_eq!(xmit.enum_index("Kind", "wall").unwrap(), 1);
+    }
+
+    #[test]
+    fn reference_turned_enumeration_rebinds_as_scalar() {
+        let xmit = Xmit::new(MachineModel::native());
+        xmit.load_str(&format!(
+            r#"<xsd:schema xmlns:xsd="{XSD}">
+                 <xsd:complexType name="Update"><xsd:element name="kind" type="Kind" /></xsd:complexType>
+                 <xsd:complexType name="Kind"><xsd:element name="v" type="xsd:int" /></xsd:complexType>
+               </xsd:schema>"#
+        ))
+        .unwrap();
+        let t1 = xmit.bind("Update").unwrap();
+        assert!(t1.format.field_path("kind.v").is_some());
+
+        xmit.load_str(&format!(
+            r#"<xsd:simpleType name="Kind" xmlns:xsd="{XSD}"><xsd:restriction base="xsd:string">
+                 <xsd:enumeration value="open" /></xsd:restriction></xsd:simpleType>"#
+        ))
+        .unwrap();
+        let t2 = xmit.bind("Update").unwrap();
+        assert_ne!(t1.id(), t2.id());
+        assert_eq!(t2.format.field("kind").unwrap().kind.describe(), "enumeration");
     }
 
     #[test]

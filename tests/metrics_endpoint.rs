@@ -77,6 +77,8 @@ fn metrics_endpoint_exposes_every_subsystem() {
     toolkit.load_url(&doc_url).unwrap();
     toolkit.load_url(&doc_url).unwrap();
     let token = toolkit.bind("Reading").unwrap();
+    // A repeat bind is a binding-cache hit.
+    toolkit.bind("Reading").unwrap();
 
     // Marshal enough records for a plan-cache hit, and ship them over a
     // sender/receiver pair so the transport spans fire.
@@ -118,11 +120,13 @@ fn metrics_endpoint_exposes_every_subsystem() {
     let samples = parse_exposition(&body);
 
     // Every migrated subsystem shows up in one scrape: plan cache,
-    // schema cache, connection pool, transport, HTTP server.
+    // schema cache, binding cache, connection pool, transport, HTTP server.
     for series in [
         "openmeta_plan_cache_hits_total",
         "openmeta_plan_cache_misses_total",
         "openmeta_schema_cache_misses_total",
+        "openmeta_binding_cache_hits_total",
+        "openmeta_binding_cache_misses_total",
         "openmeta_pool_requests_total",
         "openmeta_pool_reuses_total",
         "openmeta_transport_accepted_total",
@@ -138,6 +142,11 @@ fn metrics_endpoint_exposes_every_subsystem() {
         + value_of(&samples, "openmeta_schema_cache_fresh_hits_total").unwrap_or(0.0)
         + value_of(&samples, "openmeta_schema_cache_content_hits_total").unwrap_or(0.0);
     assert!(warm >= 1.0, "no warm schema-cache path recorded\n{body}");
+
+    // Nothing changed after binding, so no binding was invalidated.
+    let invalidated = value_of(&samples, "openmeta_binding_cache_invalidated_total")
+        .unwrap_or_else(|| panic!("binding-cache invalidations missing from scrape:\n{body}"));
+    assert_eq!(invalidated, 0.0, "{body}");
 
     // Per-stage duration histograms for the paper's pipeline decomposition.
     for stage in [
