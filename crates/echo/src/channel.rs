@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use openmeta_net::{read_frame_blocking, Backend, LengthFramer};
+use openmeta_net::{read_frame_blocking, LengthFramer};
 use openmeta_obs::span;
 use openmeta_pbio::codec::encode_descriptor;
 use openmeta_pbio::{
@@ -42,7 +42,7 @@ use openmeta_pbio::{
 use openmeta_schema::{to_xml, ComplexType, SchemaDocument};
 use xmit::{project_type, NegotiationCache, NegotiationStats, Projection, Xmit, XmitError};
 
-use crate::fanout::{Engine, Frame, Instruments, Offer, Seat, SlowPolicy};
+use crate::fanout::{Frame, Instruments, Offer, Seat, SlowPolicy, Writers};
 use crate::sync;
 use crate::wire::{self, FRAME_FORMAT, FRAME_RECORD, FRAME_SUB_ERR, FRAME_SUB_OK};
 use crate::EchoError;
@@ -50,16 +50,13 @@ use crate::EchoError;
 /// Host-wide channel configuration.
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
-    /// Delivery engine: writer thread per subscriber, or one readiness
-    /// sweep over nonblocking sockets.
-    pub backend: Backend,
     /// Frames a subscriber may have queued before [`SlowPolicy`] kicks
     /// in.
     pub queue_cap: usize,
     /// What the publisher does when a subscriber's queue is full.
     pub policy: SlowPolicy,
-    /// Write deadline per queued burst (threaded: `SO_SNDTIMEO`;
-    /// event loop: anchored sweep deadline).
+    /// Deadline for a subscriber to accept one whole frame, counted
+    /// from the frame's first `write()`.
     pub write_timeout: Option<Duration>,
     /// Deadline for the subscription handshake.
     pub handshake_timeout: Duration,
@@ -70,7 +67,6 @@ pub struct ChannelConfig {
 impl Default for ChannelConfig {
     fn default() -> ChannelConfig {
         ChannelConfig {
-            backend: Backend::Threaded,
             queue_cap: 1024,
             policy: SlowPolicy::Block,
             write_timeout: Some(Duration::from_secs(5)),
@@ -146,7 +142,7 @@ struct HostInner {
     cfg: ChannelConfig,
     addr: SocketAddr,
     channels: sync::Mutex<HashMap<u64, Arc<ChannelInner>>>,
-    engine: Engine,
+    writers: Writers,
     stop: AtomicBool,
     /// Pair-cache for versioned subscriptions: one decision per
     /// (subscriber version, channel version) across every channel this
@@ -170,16 +166,11 @@ impl ChannelHost {
     /// Start on an explicit address.
     pub fn start_on(addr: impl ToSocketAddrs, cfg: ChannelConfig) -> std::io::Result<ChannelHost> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let engine = match cfg.backend {
-            Backend::Threaded => Engine::threaded(),
-            Backend::EventLoop => Engine::event_loop(cfg.write_timeout),
-        };
         let inner = Arc::new(HostInner {
             addr: listener.local_addr()?,
+            writers: Writers::new(cfg.write_timeout),
             cfg,
             channels: sync::Mutex::new(HashMap::new()),
-            engine,
             stop: AtomicBool::new(false),
             negotiation: Arc::new(NegotiationCache::new()),
         });
@@ -228,13 +219,16 @@ impl ChannelHost {
         });
         let id = inner.format.id();
         sync::lock(&self.inner.channels).insert(id.0, Arc::clone(&inner));
-        Ok(Channel { inner, host: Arc::clone(&self.inner) })
+        Ok(Channel { inner })
     }
 }
 
 impl Drop for ChannelHost {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
+        // Unblock accept() with a throwaway connection — bounded, so a
+        // filtered loopback can never wedge the drop.
+        let _ = TcpStream::connect_timeout(&self.inner.addr, Duration::from_secs(1));
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -244,7 +238,7 @@ impl Drop for ChannelHost {
                 seats.extend(sync::lock(&group.seats).iter().cloned());
             }
         }
-        self.inner.engine.shutdown(&seats);
+        self.inner.writers.shutdown(&seats);
     }
 }
 
@@ -253,7 +247,6 @@ impl Drop for ChannelHost {
 #[derive(Clone)]
 pub struct Channel {
     inner: Arc<ChannelInner>,
-    host: Arc<HostInner>,
 }
 
 impl Channel {
@@ -376,7 +369,6 @@ impl Channel {
                 sync::lock(&group.seats).retain(|s| !s.is_dead());
             }
         }
-        self.host.engine.kick();
         Ok(receipt)
     }
 }
@@ -491,13 +483,16 @@ impl ChannelInner {
 
 // ------------------------------------------------------ accept side
 
+/// Blocking accept; [`ChannelHost`]'s drop wakes it with a throwaway
+/// connection after setting `stop`.
 fn accept_loop(host: &Arc<HostInner>, listener: TcpListener) {
-    while !host.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => handshake(host, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    for conn in listener.incoming() {
+        if host.stop.load(Ordering::Acquire) {
+            break;
+        }
+        match conn {
+            Ok(stream) => handshake(host, stream),
+            // Out of descriptors or similar: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -507,8 +502,7 @@ fn accept_loop(host: &Arc<HostInner>, listener: TcpListener) {
 /// the socket still permits, then drop the connection.
 fn handshake(host: &Arc<HostInner>, mut stream: TcpStream) {
     let deadline = Some(host.cfg.handshake_timeout);
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(deadline).is_err()
+    if stream.set_read_timeout(deadline).is_err()
         || stream.set_write_timeout(deadline).is_err()
         || stream.set_nodelay(true).is_err()
     {
@@ -522,13 +516,13 @@ fn handshake(host: &Arc<HostInner>, mut stream: TcpStream) {
             // Register the seat before SUB_OK goes out: the moment the
             // subscriber's connect() returns, it is counted and sees
             // every subsequent publish.  Queued frames stay put until
-            // the engine attaches, so SUB_OK still leads on the wire.
+            // the writer starts, so SUB_OK still leads on the wire.
             sync::lock(&group.seats).push(Arc::clone(&seat));
             let mut ok = Vec::with_capacity(5 + 8);
             if wire::build_frame(&mut ok, FRAME_SUB_OK, &[&group.format.id().0.to_be_bytes()])
                 .is_err()
                 || seat.write_direct(&ok).is_err()
-                || host.engine.attach(Arc::clone(&seat), host.cfg.write_timeout).is_err()
+                || host.writers.attach(Arc::clone(&seat)).is_err()
             {
                 seat.kill();
             }

@@ -1,26 +1,27 @@
 //! Fan-out delivery: bounded per-subscriber queues, slow-subscriber
-//! policy, and the two transport engines.
+//! policy, and the writer-per-seat engine.
 //!
 //! Every subscriber owns a *seat*: its socket plus a bounded queue of
 //! `Arc`-shared frames.  Publishing enqueues the group's one encoded
-//! frame onto every seat (no per-subscriber copies); the engine drains
-//! seats onto the wire:
+//! frame onto every seat (no per-subscriber copies), and each seat's
+//! writer thread drains its queue onto the wire with blocking writes.
+//! Frames here are 0.1–1.5 MiB, so the kernel copy dominates delivery;
+//! a writer per seat runs those copies in parallel, where one readiness
+//! thread would serialise them.
 //!
-//! * **Threaded** — one writer thread per seat, blocking `write_all`
-//!   with the socket's write deadline applied (`SO_SNDTIMEO`).
-//! * **EventLoop** — one sweep thread over nonblocking sockets using
-//!   `openmeta_net::nio`, with *anchored* write deadlines: the deadline
-//!   is set when a seat's queue goes empty → non-empty and is never
-//!   refreshed on partial progress, so a subscriber draining one
-//!   segment per timeout window still expires (the same discipline as
-//!   `openmeta_net::event_loop`).
+//! A frame must be fully accepted within the write deadline of its
+//! first `write()`: before each `write()` the socket's `SO_SNDTIMEO` is
+//! set to what remains of that budget.  A subscriber that trickles one
+//! segment at a time therefore still expires, where a fresh timeout per
+//! partial write would let it hold its seat forever.  An expiry counts
+//! as `timed_out` and kills the seat.
 //!
 //! When a seat's queue is full, the channel's [`SlowPolicy`] decides
 //! what the publisher does; every outcome lands in an `openmeta-obs`
 //! counter so slow subscribers are visible, not silent.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,7 +29,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use openmeta_net::is_timeout;
-use openmeta_net::nio::{self, WriteOutcome};
 use openmeta_obs::{clock, Counter, Gauge, MetricsRegistry};
 use openmeta_pbio::PooledBuf;
 
@@ -107,21 +107,10 @@ pub(crate) enum Offer {
     Dead,
 }
 
-#[derive(Default)]
-struct SeatState {
-    frames: VecDeque<Frame>,
-    /// EventLoop engine only: the frame currently on the wire and how
-    /// far it has been written.
-    in_flight: Option<(Frame, usize)>,
-    /// EventLoop engine only: anchored write deadline — set when the
-    /// seat went busy, cleared only when it fully drains.
-    deadline: Option<std::time::Instant>,
-}
-
 /// One connected subscriber: socket + bounded frame queue.
 pub(crate) struct Seat {
     stream: sync::Mutex<TcpStream>,
-    state: sync::Mutex<SeatState>,
+    frames: sync::Mutex<VecDeque<Frame>>,
     cv: sync::Condvar,
     /// Force-closed (write error, deadline, policy): stop immediately.
     dead: AtomicBool,
@@ -135,7 +124,7 @@ impl Seat {
         obs.subscribers.inc();
         Arc::new(Seat {
             stream: sync::Mutex::new(stream),
-            state: sync::Mutex::new(SeatState::default()),
+            frames: sync::Mutex::new(VecDeque::new()),
             cv: sync::Condvar::new(),
             dead: AtomicBool::new(false),
             closing: AtomicBool::new(false),
@@ -149,8 +138,8 @@ impl Seat {
 
     /// Blocking write straight to the seat's stream, bypassing the
     /// queue.  Only the handshake uses this — to put `SUB_OK` on the
-    /// wire ahead of any queued frame, before the engine is attached
-    /// and while the stream still carries the handshake write deadline.
+    /// wire ahead of any queued frame, before the writer starts and
+    /// while the stream still carries the handshake write deadline.
     pub(crate) fn write_direct(&self, bytes: &[u8]) -> std::io::Result<()> {
         use std::io::Write as _;
         sync::lock(&self.stream).write_all(bytes)
@@ -158,22 +147,21 @@ impl Seat {
 
     /// Force-close the seat exactly once: callers count the *reason*
     /// (`disconnected`, `timed_out`) themselves.  Must not be called
-    /// with the state lock held.
+    /// with the queue lock held.
     pub(crate) fn kill(&self) {
         if self.dead.swap(true, Ordering::AcqRel) {
             return;
         }
         self.obs.subscribers.dec();
-        let mut st = sync::lock(&self.state);
-        self.obs.queue_depth.add(-(st.frames.len() as i64));
-        st.frames.clear();
-        st.in_flight = None;
-        drop(st);
+        let mut frames = sync::lock(&self.frames);
+        self.obs.queue_depth.add(-(frames.len() as i64));
+        frames.clear();
+        drop(frames);
         self.cv.notify_all();
         let _ = sync::lock(&self.stream).shutdown(Shutdown::Both);
     }
 
-    /// Begin clean shutdown: the engine drains what is queued, then
+    /// Begin clean shutdown: the writer drains what is queued, then
     /// half-closes so the subscriber sees EOF.
     pub(crate) fn close(&self) {
         self.closing.store(true, Ordering::Release);
@@ -185,25 +173,25 @@ impl Seat {
         if self.is_dead() {
             return Offer::Dead;
         }
-        let mut st = sync::lock(&self.state);
+        let mut frames = sync::lock(&self.frames);
         loop {
             if self.is_dead() {
                 return Offer::Dead;
             }
-            if st.frames.len() < cap {
-                st.frames.push_back(frame);
+            if frames.len() < cap {
+                frames.push_back(frame);
                 self.obs.queue_depth.inc();
-                drop(st);
+                drop(frames);
                 self.cv.notify_all();
                 return Offer::Delivered;
             }
             match policy {
                 SlowPolicy::Block => {
-                    st = sync::wait_timeout(&self.cv, st, Duration::from_millis(50)).0;
+                    frames = sync::wait_timeout(&self.cv, frames, Duration::from_millis(50)).0;
                 }
                 SlowPolicy::DropNewest => return Offer::Dropped,
                 SlowPolicy::Disconnect => {
-                    drop(st);
+                    drop(frames);
                     self.kill();
                     return Offer::Disconnected;
                 }
@@ -211,126 +199,73 @@ impl Seat {
         }
     }
 
-    /// Threaded engine: wait for the next frame.  `None` ends the
-    /// writer — force-closed, or cleanly drained at shutdown.
+    /// Wait for the next frame.  `None` ends the writer — force-closed,
+    /// or cleanly drained at shutdown.
     fn pop_blocking(&self) -> Option<Frame> {
-        let mut st = sync::lock(&self.state);
+        let mut frames = sync::lock(&self.frames);
         loop {
             if self.is_dead() {
                 return None;
             }
-            if let Some(f) = st.frames.pop_front() {
+            if let Some(f) = frames.pop_front() {
                 self.obs.queue_depth.dec();
-                drop(st);
+                drop(frames);
                 self.cv.notify_all();
                 return Some(f);
             }
             if self.closing.load(Ordering::Acquire) {
                 return None;
             }
-            st = sync::wait_timeout(&self.cv, st, Duration::from_millis(100)).0;
+            frames = sync::wait_timeout(&self.cv, frames, Duration::from_millis(100)).0;
         }
     }
-
-    /// Whether any output is still queued or in flight.
-    fn has_pending(&self) -> bool {
-        let st = sync::lock(&self.state);
-        !st.frames.is_empty() || st.in_flight.is_some()
-    }
 }
 
-// ----------------------------------------------------------- engines
+// ------------------------------------------------------------ writers
 
-/// The delivery engine behind a [`ChannelHost`](crate::ChannelHost).
-pub(crate) enum Engine {
-    Threaded { writers: sync::Mutex<Vec<JoinHandle<()>>> },
-    EventLoop { sweep: Arc<Sweep>, handle: sync::Mutex<Option<JoinHandle<()>>> },
+/// The delivery engine behind a [`ChannelHost`](crate::ChannelHost):
+/// one writer thread per seat.
+pub(crate) struct Writers {
+    handles: sync::Mutex<Vec<JoinHandle<()>>>,
+    write_timeout: Option<Duration>,
 }
 
-impl Engine {
-    pub(crate) fn threaded() -> Engine {
-        Engine::Threaded { writers: sync::Mutex::new(Vec::new()) }
+impl Writers {
+    pub(crate) fn new(write_timeout: Option<Duration>) -> Writers {
+        Writers { handles: sync::Mutex::new(Vec::new()), write_timeout }
     }
 
-    pub(crate) fn event_loop(write_timeout: Option<Duration>) -> Engine {
-        let sweep = Arc::new(Sweep {
-            seats: sync::Mutex::new(Vec::new()),
-            parked: sync::Mutex::new(()),
-            cv: sync::Condvar::new(),
-            stop: AtomicBool::new(false),
-            write_timeout,
-        });
-        let runner = Arc::clone(&sweep);
+    /// Start a freshly subscribed seat's writer.  The writer owns a
+    /// clone of the seat's socket, so writes take no lock and a
+    /// [`Seat::kill`] from the publisher ends a blocked write at once.
+    pub(crate) fn attach(&self, seat: Arc<Seat>) -> io::Result<()> {
+        let stream = sync::lock(&seat.stream).try_clone()?;
+        let budget = self.write_timeout;
         let handle = std::thread::Builder::new()
-            .name("echo-sweep".to_string())
-            .spawn(move || runner.run())
-            .ok();
-        Engine::EventLoop { sweep, handle: sync::Mutex::new(handle) }
-    }
-
-    /// Hand a freshly subscribed seat to the engine.
-    pub(crate) fn attach(
-        &self,
-        seat: Arc<Seat>,
-        write_timeout: Option<Duration>,
-    ) -> std::io::Result<()> {
-        match self {
-            Engine::Threaded { writers } => {
-                sync::lock(&seat.stream).set_write_timeout(write_timeout)?;
-                let runner = Arc::clone(&seat);
-                let handle = std::thread::Builder::new()
-                    .name("echo-writer".to_string())
-                    .spawn(move || write_loop(&runner))?;
-                sync::lock(writers).push(handle);
-                Ok(())
-            }
-            Engine::EventLoop { sweep, .. } => {
-                sync::lock(&seat.stream).set_nonblocking(true)?;
-                sync::lock(&sweep.seats).push(seat);
-                sweep.kick();
-                Ok(())
-            }
-        }
-    }
-
-    /// Wake the engine after a publish (no-op for the threaded engine:
-    /// `offer` already notified each seat's writer).
-    pub(crate) fn kick(&self) {
-        if let Engine::EventLoop { sweep, .. } = self {
-            sweep.kick();
-        }
+            .name("echo-writer".to_string())
+            .spawn(move || write_loop(&seat, stream, budget))?;
+        sync::lock(&self.handles).push(handle);
+        Ok(())
     }
 
     /// Drain cleanly and stop: seats flush what is queued, subscribers
-    /// see EOF, threads are joined.
+    /// see EOF, writer threads are joined.
     pub(crate) fn shutdown(&self, seats: &[Arc<Seat>]) {
         for seat in seats {
             seat.close();
         }
-        match self {
-            Engine::Threaded { writers } => {
-                let handles: Vec<_> = sync::lock(writers).drain(..).collect();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-            Engine::EventLoop { sweep, handle } => {
-                sweep.stop.store(true, Ordering::Release);
-                sweep.kick();
-                if let Some(h) = sync::lock(handle).take() {
-                    let _ = h.join();
-                }
-            }
+        let handles: Vec<_> = sync::lock(&self.handles).drain(..).collect();
+        for h in handles {
+            let _ = h.join();
         }
     }
 }
 
-/// Threaded engine: drain one seat with blocking writes.  A write
-/// deadline expiry counts as `timed_out`; any failure force-closes.
-fn write_loop(seat: &Seat) {
+/// Drain one seat with blocking writes.  A write-deadline expiry counts
+/// as `timed_out`; any failure force-closes.
+fn write_loop(seat: &Seat, mut stream: TcpStream, budget: Option<Duration>) {
     while let Some(frame) = seat.pop_blocking() {
-        let result = sync::lock(&seat.stream).write_all(&frame);
-        if let Err(e) = result {
+        if let Err(e) = write_frame(&mut stream, &frame, budget) {
             if is_timeout(&e) {
                 seat.obs.timed_out.inc();
             }
@@ -341,129 +276,36 @@ fn write_loop(seat: &Seat) {
     }
     if !seat.is_dead() {
         // Clean drain: half-close so the subscriber's recv sees EOF.
-        let _ = sync::lock(&seat.stream).shutdown(Shutdown::Write);
+        let _ = stream.shutdown(Shutdown::Write);
     }
 }
 
-/// EventLoop engine: one readiness sweep over every seat.
-pub(crate) struct Sweep {
-    seats: sync::Mutex<Vec<Arc<Seat>>>,
-    parked: sync::Mutex<()>,
-    cv: sync::Condvar,
-    stop: AtomicBool,
-    write_timeout: Option<Duration>,
-}
-
-impl Sweep {
-    fn kick(&self) {
-        self.cv.notify_all();
-    }
-
-    fn run(self: Arc<Sweep>) {
-        while !self.stop.load(Ordering::Acquire) {
-            let (progressed, any_pending) = self.pass();
-            if !progressed {
-                let park = if any_pending { 1 } else { 20 };
-                let guard = sync::lock(&self.parked);
-                drop(sync::wait_timeout(&self.cv, guard, Duration::from_millis(park)).0);
-            }
-        }
-        // Clean shutdown: bounded drain of what is already queued, then
-        // EOF for every subscriber.
-        let grace = clock::now() + Duration::from_secs(2);
-        loop {
-            let (_, any_pending) = self.pass();
-            if !any_pending || clock::now() > grace {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for seat in sync::lock(&self.seats).drain(..) {
-            if !seat.is_dead() {
-                let _ = sync::lock(&seat.stream).shutdown(Shutdown::Write);
-            }
-        }
-    }
-
-    /// One pass over every seat; returns (progressed, any_pending).
-    fn pass(&self) -> (bool, bool) {
-        let seats: Vec<Arc<Seat>> = sync::lock(&self.seats).clone();
-        let mut progressed = false;
-        let mut any_pending = false;
-        for seat in &seats {
-            progressed |= sweep_seat(seat, self.write_timeout);
-            any_pending |= !seat.is_dead() && seat.has_pending();
-        }
-        sync::lock(&self.seats).retain(|s| !s.is_dead());
-        (progressed, any_pending)
-    }
-}
-
-/// Push one seat's queued frames at its socket until it would block or
-/// drains; returns whether any bytes moved.
-///
-/// The write deadline is *anchored*: set when the seat goes busy, never
-/// refreshed on partial progress, cleared only on full drain — so a
-/// subscriber accepting one segment per timeout window still expires.
-fn sweep_seat(seat: &Arc<Seat>, write_timeout: Option<Duration>) -> bool {
-    if seat.is_dead() {
-        return false;
-    }
-    let mut progressed = false;
-    loop {
-        // Take (or keep) the in-flight frame under the state lock …
-        let (frame, pos, deadline) = {
-            let mut st = sync::lock(&seat.state);
-            if st.in_flight.is_none() {
-                match st.frames.pop_front() {
-                    Some(f) => {
-                        seat.obs.queue_depth.dec();
-                        if st.deadline.is_none() {
-                            st.deadline = write_timeout.map(|t| clock::now() + t);
-                        }
-                        st.in_flight = Some((f, 0));
-                        seat.cv.notify_all();
-                    }
-                    None => {
-                        st.deadline = None;
-                        return progressed;
-                    }
+/// Write one whole frame within `budget` of its first `write()`.  The
+/// first `write()` runs under `SO_SNDTIMEO` set to the whole budget and
+/// each later one under the budget's remainder, so partial progress
+/// never extends the deadline.
+fn write_frame(stream: &mut TcpStream, frame: &[u8], budget: Option<Duration>) -> io::Result<()> {
+    stream.set_write_timeout(budget)?;
+    let deadline = budget.map(|b| clock::now() + b);
+    let mut pos = 0;
+    while pos < frame.len() {
+        if pos > 0 {
+            if let Some(deadline) = deadline {
+                let left = deadline.saturating_duration_since(clock::now());
+                if left.is_zero() {
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, "frame write deadline"));
                 }
-            }
-            match &st.in_flight {
-                Some((f, p)) => (Arc::clone(f), *p, st.deadline),
-                None => return progressed,
-            }
-        };
-        // … then write outside it, so publishers are never blocked on a
-        // socket syscall.
-        let outcome = {
-            let mut stream = sync::lock(&seat.stream);
-            nio::write_ready(&mut stream, &frame[pos..])
-        };
-        match outcome {
-            Ok(WriteOutcome::Wrote(0)) | Err(_) => {
-                seat.obs.disconnected.inc();
-                seat.kill();
-                return progressed;
-            }
-            Ok(WriteOutcome::Wrote(n)) => {
-                progressed = true;
-                let mut st = sync::lock(&seat.state);
-                if pos + n >= frame.len() {
-                    st.in_flight = None;
-                } else {
-                    st.in_flight = Some((frame, pos + n));
-                }
-            }
-            Ok(WriteOutcome::NotReady) => {
-                if deadline.is_some_and(|d| clock::now() >= d) {
-                    seat.obs.timed_out.inc();
-                    seat.obs.disconnected.inc();
-                    seat.kill();
-                }
-                return progressed;
+                stream.set_write_timeout(Some(left))?;
             }
         }
+        match stream.write(&frame[pos..]) {
+            Ok(0) => {
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "socket accepted 0 bytes"))
+            }
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    Ok(())
 }

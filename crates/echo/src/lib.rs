@@ -37,12 +37,11 @@
 //!   disconnected.  Every outcome is counted in `openmeta-obs`
 //!   (`echo_*` counters, `echo_subscribers`/`echo_queue_depth` gauges,
 //!   `channel.publish`/`channel.fanout` stage histograms).
-//! * **Both backends** — delivery runs on
-//!   [`Backend::Threaded`](openmeta_net::Backend) (one writer thread
-//!   per subscriber, blocking writes with deadlines) or
-//!   [`Backend::EventLoop`](openmeta_net::Backend) (one readiness sweep
-//!   over nonblocking sockets with anchored write deadlines — the same
-//!   discipline as `openmeta_net::event_loop`).
+//! * **Writer per seat** — each subscriber's queue drains through its
+//!   own writer thread with blocking writes, so the kernel copies of
+//!   large frames run in parallel.  A frame must be accepted whole
+//!   within the write deadline of its first `write()`, so a trickling
+//!   subscriber times out instead of holding its seat.
 //!
 //! # Quickstart
 //!
@@ -89,7 +88,6 @@ pub use subscriber::ChannelSubscriber;
 pub use wire::{HandshakeReply, SubscribeRequest};
 
 // Re-exports so channel applications only need this crate.
-pub use openmeta_net::Backend;
 pub use openmeta_pbio::{FormatId, RawRecord};
 pub use xmit::Projection;
 

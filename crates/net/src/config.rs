@@ -38,62 +38,29 @@ impl Default for TransportConfig {
     }
 }
 
-/// Which connection-handling engine a server runs on.
-///
-/// [`crate::Server`] runs a server's sans-io handler on either engine
-/// behind the same [`ServerConfig`], feeding the same
-/// [`crate::ServerStats`] counters; servers select one without any
-/// change to their public APIs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One blocking worker thread per active connection, bounded by
-    /// [`ServerConfig::workers`] (the original engine).
-    #[default]
-    Threaded,
-    /// Readiness poll loop over nonblocking sockets: a few shard threads
-    /// sweep every connection's state machine, so concurrency is bounded
-    /// by [`ServerConfig::max_connections`], not thread count.
-    EventLoop,
-}
-
-/// Server-side bounds: a fixed worker pool with a capped accept queue
-/// instead of a detached thread per connection.
+/// Server-side bounds: how many connections the event loop holds, and
+/// the deadlines it applies to each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Connection-handling engine (threaded pool or readiness loop).
-    pub backend: Backend,
-    /// Worker threads serving connections (the active-connection bound
-    /// for [`Backend::Threaded`]; ignored by the event loop).
-    pub workers: usize,
-    /// Accepted connections allowed to wait for a free worker
-    /// ([`Backend::Threaded`] only; the event loop has no wait queue).
-    pub accept_queue: usize,
-    /// Hard cap on active + queued connections; excess connects are
-    /// rejected (closed), never given an unbounded thread.
+    /// Hard cap on open connections; excess connects are rejected
+    /// (closed), never given unbounded state.
     pub max_connections: usize,
     /// Per-connection read deadline (also the keep-alive idle bound).
     pub read_timeout: Option<Duration>,
-    /// Per-connection write deadline.
+    /// Per-connection write deadline, anchored when output is queued.
     pub write_timeout: Option<Duration>,
     /// How long graceful shutdown waits for in-flight connections to
-    /// finish before detaching the stragglers.
+    /// finish before force-closing the stragglers.
     pub drain_timeout: Duration,
-    /// Sweep threads for [`Backend::EventLoop`]; 0 picks a small default
-    /// from available parallelism.
-    pub event_loop_shards: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            backend: Backend::Threaded,
-            workers: 8,
-            accept_queue: 32,
             max_connections: 40,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             drain_timeout: Duration::from_secs(15),
-            event_loop_shards: 0,
         }
     }
 }

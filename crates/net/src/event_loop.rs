@@ -1,44 +1,54 @@
-//! Readiness-based server backend: a poll loop over nonblocking sockets.
+//! The server engine: a readiness loop over nonblocking sockets.
 //!
-//! The threaded backend pins one OS thread per active connection, so
-//! concurrency is bounded by [`crate::ServerConfig::workers`].  This
-//! backend inverts that: a small, fixed set of *shard* threads sweeps
-//! every connection's state machine, and concurrency is bounded only by
-//! `max_connections` (file descriptors), not thread stacks.  10k+
-//! keep-alive connections cost a few MB of buffers instead of 10k
-//! stacks.
+//! A small, fixed set of *shard* threads (one per core, at most four)
+//! serves every connection, so concurrency is bounded by
+//! [`crate::ServerConfig::max_connections`] (file descriptors), not
+//! thread stacks: 10k+ keep-alive connections cost a few MB of buffers
+//! instead of 10k stacks.  A shard blocks in `poll(2)` ([`crate::sys`])
+//! on its connections plus a waker, and wakes when one of them is
+//! ready or the next deadline is due.  It then advances only the
+//! connections `poll` reported.
 //!
 //! ## Per-connection state machine
 //!
 //! ```text
-//!             +-> NotReady: park, retry next sweep
+//!             +-> NotReady: wait for POLLIN
 //!  [reading] -+-> bytes -> sans-io handler -> output queued -> [writing]
 //!             +-> EOF / error / deadline ------------------> [closed]
 //!
-//!             +-> NotReady (kernel buffer full): write-interest stays on
+//!             +-> NotReady (kernel buffer full): wait for POLLOUT
 //!  [writing] -+-> partial progress: advance cursor (deadline anchored)
 //!             +-> flushed: back to [reading] (or [closed] after close)
 //! ```
 //!
-//! Protocol logic never appears here: each connection owns a boxed
-//! [`EventHandler`] (an incremental parser plus request handler) that
-//! consumes byte chunks and appends response bytes — the same handlers
-//! the threaded engine's blocking driver (`crate::server`) runs.  All
-//! socket I/O goes through
-//! [`crate::nio`]'s readiness probes; `cargo xtask analyze` rejects any
-//! blocking I/O call in this module.
+//! A connection's `poll` interest is read while it may take requests,
+//! plus write while output is queued.  Protocol logic never appears
+//! here: each connection owns a boxed [`EventHandler`] (an incremental
+//! parser plus request handler) that consumes byte chunks and appends
+//! response bytes.  All socket I/O goes through [`crate::nio`]'s
+//! readiness probes; `cargo xtask analyze` rejects any blocking I/O
+//! call in this module.
+//!
+//! ## Waking a shard
+//!
+//! [`EventLoop::register`] and the drain hand a shard work through its
+//! inbox, then write one byte to the shard's waker: a
+//! `UnixStream::pair()` whose read end sits at index 0 of the shard's
+//! `pollfd` array.  The byte ends the shard's `poll`; the shard reads
+//! the waker dry and picks up the inbox.
 //!
 //! ## Deadlines
 //!
-//! Each connection carries read and write deadlines mirroring the
-//! threaded backend's socket timeouts.  The nearer deadline is parked in
-//! a [`TimerWheel`]; entries are lazy (never cancelled or moved on
-//! refresh), so a delivered token is validated against the connection's
-//! live deadline and generation before it kills anything.  Expiries feed
-//! the same `timed_out` counter as the threaded backend — with the
-//! protocol deciding, via [`EventHandler::deadline_counts_as_timeout`],
-//! whether an idle keep-alive expiry counts (pbio: yes) or only a
-//! mid-request stall does (HTTP).
+//! Each connection carries a read deadline (refreshed by every byte
+//! received) and a write deadline.  The nearer one is parked in a
+//! [`TimerWheel`], whose [`TimerWheel::next_fire`] bounds how long the
+//! shard blocks.  Entries are lazy (never cancelled or moved on
+//! refresh), so a delivered token is validated against the
+//! connection's live deadline and generation before it kills anything.
+//! Expiries feed the `timed_out` counter, with the protocol deciding,
+//! via [`EventHandler::deadline_counts_as_timeout`], whether an idle
+//! keep-alive expiry counts (pbio: yes) or only a mid-request stall
+//! does (HTTP).
 //!
 //! The write deadline is *anchored*: it is armed (and parked in the
 //! wheel) when the output queue goes empty → non-empty, cleared when the
@@ -53,11 +63,12 @@
 //!
 //! Graceful shutdown stops reading, flushes queued responses, closes
 //! connections as their output drains, and force-closes stragglers when
-//! the budget expires — the event-loop analog of the worker pool's
-//! drain.
+//! the budget expires.
 
 use std::io;
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,9 +79,9 @@ use openmeta_obs::{clock, span, Gauge, MetricsRegistry};
 use crate::config::ServerConfig;
 use crate::nio::{self, ReadOutcome, WriteOutcome};
 use crate::stats::ServerStats;
-use crate::sync::{self, Condvar, Mutex};
+use crate::sync::{self, Mutex};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::timer::TimerWheel;
-use crate::workers::spawn_worker;
 
 /// What a handler did with a chunk of bytes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -110,12 +121,13 @@ pub type HandlerFactory = dyn Fn() -> Box<dyn EventHandler> + Send + Sync;
 const WHEEL_SLOT: Duration = Duration::from_millis(50);
 /// Wheel slots: horizon of 128 × 50ms = 6.4s before lazy re-insert.
 const WHEEL_SLOTS: usize = 128;
-/// Read scratch size and per-connection fairness budget per sweep.
+/// Read scratch size and per-connection fairness budget per wake.
 const SWEEP_READ_BUDGET: usize = 64 * 1024;
-/// Idle park between sweeps while connections are open.
-const PARK_BUSY: Duration = Duration::from_millis(1);
-/// Park while the shard has no connections at all.
-const PARK_EMPTY: Duration = Duration::from_millis(50);
+/// Most shard threads a loop runs, whatever the core count.
+const MAX_SHARDS: usize = 4;
+/// Back-off after a failed `poll` (resource exhaustion) before the
+/// shard sweeps every connection instead.
+const POLL_FAILED_PARK: Duration = Duration::from_millis(1);
 
 struct Inbox {
     incoming: Vec<TcpStream>,
@@ -123,17 +135,29 @@ struct Inbox {
     force_close: bool,
 }
 
+/// The cross-thread half of a shard: the inbox that `register` and the
+/// drain fill, and the waker pair whose read end its `poll` watches.
+/// Both ends live as long as the shard, so a wake never hits a closed
+/// socket.
 struct Shard {
     inbox: Mutex<Inbox>,
-    wake: Condvar,
+    waker: UnixStream,
+    wakee: UnixStream,
 }
 
-/// A readiness poll loop serving connections on a few shard threads.
+impl Shard {
+    /// End the shard's `poll`.  The waker is nonblocking; a full buffer
+    /// already holds an unread wake, so a refused write loses nothing.
+    fn wake(&self) {
+        let _ = nio::write_ready(&mut &self.waker, &[1]);
+    }
+}
+
+/// A readiness loop serving connections on a few shard threads.
 ///
-/// [`crate::Server`] constructs one via [`EventLoop::start`] when its
-/// [`ServerConfig`] selects [`crate::config::Backend::EventLoop`], hands
+/// [`crate::Server`] constructs one via [`EventLoop::start`], hands
 /// accepted sockets to [`EventLoop::register`], and drains with
-/// [`EventLoop::shutdown`] — the same lifecycle as the worker pool.
+/// [`EventLoop::shutdown`].
 pub(crate) struct EventLoop {
     shards: Vec<Arc<Shard>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -146,49 +170,49 @@ pub(crate) struct EventLoop {
 
 impl EventLoop {
     /// Spawn the shard threads.  `factory` builds one [`EventHandler`]
-    /// per connection; `stats` receives the same counter updates the
-    /// threaded backend produces.
+    /// per connection; `stats` receives the transport counters.
     pub(crate) fn start(
         name: &str,
         cfg: &ServerConfig,
         stats: ServerStats,
         factory: Arc<HandlerFactory>,
-    ) -> EventLoop {
-        let shard_count = if cfg.event_loop_shards > 0 {
-            cfg.event_loop_shards
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
+    ) -> io::Result<EventLoop> {
+        let shard_count =
+            std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_SHARDS);
+        let mut el = EventLoop {
+            shards: Vec::with_capacity(shard_count),
+            threads: Mutex::new(Vec::with_capacity(shard_count)),
+            open: Arc::new(AtomicUsize::new(0)),
+            next_shard: AtomicUsize::new(0),
+            max_connections: cfg.max_connections.max(1),
+            stats,
+            drain_timeout: cfg.drain_timeout,
         };
-        let open = Arc::new(AtomicUsize::new(0));
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut threads = Vec::with_capacity(shard_count);
+        // On any error below, dropping `el` drains the shards already
+        // running, so a failed start leaks no thread.
         for i in 0..shard_count {
+            let (waker, wakee) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            wakee.set_nonblocking(true)?;
             let shard = Arc::new(Shard {
                 inbox: Mutex::new(Inbox {
                     incoming: Vec::new(),
                     draining: false,
                     force_close: false,
                 }),
-                wake: Condvar::new(),
+                waker,
+                wakee,
             });
-            shards.push(shard.clone());
-            let stats = stats.clone();
-            let factory = factory.clone();
-            let open = open.clone();
+            let (shard_t, stats, factory, open) =
+                (shard.clone(), el.stats.clone(), factory.clone(), el.open.clone());
             let timeouts = (cfg.read_timeout, cfg.write_timeout);
-            threads.push(spawn_worker(format!("{name}-evloop-{i}"), move || {
-                shard_loop(&shard, &stats, &factory, &open, timeouts);
-            }));
+            let thread = std::thread::Builder::new()
+                .name(format!("{name}-evloop-{i}"))
+                .spawn(move || shard_loop(&shard_t, &stats, &factory, &open, timeouts))?;
+            el.shards.push(shard);
+            sync::get_mut(&mut el.threads).push(thread);
         }
-        EventLoop {
-            shards,
-            threads: Mutex::new(threads),
-            open,
-            next_shard: AtomicUsize::new(0),
-            max_connections: cfg.max_connections.max(1),
-            stats,
-            drain_timeout: cfg.drain_timeout,
-        }
+        Ok(el)
     }
 
     /// Adopt an accepted connection.  Returns `false` (counting a
@@ -212,7 +236,7 @@ impl EventLoop {
             }
             inbox.incoming.push(stream);
         }
-        shard.wake.notify_one();
+        shard.wake();
         true
     }
 
@@ -224,7 +248,7 @@ impl EventLoop {
         let deadline = clock::now() + budget;
         for shard in &self.shards {
             sync::lock(&shard.inbox).draining = true;
-            shard.wake.notify_one();
+            shard.wake();
         }
         let mut drained = true;
         while self.open.load(Ordering::SeqCst) > 0 {
@@ -236,7 +260,7 @@ impl EventLoop {
         }
         for shard in &self.shards {
             sync::lock(&shard.inbox).force_close = true;
-            shard.wake.notify_one();
+            shard.wake();
         }
         for t in sync::lock(&self.threads).drain(..) {
             let _ = t.join();
@@ -253,7 +277,7 @@ impl Drop for EventLoop {
     }
 }
 
-/// One connection's slot in a shard's sweep table.
+/// One connection's slot in a shard's table.
 struct Conn {
     stream: TcpStream,
     handler: Box<dyn EventHandler>,
@@ -284,6 +308,14 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.out_pos >= self.out.len()
     }
+
+    /// What to wait for: input while the connection may take requests,
+    /// writability while output is queued.
+    fn interest(&self, draining: bool) -> i16 {
+        let read = if draining || self.close_after_flush { 0 } else { POLLIN };
+        let write = if self.flushed() { 0 } else { POLLOUT };
+        read | write
+    }
 }
 
 fn token_of(slot: usize, gen: u64) -> u64 {
@@ -299,22 +331,29 @@ enum SweepVerdict {
     Close,
 }
 
-/// Per-shard sweep state: the connection table, its slot generations
-/// (stale-token guard), the deadline wheel and the shared gauge.
+/// Per-shard state: the connection table with its `pollfd` array, slot
+/// generations (stale-token guard), the deadline wheel and the gauge.
 struct ShardState {
     conns: Vec<Option<Conn>>,
+    /// `poll` entries: index 0 is the waker, index `slot + 1` watches
+    /// `conns[slot]` (fd -1 while the slot is free).
+    fds: Vec<PollFd>,
     free: Vec<usize>,
     gens: Vec<u64>,
+    /// Open connections in `conns`.
+    live: usize,
     wheel: TimerWheel,
     gauge: Arc<Gauge>,
 }
 
 impl ShardState {
-    fn new(gauge: Arc<Gauge>, now: Instant) -> ShardState {
+    fn new(wakee: &UnixStream, gauge: Arc<Gauge>, now: Instant) -> ShardState {
         ShardState {
             conns: Vec::new(),
+            fds: vec![PollFd::new(wakee.as_raw_fd(), POLLIN)],
             free: Vec::new(),
             gens: Vec::new(),
+            live: 0,
             wheel: TimerWheel::new(WHEEL_SLOT, WHEEL_SLOTS, now),
             gauge,
         }
@@ -333,15 +372,17 @@ impl ShardState {
             open.fetch_sub(1, Ordering::SeqCst);
             return;
         }
+        // Responses go out in one write; without TCP_NODELAY a reused
+        // connection can stall ~40 ms per exchange (Nagle vs delayed ACK).
         let _ = stream.set_nodelay(true);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
+            self.fds.push(PollFd::new(-1, 0));
+            self.gens.push(0);
             self.conns.len() - 1
         });
-        if self.gens.len() <= slot {
-            self.gens.resize(slot + 1, 0);
-        }
         self.gens[slot] += 1;
+        self.fds[slot + 1] = PollFd::new(stream.as_raw_fd(), POLLIN);
         self.conns[slot] = Some(Conn {
             stream,
             handler,
@@ -354,6 +395,7 @@ impl ShardState {
             scheduled: false,
             close_after_flush: false,
         });
+        self.live += 1;
         self.ensure_scheduled(slot);
         stats.conn_started();
         self.gauge.inc();
@@ -374,15 +416,13 @@ impl ShardState {
 
     fn close(&mut self, slot: usize, stats: &ServerStats, open: &AtomicUsize) {
         if self.conns[slot].take().is_some() {
+            self.fds[slot + 1] = PollFd::new(-1, 0);
             self.free.push(slot);
+            self.live -= 1;
             stats.conn_finished();
             self.gauge.dec();
             open.fetch_sub(1, Ordering::SeqCst);
         }
-    }
-
-    fn open_count(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -394,41 +434,76 @@ fn shard_loop(
     (read_timeout, write_timeout): (Option<Duration>, Option<Duration>),
 ) {
     let gauge = MetricsRegistry::global().gauge("openmeta_eventloop_connections");
-    let mut state = ShardState::new(gauge, clock::now());
+    let mut state = ShardState::new(&shard.wakee, gauge, clock::now());
     let mut scratch = vec![0u8; SWEEP_READ_BUDGET];
     let mut expired: Vec<u64> = Vec::new();
     let mut draining = false;
+    let mut busy = false;
     loop {
-        // Adopt newly registered connections and pick up drain flags.
-        let (force, adopted) = {
-            let mut inbox = sync::lock(&shard.inbox);
-            draining = draining || inbox.draining;
-            let force = inbox.force_close;
-            let incoming = std::mem::take(&mut inbox.incoming);
-            drop(inbox);
-            let adopted = !incoming.is_empty();
+        // Block until a socket or the waker is ready, or the wheel's
+        // next deadline is due.  After a wake that found work, look once
+        // more without blocking: under load more is usually ready, and a
+        // zero-timeout poll neither sleeps nor queues on every socket.
+        // `None` (poll failed) sweeps everyone.
+        let timeout = if busy {
+            Some(Duration::ZERO)
+        } else {
+            state.wheel.next_fire().map(|t| t.saturating_duration_since(clock::now()))
+        };
+        let ready = match sys::poll(&mut state.fds, timeout) {
+            Ok(n) => Some(n),
+            Err(_) => {
+                std::thread::sleep(POLL_FAILED_PARK);
+                None
+            }
+        };
+        let mut pending = ready.unwrap_or(0);
+        busy = pending > 0;
+        let mut drain_began = false;
+        // The inbox changes only before a wake, so it is read only after
+        // one: adopt new connections and pick up the drain flags.
+        if ready.is_none() || state.fds[0].revents() != 0 {
+            pending = pending.saturating_sub(1);
+            let mut wakee = &shard.wakee;
+            while let Ok(ReadOutcome::Bytes(_)) = nio::read_ready(&mut wakee, &mut scratch) {}
+            let (force, incoming) = {
+                let mut inbox = sync::lock(&shard.inbox);
+                drain_began = inbox.draining && !draining;
+                draining |= inbox.draining;
+                (inbox.force_close, std::mem::take(&mut inbox.incoming))
+            };
+            if force {
+                for slot in 0..state.conns.len() {
+                    state.close(slot, stats, open);
+                }
+                return;
+            }
             let now = clock::now();
             for stream in incoming {
                 state.adopt(stream, factory(), now, read_timeout, stats, open);
             }
-            (force, adopted)
-        };
-        if force {
-            for slot in 0..state.conns.len() {
-                state.close(slot, stats, open);
-            }
-            return;
         }
 
-        let mut progressed = adopted;
-        if state.open_count() > 0 {
-            let poll_span = span!("eventloop.poll");
+        // Advance the connections poll reported — every one when a drain
+        // begins, since every connection's interest changes.
+        let sweep_all = ready.is_none() || drain_began;
+        if sweep_all || pending > 0 {
+            let _poll_span = span!("eventloop.poll");
             for slot in 0..state.conns.len() {
+                if !sweep_all {
+                    if pending == 0 {
+                        break;
+                    }
+                    if state.fds[slot + 1].revents() == 0 {
+                        continue;
+                    }
+                    pending -= 1;
+                }
                 let verdict = {
-                    let ShardState { conns, wheel, .. } = &mut state;
+                    let ShardState { conns, wheel, fds, .. } = &mut state;
                     let Some(conn) = conns[slot].as_mut() else { continue };
                     let token = token_of(slot, conn.gen);
-                    sweep_conn(
+                    let verdict = sweep_conn(
                         conn,
                         wheel,
                         token,
@@ -437,80 +512,68 @@ fn shard_loop(
                         draining,
                         write_timeout,
                         read_timeout,
-                        &mut progressed,
-                    )
+                    );
+                    fds[slot + 1].set_events(conn.interest(draining));
+                    verdict
                 };
                 if matches!(verdict, SweepVerdict::Close) {
                     state.close(slot, stats, open);
                 }
             }
-            drop(poll_span);
+        }
 
-            // Deadline sweep: validate lazy tokens against live state.
-            let now = clock::now();
-            expired.clear();
-            state.wheel.expired(now, &mut expired);
-            for &token in &expired {
-                let (slot, gen) = token_parts(token);
-                // 0 = stale, 1 = reschedule, 2 = expire (not timed_out),
-                // 3 = expire and count timed_out.
-                let action = match state.conns.get_mut(slot).and_then(|c| c.as_mut()) {
-                    Some(conn) if conn.gen == gen => {
-                        conn.scheduled = false;
-                        match conn.nearest_deadline() {
-                            Some(d) if d <= now => {
-                                // Write stalls always count; read expiries
-                                // defer to the protocol's idle semantics.
-                                if conn.write_deadline.is_some_and(|w| w <= now)
-                                    || conn.handler.deadline_counts_as_timeout()
-                                {
-                                    3
-                                } else {
-                                    2
-                                }
+        // Deadline sweep: validate lazy tokens against live state.
+        let now = clock::now();
+        expired.clear();
+        state.wheel.expired(now, &mut expired);
+        for &token in &expired {
+            let (slot, gen) = token_parts(token);
+            // 0 = stale, 1 = reschedule, 2 = expire (not timed_out),
+            // 3 = expire and count timed_out.
+            let action = match state.conns.get_mut(slot).and_then(|c| c.as_mut()) {
+                Some(conn) if conn.gen == gen => {
+                    conn.scheduled = false;
+                    match conn.nearest_deadline() {
+                        Some(d) if d <= now => {
+                            // Write stalls always count; read expiries
+                            // defer to the protocol's idle semantics.
+                            if conn.write_deadline.is_some_and(|w| w <= now)
+                                || conn.handler.deadline_counts_as_timeout()
+                            {
+                                3
+                            } else {
+                                2
                             }
-                            Some(_) => 1,
-                            None => 0,
                         }
+                        Some(_) => 1,
+                        None => 0,
                     }
-                    _ => 0,
-                };
-                match action {
-                    1 => state.ensure_scheduled(slot),
-                    2 | 3 => {
-                        if action == 3 {
-                            stats.timed_out();
-                        }
-                        state.close(slot, stats, open);
-                    }
-                    _ => {}
                 }
+                _ => 0,
+            };
+            match action {
+                1 => state.ensure_scheduled(slot),
+                2 | 3 => {
+                    if action == 3 {
+                        stats.timed_out();
+                    }
+                    state.close(slot, stats, open);
+                }
+                _ => {}
             }
         }
 
-        if draining && state.open_count() == 0 {
-            // Exit only if nothing is waiting to be adopted; register()
-            // rejects once draining, so the inbox can only shrink.
-            let inbox = sync::lock(&shard.inbox);
-            if inbox.incoming.is_empty() {
-                return;
-            }
-            continue;
-        }
-
-        if !progressed {
-            let park = if state.open_count() == 0 { PARK_EMPTY } else { PARK_BUSY };
-            let inbox = sync::lock(&shard.inbox);
-            let work_waiting =
-                !inbox.incoming.is_empty() || inbox.force_close || (inbox.draining && !draining);
-            if !work_waiting {
-                let _ = sync::wait_timeout(&shard.wake, inbox, park);
-            }
+        // register() rejects once draining, and the inbox was emptied
+        // under the same lock that showed the flag, so nothing can
+        // arrive after the last connection closes.
+        if draining && state.live == 0 {
+            return;
         }
     }
 }
 
-/// Advance one connection's state machine by one sweep step.
+/// Advance one ready connection's state machine as far as its socket
+/// allows without blocking.
 #[allow(clippy::too_many_arguments)]
 fn sweep_conn(
     conn: &mut Conn,
@@ -521,15 +584,10 @@ fn sweep_conn(
     draining: bool,
     write_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
-    progressed: &mut bool,
 ) -> SweepVerdict {
     // [writing]: flush queued output while the kernel accepts it.
-    if !conn.flushed() {
-        match flush_out(conn, stats) {
-            Ok(true) => *progressed = true,
-            Ok(false) => {}
-            Err(_) => return SweepVerdict::Close,
-        }
+    if !conn.flushed() && flush_out(conn, stats).is_err() {
+        return SweepVerdict::Close;
     }
     if conn.close_after_flush && conn.flushed() {
         return SweepVerdict::Close;
@@ -549,12 +607,10 @@ fn sweep_conn(
         match nio::read_ready(&mut conn.stream, scratch) {
             Ok(ReadOutcome::NotReady) => break,
             Ok(ReadOutcome::Eof) => {
-                // Peer closed: mirror the threaded worker, which returns
-                // (and closes) on EOF without writing further.
+                // Peer closed: close without writing further.
                 return SweepVerdict::Close;
             }
             Ok(ReadOutcome::Bytes(n)) => {
-                *progressed = true;
                 consumed += n;
                 let now = clock::now();
                 conn.read_deadline = read_timeout.map(|t| now + t);
@@ -583,7 +639,6 @@ fn sweep_conn(
                             if flush_out(conn, stats).is_err() {
                                 return SweepVerdict::Close;
                             }
-                            *progressed = true;
                             // Queued output survived the eager flush: park
                             // the anchored deadline now — the entry from
                             // adopt time may be scheduled much later.
@@ -601,6 +656,11 @@ fn sweep_conn(
                     }
                     Err(_) => return SweepVerdict::Close,
                 }
+                // A short read emptied the socket; poll is level-triggered
+                // and reports anything that arrives later.
+                if n < scratch.len() {
+                    break;
+                }
             }
             Err(_) => return SweepVerdict::Close,
         }
@@ -608,21 +668,17 @@ fn sweep_conn(
     SweepVerdict::Keep
 }
 
-/// Push queued output at the socket; returns whether bytes moved.
-/// Partial progress deliberately does NOT refresh the write deadline:
-/// it stays anchored where the queue went non-empty, so a peer draining
-/// one segment per timeout window still expires.
-fn flush_out(conn: &mut Conn, stats: &ServerStats) -> io::Result<bool> {
-    let mut moved = false;
+/// Push queued output at the socket until it is flushed or the kernel
+/// buffer fills.  Partial progress deliberately does NOT refresh the
+/// write deadline: it stays anchored where the queue went non-empty, so
+/// a peer draining one segment per timeout window still expires.
+fn flush_out(conn: &mut Conn, stats: &ServerStats) -> io::Result<()> {
     while !conn.flushed() {
         match nio::write_ready(&mut conn.stream, &conn.out[conn.out_pos..])? {
             WriteOutcome::Wrote(0) => {
                 return Err(io::Error::new(io::ErrorKind::WriteZero, "socket accepted 0 bytes"));
             }
-            WriteOutcome::Wrote(n) => {
-                moved = true;
-                conn.out_pos += n;
-            }
+            WriteOutcome::Wrote(n) => conn.out_pos += n,
             WriteOutcome::NotReady => break,
         }
     }
@@ -635,7 +691,7 @@ fn flush_out(conn: &mut Conn, stats: &ServerStats) -> io::Result<bool> {
         conn.out_pos = 0;
         conn.write_deadline = None;
     }
-    Ok(moved)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -674,7 +730,7 @@ mod tests {
     }
 
     fn echo_loop(cfg: &ServerConfig, stats: ServerStats) -> (EventLoop, TcpListener) {
-        let el = EventLoop::start("test", cfg, stats, Arc::new(|| Echo::boxed()));
+        let el = EventLoop::start("test", cfg, stats, Arc::new(|| Echo::boxed())).unwrap();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         (el, listener)
     }
@@ -701,8 +757,7 @@ mod tests {
     #[test]
     fn echoes_frames_across_many_keepalive_connections() {
         let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { max_connections: 64, event_loop_shards: 2, ..ServerConfig::default() };
+        let cfg = ServerConfig { max_connections: 64, ..ServerConfig::default() };
         let (el, listener) = echo_loop(&cfg, stats.clone());
         let mut clients: Vec<TcpStream> =
             (0..8).map(|_| connect_registered(&el, &listener)).collect();
@@ -729,8 +784,7 @@ mod tests {
     #[test]
     fn rejects_beyond_max_connections() {
         let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { max_connections: 2, event_loop_shards: 1, ..ServerConfig::default() };
+        let cfg = ServerConfig { max_connections: 2, ..ServerConfig::default() };
         let (el, listener) = echo_loop(&cfg, stats.clone());
         let _a = connect_registered(&el, &listener);
         let _b = connect_registered(&el, &listener);
@@ -747,7 +801,6 @@ mod tests {
         let stats = ServerStats::new();
         let cfg = ServerConfig {
             read_timeout: Some(Duration::from_millis(200)),
-            event_loop_shards: 1,
             ..ServerConfig::default()
         };
         let (el, listener) = echo_loop(&cfg, stats.clone());
@@ -781,7 +834,6 @@ mod tests {
         let cfg = ServerConfig {
             write_timeout: Some(Duration::from_millis(300)),
             read_timeout: Some(Duration::from_secs(30)),
-            event_loop_shards: 1,
             max_connections: 8,
             ..ServerConfig::default()
         };
@@ -842,8 +894,7 @@ mod tests {
     #[test]
     fn drain_flushes_then_closes() {
         let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { event_loop_shards: 1, max_connections: 8, ..ServerConfig::default() };
+        let cfg = ServerConfig { max_connections: 8, ..ServerConfig::default() };
         let (el, listener) = echo_loop(&cfg, stats.clone());
         let mut client = connect_registered(&el, &listener);
         client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -858,8 +909,7 @@ mod tests {
     #[test]
     fn handler_error_closes_connection() {
         let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { event_loop_shards: 1, max_connections: 8, ..ServerConfig::default() };
+        let cfg = ServerConfig { max_connections: 8, ..ServerConfig::default() };
         let (el, listener) = echo_loop(&cfg, stats.clone());
         let mut client = connect_registered(&el, &listener);
         // Oversized length prefix: the framer (handler) errors out.

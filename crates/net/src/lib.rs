@@ -4,8 +4,8 @@
 //! plane (format servers, HTTP schema hosts) and a data plane (PBIO
 //! record streams).  Both planes must stay correct when a peer misbehaves:
 //! a stalled socket must not hang a client forever, a slow reader must
-//! not wedge a sender, and connection handling must not spawn unbounded
-//! threads.  This crate supplies the pieces the `pbio`, `ohttp` and
+//! not wedge a sender, and connection handling must not grow without
+//! bound.  This crate supplies the pieces the `pbio`, `ohttp` and
 //! `xmit` transports share:
 //!
 //! * [`TransportConfig`] — client-side connect/read/write deadlines and a
@@ -13,12 +13,11 @@
 //! * [`Server`] — the one server front-end: a server supplies a listener
 //!   and a sans-io [`EventHandler`] per connection ([`LengthFramer`]
 //!   helps frame-based protocols), and `Server` owns the accept thread,
-//!   the engine and the graceful drain on drop;
-//! * [`ServerConfig`] — worker count, accept-queue cap, max-connections
-//!   bound and per-connection deadlines for servers, plus the
-//!   [`Backend`] engine: a bounded worker pool running a blocking driver
-//!   over the handler, or a readiness poll loop sweeping nonblocking
-//!   sockets with deadlines from a [`TimerWheel`];
+//!   the readiness event loop and the graceful drain on drop.  The loop's
+//!   shards block in `poll(2)` ([`sys`], the workspace's one `unsafe`
+//!   call) and keep per-connection deadlines in a [`TimerWheel`];
+//! * [`ServerConfig`] — max-connections bound, per-connection deadlines
+//!   and the drain budget for servers;
 //! * [`ServerStats`] / [`TransportCounters`] — per-server counters
 //!   (accepted, active, rejected, timed out, frames in/out) surfaced
 //!   through the bench `--json` reports;
@@ -40,11 +39,11 @@ pub mod sansio;
 mod server;
 pub mod stats;
 pub(crate) mod sync;
+pub mod sys;
 pub mod timer;
-mod workers;
 
 pub use config::{
-    connect_retrying, connect_with_deadline, harden_stream, Backend, ServerConfig, TransportConfig,
+    connect_retrying, connect_with_deadline, harden_stream, ServerConfig, TransportConfig,
 };
 pub use event_loop::{Dispatch, EventHandler, HandlerFactory};
 pub use faults::{Fault, FaultProxy};

@@ -1,14 +1,14 @@
 //! Nonblocking socket readiness helpers.
 //!
-//! The event loop never issues a blocking `read`/`write` on a
-//! connection socket — `cargo xtask analyze` enforces that for the
-//! `event_loop` module.  Instead every socket is switched to
-//! nonblocking mode and all I/O funnels through the two helpers here,
-//! which translate the `WouldBlock`/`Interrupted` dance into explicit
-//! readiness outcomes the per-connection state machine can act on.
+//! The event loop never issues a blocking `read`/`write` on a socket —
+//! `cargo xtask analyze` enforces that for the `event_loop` module.
+//! Instead every socket (connections and the shard's waker alike) is
+//! switched to nonblocking mode and all I/O funnels through the two
+//! helpers here, which translate the `WouldBlock`/`Interrupted` dance
+//! into explicit readiness outcomes the per-connection state machine
+//! can act on.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Outcome of a readiness-probe read.
 #[derive(Debug, PartialEq, Eq)]
@@ -17,7 +17,7 @@ pub enum ReadOutcome {
     Bytes(usize),
     /// The peer closed its write half (clean EOF).
     Eof,
-    /// No bytes available right now; try again on the next sweep.
+    /// No bytes available right now; wait for readiness and retry.
     NotReady,
 }
 
@@ -26,7 +26,7 @@ pub enum ReadOutcome {
 pub enum WriteOutcome {
     /// `n` bytes were accepted by the kernel.
     Wrote(usize),
-    /// The socket's send buffer is full; retry on the next sweep.
+    /// The socket's send buffer is full; wait for readiness and retry.
     NotReady,
 }
 
@@ -35,7 +35,7 @@ pub enum WriteOutcome {
 /// `Interrupted` is retried inline; `WouldBlock` maps to
 /// [`ReadOutcome::NotReady`]; every other error propagates (the caller
 /// closes the connection).
-pub fn read_ready(stream: &mut TcpStream, scratch: &mut [u8]) -> io::Result<ReadOutcome> {
+pub fn read_ready(stream: &mut impl Read, scratch: &mut [u8]) -> io::Result<ReadOutcome> {
     loop {
         match stream.read(scratch) {
             Ok(0) => return Ok(ReadOutcome::Eof),
@@ -50,8 +50,8 @@ pub fn read_ready(stream: &mut TcpStream, scratch: &mut [u8]) -> io::Result<Read
 /// Try to write once to a nonblocking stream.
 ///
 /// Partial writes are normal — the caller advances its output cursor by
-/// the returned count and retries the remainder on a later sweep.
-pub fn write_ready(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<WriteOutcome> {
+/// the returned count and retries the remainder once writable.
+pub fn write_ready(stream: &mut impl Write, bytes: &[u8]) -> io::Result<WriteOutcome> {
     loop {
         match stream.write(bytes) {
             Ok(n) => return Ok(WriteOutcome::Wrote(n)),
@@ -65,7 +65,7 @@ pub fn write_ready(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<WriteOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();

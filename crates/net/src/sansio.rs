@@ -2,7 +2,7 @@
 //!
 //! Both record-plane protocols frame messages as `len:u32be payload`
 //! (`pbio`'s format server) or `len:u32be kind:u8 payload` (`xmit`
-//! messaging).  The event-loop backend reads sockets in whatever chunks
+//! messaging).  The server event loop reads sockets in whatever chunks
 //! the kernel delivers, so the decoder must accept arbitrary byte
 //! fragments and emit complete frames as they materialize — no blocking
 //! reads inside the parser.  [`LengthFramer`] is that decoder; the

@@ -6,4 +6,4 @@
 //! `openmeta-analyzer` builds its may-hold-while-acquiring graph from.
 //! See that module for the loom swap point and poison-recovery policy.
 
-pub(crate) use openmeta_obs::sync::{get_mut, lock, wait, wait_timeout, Condvar, Mutex};
+pub(crate) use openmeta_obs::sync::{get_mut, lock, Mutex};

@@ -53,6 +53,11 @@ impl TimerWheel {
         (elapsed.as_nanos() / self.slot_len.as_nanos().max(1)) as u64
     }
 
+    /// The instant tick `tick` begins.
+    fn start_of(&self, tick: u64) -> Instant {
+        self.epoch + Duration::from_nanos((self.slot_len.as_nanos() as u64).saturating_mul(tick))
+    }
+
     /// Schedule `token` to be delivered once `deadline` passes.
     pub fn schedule(&mut self, token: u64, deadline: Instant) {
         // Never place an entry at or behind the processed cursor: it
@@ -92,6 +97,25 @@ impl TimerWheel {
         }
     }
 
+    /// The earliest instant at which [`TimerWheel::expired`] delivers a
+    /// parked entry (stale ones included), or `None` when the wheel is
+    /// empty: how long an event loop may block before it must advance
+    /// the wheel.  Only the first occupied slot is inspected — every
+    /// later slot holds later ticks.  The answer stays inside that
+    /// slot's window: a slot holding only beyond-horizon entries (whose
+    /// real deadlines lie far later) wakes the loop at the slot's end,
+    /// when [`TimerWheel::expired`] re-inserts them.
+    pub fn next_fire(&self) -> Option<Instant> {
+        let len = self.slots.len();
+        let cursor = (self.processed % len as u64) as usize;
+        (1..len).find_map(|i| {
+            let slot = if cursor + i < len { cursor + i } else { cursor + i - len };
+            let earliest = self.slots[slot].iter().map(|e| e.deadline).min()?;
+            let tick = self.processed + i as u64;
+            Some(earliest.clamp(self.start_of(tick), self.start_of(tick + 1)))
+        })
+    }
+
     /// Entries currently parked in the wheel (stale ones included).
     pub fn len(&self) -> usize {
         self.slots.iter().map(|s| s.len()).sum()
@@ -122,6 +146,64 @@ mod tests {
         wheel.expired(t0 + ms(50), &mut out);
         assert_eq!(out, vec![1]);
         assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn next_fire_is_the_earliest_delivery() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(ms(10), 8, t0);
+        assert_eq!(wheel.next_fire(), None);
+        wheel.schedule(1, t0 + ms(37));
+        wheel.schedule(2, t0 + ms(33));
+        wheel.schedule(3, t0 + ms(500)); // beyond the horizon
+        assert_eq!(wheel.next_fire(), Some(t0 + ms(33)));
+        let mut out = Vec::new();
+        wheel.expired(t0 + ms(33), &mut out);
+        assert_eq!(out, vec![2], "due exactly at next_fire");
+        out.clear();
+        wheel.expired(t0 + ms(40), &mut out);
+        assert_eq!(out, vec![1]);
+        // The beyond-horizon entry wakes the loop once per horizon (at
+        // the end of the slot it is parked in) until it is due.
+        out.clear();
+        let mut wakes = 0;
+        while let Some(at) = wheel.next_fire() {
+            assert!(at <= t0 + ms(510), "woke at {:?}", at - t0);
+            wheel.expired(at, &mut out);
+            wakes += 1;
+            if at < t0 + ms(500) {
+                assert!(out.is_empty(), "fired at {:?}", at - t0);
+            }
+        }
+        assert_eq!(out, vec![3]);
+        assert!(wakes > 1, "re-insertions must wake the loop");
+    }
+
+    #[test]
+    fn parked_far_deadline_does_not_hide_a_nearer_one() {
+        let t0 = Instant::now();
+        // Horizon is 8 * 10ms: a 500ms deadline parks in tick 7.
+        let mut wheel = TimerWheel::new(ms(10), 8, t0);
+        wheel.schedule(1, t0 + ms(500));
+        let mut out = Vec::new();
+        wheel.expired(t0 + ms(30), &mut out);
+        assert!(out.is_empty());
+        // Tick 9 lands in ring slot 1, which comes after slot 7 when
+        // scanning from the cursor at slot 3.
+        wheel.schedule(2, t0 + ms(95));
+        let first = wheel.next_fire().expect("entries parked");
+        assert!(first <= t0 + ms(95), "next_fire {:?} is past the 95ms deadline", first - t0);
+        // Following next_fire delivers 2 on time and 1 only when due.
+        let mut now = first;
+        loop {
+            wheel.expired(now, &mut out);
+            if !out.is_empty() {
+                break;
+            }
+            now = wheel.next_fire().expect("2 still parked");
+            assert!(now <= t0 + ms(95), "woke at {:?} before delivering 2", now - t0);
+        }
+        assert_eq!(out, vec![2]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `std::net`:
 //!
 //! * [`Url`] — parsing for `http://`, `file://` and `mem://` URLs;
-//! * [`HttpServer`] — a threaded static-content HTTP/1.1 server with
+//! * [`HttpServer`] — an event-loop static-content HTTP/1.1 server with
 //!   keep-alive and `ETag`/`If-None-Match` revalidation;
 //! * [`http_get`] — a one-shot GET client with `Content-Length` and
 //!   chunked bodies;
@@ -36,7 +36,7 @@ pub use server::HttpServer;
 // The transport-hardening knobs and counters servers and clients share,
 // re-exported so consumers configure [`HttpServer`] without a direct
 // `openmeta-net` dependency.
-pub use openmeta_net::{Backend, ServerConfig, TransportConfig, TransportCounters};
+pub use openmeta_net::{ServerConfig, TransportConfig, TransportCounters};
 pub use request::{Request, RequestParser};
 pub use source::{DocumentSource, Fetched, StandardSource};
 pub use url::Url;

@@ -1,19 +1,14 @@
 //! Sans-io incremental HTTP/1.1 request parsing.
 //!
-//! The server's request head handling used to live inside a blocking
-//! `read_line` loop, which the event-loop backend cannot use: it
-//! receives bytes in whatever fragments the kernel delivers.
-//! [`RequestParser`] is the extracted core — push byte chunks, pop
-//! complete request heads — and the threaded server's `serve` loop is
-//! now a thin blocking wrapper around it, so both backends parse
-//! requests with exactly the same code.
+//! The server's event loop receives bytes in whatever fragments the
+//! kernel delivers, so request heads are parsed incrementally:
+//! [`RequestParser`] takes byte chunks and pops complete request heads.
 //!
-//! Parsing matches the previous loop's (deliberately lenient) behavior:
+//! Parsing is deliberately lenient:
 //! lines split on `\n` with a trailing `\r` trimmed, the request line
 //! split on whitespace, headers on the first `:`; only `If-None-Match`
 //! and `Connection` are interpreted.  A blank request line or an
-//! oversized head is an error — the connection closes, as the blocking
-//! server always did.
+//! oversized head is an error — the connection closes.
 
 use std::io;
 

@@ -15,11 +15,11 @@
 //!
 //! The protocol exists once, as the sans-io `HttpConnHandler` (the
 //! incremental [`RequestParser`] plus `render`); `openmeta_net::Server`
-//! runs it on either connection engine (a bounded worker pool or the
-//! readiness event loop) and owns the hardening: an accept-queue cap
-//! instead of detached thread-per-connection spawns, read/write
-//! deadlines on every connection, rejection of excess connects, and a
-//! drain of in-flight requests when the server is dropped.
+//! runs it on the readiness event loop and owns the hardening: a
+//! max-connections bound instead of thread-per-connection spawns,
+//! read/write deadlines on every connection, rejection of excess
+//! connects, and a drain of in-flight requests when the server is
+//! dropped.
 //!
 //! Two built-in routes expose the process-wide metrics registry:
 //! `GET /metrics` answers Prometheus text exposition and
@@ -77,9 +77,7 @@ impl HttpServer {
         HttpServer::start_with(port, ServerConfig::default())
     }
 
-    /// Start a server with explicit worker/queue/deadline bounds.  The
-    /// config's backend selects the connection engine; the rest of the
-    /// API is identical either way.
+    /// Start a server with explicit connection and deadline bounds.
     pub fn start_with(port: u16, cfg: ServerConfig) -> Result<HttpServer, HttpError> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let m = MetricsRegistry::global();
@@ -157,7 +155,7 @@ fn if_none_match_matches(header: &str, etag: &str) -> bool {
 }
 
 /// One connection's protocol core: the incremental parser plus
-/// [`render`], run by either connection engine.
+/// [`render`], run by the event loop.
 struct HttpConnHandler {
     shared: Arc<HttpShared>,
     parser: RequestParser,
@@ -277,14 +275,14 @@ mod tests {
         assert_eq!(counters.accepted, 1);
         assert_eq!(counters.frames_in, 1);
         // frame_out is counted after the response is flushed, so the
-        // client can observe the reply before the worker's increment —
+        // client can observe the reply before the event loop's increment —
         // wait for the accounting to land.
         assert_eq!(wait_for_frames_out(&server, 1), 1);
     }
 
     /// Poll until the server's `frames_out` reaches `want` (bounded):
     /// the counter is incremented after the response bytes are flushed,
-    /// so a client-side assert races the worker without this.
+    /// so a client-side assert races the event loop without this.
     fn wait_for_frames_out(server: &HttpServer, want: u64) -> u64 {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {
@@ -385,11 +383,9 @@ mod tests {
     #[test]
     fn connection_bound_rejects_excess_connects() {
         use std::io::Read as _;
-        // One worker, no queue slack: the held connection occupies the
-        // only worker and the second connect is rejected (closed).
+        // One connection allowed: the held connection occupies it and
+        // the second connect is rejected (closed).
         let cfg = ServerConfig {
-            workers: 1,
-            accept_queue: 0,
             max_connections: 1,
             read_timeout: Some(Duration::from_secs(2)),
             ..ServerConfig::default()
@@ -397,7 +393,7 @@ mod tests {
         let server = HttpServer::start_with(0, cfg).unwrap();
         server.put_xml("/f.xsd", "<v1/>");
         let holder = TcpStream::connect(server.addr()).unwrap();
-        // Wait until the worker picks the holder up.
+        // Wait until the event loop adopts the holder.
         let start = std::time::Instant::now();
         while server.transport_counters().active == 0 && start.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
@@ -416,7 +412,7 @@ mod tests {
     fn graceful_drop_is_prompt_with_idle_keepalive_clients() {
         let server = HttpServer::start().unwrap();
         server.put_xml("/f.xsd", "<v1/>");
-        // An idle keep-alive connection pins a worker in a blocked read.
+        // An idle keep-alive connection is open on the event loop.
         let url = Url::parse(&server.url_for("/f.xsd")).unwrap();
         let pool = crate::pool::ConnectionPool::default();
         assert_eq!(pool.get(&url).unwrap().body, b"<v1/>");

@@ -13,11 +13,10 @@
 //! ```
 //!
 //! The protocol exists once, as the sans-io `FormatConn` handler;
-//! `openmeta_net::Server` runs it on either connection engine (a bounded
-//! worker pool or the readiness event loop) and owns the hardening:
-//! accept-queue and connection caps instead of detached
-//! thread-per-connection spawns, read/write deadlines on every socket,
-//! and a drain of in-flight requests on shutdown.  The client holds one
+//! `openmeta_net::Server` runs it on the readiness event loop and owns
+//! the hardening: a connection cap instead of thread-per-connection
+//! spawns, read/write deadlines on every socket, and a drain of
+//! in-flight requests on shutdown.  The client holds one
 //! persistent connection with retry-with-backoff connects and a single
 //! transparent reconnect when the held connection has gone stale.
 
@@ -85,7 +84,7 @@ pub fn fetch_request_payload(id: FormatId) -> Vec<u8> {
 
 /// A running format server.  Dropping it shuts the server down
 /// gracefully: in-flight requests finish, idle keep-alive connections
-/// are closed, and the connection engine is drained.
+/// are closed, and the event loop is drained.
 pub struct FormatServer {
     server: Server,
     stats: ServerStats,
@@ -97,9 +96,7 @@ impl FormatServer {
         FormatServer::start_with(ServerConfig::default())
     }
 
-    /// Start a server with explicit worker/queue/deadline bounds.  The
-    /// config's backend selects the connection engine; the API is
-    /// identical either way.
+    /// Start a server with explicit connection and deadline bounds.
     pub fn start_with(cfg: ServerConfig) -> Result<FormatServer, PbioError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         // The store's machine model is irrelevant: it only warehouses
@@ -127,7 +124,7 @@ impl FormatServer {
 }
 
 /// One connection's protocol core: the sans-io [`LengthFramer`] plus
-/// `handle_request`, run by either connection engine.  Any read-deadline
+/// `handle_request`, run by the event loop.  Any read-deadline
 /// expiry counts as a timeout, idle keep-alive expiry included (the
 /// trait's default).
 struct FormatConn {
@@ -340,7 +337,7 @@ mod tests {
         assert_eq!(counters.accepted, 1);
         assert_eq!(counters.frames_in, 2);
         // frame_out lands after the reply is flushed; wait out the race
-        // between this assert and the worker's accounting.
+        // between this assert and the event loop's accounting.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         while server.transport_counters().frames_out < 2 && std::time::Instant::now() < deadline {
             std::thread::yield_now();

@@ -12,7 +12,7 @@
 //! openmeta planlint [--json] <xsd-file>...
 //! openmeta protolint [--json] [--root <dir>] [--mutants]
 //! openmeta stats    [--json|--prom] [url]
-//! openmeta loadgen  [--server http|pbio] [--backend threaded|eventloop] ...
+//! openmeta loadgen  [--server http|pbio] [--connections N] ...
 //! openmeta channel  <bench|publish|subscribe> ...
 //! ```
 
@@ -32,14 +32,11 @@ fn usage() -> ExitCode {
          openmeta planlint [--json] <xsd-file>...\n  \
          openmeta protolint [--json] [--root <dir>] [--mutants]\n  \
          openmeta stats [--json|--prom] [url]\n  \
-         openmeta loadgen [--server http|pbio] [--backend threaded|eventloop]\n           \
-         [--connections N] [--requests N] [--json] [--check] [--max-p99-ms MS]\n           \
-         [--serve-only] [--target host:port]\n  \
-         openmeta channel bench [--backend threaded|eventloop|both] [--subs N]\n           \
-         [--projections K] [--events N] [--payload N] [--policy block|drop|disconnect]\n           \
-         [--queue-cap N] [--json] [--check]\n  \
-         openmeta channel publish [--backend threaded|eventloop] [--port P]\n           \
-         [--events N] [--interval-ms MS] [--payload N]\n  \
+         openmeta loadgen [--server http|pbio] [--connections N] [--requests N]\n           \
+         [--json] [--check] [--max-p99-ms MS] [--serve-only] [--target host:port]\n  \
+         openmeta channel bench [--subs N] [--projections K] [--events N]\n           \
+         [--payload N] [--policy block|drop|disconnect] [--queue-cap N] [--json] [--check]\n  \
+         openmeta channel publish [--port P] [--events N] [--interval-ms MS] [--payload N]\n  \
          openmeta channel subscribe <host:port> [--keep f1,f2] [--narrow] [--id N]\n           \
          [--count N]"
     );

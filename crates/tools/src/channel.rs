@@ -1,12 +1,11 @@
 //! `openmeta channel` — ECho-style event channels from the command line.
 //!
 //! ```text
-//! openmeta channel bench     [--backend threaded|eventloop|both] [--subs N]
-//!                            [--projections K] [--events N] [--payload N]
-//!                            [--policy block|drop|disconnect] [--queue-cap N]
-//!                            [--json] [--check]
-//! openmeta channel publish   [--backend threaded|eventloop] [--port P]
-//!                            [--events N] [--interval-ms MS] [--payload N]
+//! openmeta channel bench     [--subs N] [--projections K] [--events N]
+//!                            [--payload N] [--policy block|drop|disconnect]
+//!                            [--queue-cap N] [--json] [--check]
+//! openmeta channel publish   [--port P] [--events N] [--interval-ms MS]
+//!                            [--payload N]
 //! openmeta channel subscribe <host:port> [--keep f1,f2] [--narrow] [--id N]
 //!                            [--count N]
 //! ```
@@ -31,21 +30,11 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use openmeta_echo::{ChannelConfig, ChannelHost, ChannelSubscriber, SlowPolicy};
-use openmeta_net::Backend;
 use openmeta_pbio::{FormatId, MachineModel, Value};
 use openmeta_schema::ComplexType;
 use xmit::{Projection, Xmit};
 
 use crate::ToolError;
-
-/// Which engines a bench run exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendSel {
-    /// One backend only.
-    One(Backend),
-    /// Threaded then event loop, one run each.
-    Both,
-}
 
 /// What `openmeta channel` should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +52,6 @@ pub enum ChannelMode {
 pub struct ChannelOptions {
     /// Sub-mode (first positional argument).
     pub mode: ChannelMode,
-    /// Engine selection (`bench` accepts `both`).
-    pub backend: BackendSel,
     /// Bench: subscriber count.
     pub subs: usize,
     /// Bench: distinct views, identity plus `projections - 1` derived.
@@ -101,7 +88,6 @@ impl Default for ChannelOptions {
     fn default() -> ChannelOptions {
         ChannelOptions {
             mode: ChannelMode::Bench,
-            backend: BackendSel::Both,
             subs: 64,
             projections: 3,
             events: 200,
@@ -139,14 +125,6 @@ impl ChannelOptions {
             let mut value =
                 |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value")).cloned();
             match arg.as_str() {
-                "--backend" => {
-                    opts.backend = match value("--backend")?.as_str() {
-                        "threaded" => BackendSel::One(Backend::Threaded),
-                        "eventloop" => BackendSel::One(Backend::EventLoop),
-                        "both" => BackendSel::Both,
-                        other => return Err(format!("unknown backend '{other}'")),
-                    }
-                }
                 "--subs" => {
                     opts.subs = value("--subs")?.parse().map_err(|e| format!("--subs: {e}"))?
                 }
@@ -216,11 +194,7 @@ impl ChannelOptions {
                     return Err("subscribe needs a <host:port> target".to_string());
                 }
             }
-            ChannelMode::Publish => {
-                if opts.backend == BackendSel::Both {
-                    opts.backend = BackendSel::One(Backend::EventLoop);
-                }
-            }
+            ChannelMode::Publish => {}
         }
         Ok(opts)
     }
@@ -284,13 +258,6 @@ fn views(k: usize) -> Vec<Option<Projection>> {
     out
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Threaded => "threaded",
-        Backend::EventLoop => "eventloop",
-    }
-}
-
 fn policy_name(p: SlowPolicy) -> &'static str {
     match p {
         SlowPolicy::Block => "block",
@@ -299,11 +266,9 @@ fn policy_name(p: SlowPolicy) -> &'static str {
     }
 }
 
-/// One backend's bench outcome.
+/// A bench run's outcome.
 #[derive(Debug, Clone)]
-pub struct BackendRun {
-    /// Engine this run used.
-    pub backend: Backend,
+pub struct BenchRun {
     /// Wire encodes across all events (full + per active view).
     pub encodes: u64,
     /// Seat enqueues across all events.
@@ -322,7 +287,7 @@ pub struct BackendRun {
     pub elapsed: Duration,
 }
 
-impl BackendRun {
+impl BenchRun {
     fn events_per_s(&self, events: usize) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
@@ -346,29 +311,28 @@ impl BackendRun {
 pub struct ChannelReport {
     /// Options the run executed with.
     pub opts: ChannelOptions,
-    /// One entry per benched backend.
-    pub runs: Vec<BackendRun>,
+    /// What the run delivered.
+    pub run: BenchRun,
 }
 
 impl ChannelReport {
-    /// Encodes per published event for one run — the headline number;
-    /// equals the distinct view count when derivation shares encodes.
-    pub fn encodes_per_event(&self, run: &BackendRun) -> f64 {
-        run.encodes as f64 / self.opts.events as f64
+    /// Encodes per published event — the headline number; equals the
+    /// distinct view count when derivation shares encodes.
+    pub fn encodes_per_event(&self) -> f64 {
+        self.run.encodes as f64 / self.opts.events as f64
     }
 
     /// `--check` verdict: zero errors, encode sharing exact, and under
     /// the default `block` policy lossless delivery to every
     /// subscriber.
     pub fn passed(&self) -> bool {
-        self.runs.iter().all(|run| {
-            let shared = run.encodes == (self.opts.events * self.opts.projections) as u64;
-            let lossless = self.opts.policy != SlowPolicy::Block
-                || (run.dropped == 0
-                    && run.disconnected == 0
-                    && run.received == (self.opts.subs * self.opts.events) as u64);
-            run.errors == 0 && shared && lossless
-        })
+        let run = &self.run;
+        let shared = run.encodes == (self.opts.events * self.opts.projections) as u64;
+        let lossless = self.opts.policy != SlowPolicy::Block
+            || (run.dropped == 0
+                && run.disconnected == 0
+                && run.received == (self.opts.subs * self.opts.events) as u64);
+        run.errors == 0 && shared && lossless
     }
 
     /// Human-readable report.
@@ -383,29 +347,27 @@ impl ChannelReport {
             self.opts.payload,
             policy_name(self.opts.policy)
         );
-        for run in &self.runs {
-            let _ = writeln!(
-                out,
-                "  {}: {} encodes ({:.2}/event), {} delivered, {} received, {} dropped, \
-                 {} disconnected, {} timed out, {} errors",
-                backend_name(run.backend),
-                run.encodes,
-                self.encodes_per_event(run),
-                run.delivered,
-                run.received,
-                run.dropped,
-                run.disconnected,
-                run.timed_out,
-                run.errors
-            );
-            let _ = writeln!(
-                out,
-                "    {:.2}s ({:.0} events/s, {:.0} deliveries/s)",
-                run.elapsed.as_secs_f64(),
-                run.events_per_s(self.opts.events),
-                run.deliveries_per_s()
-            );
-        }
+        let run = &self.run;
+        let _ = writeln!(
+            out,
+            "  {} encodes ({:.2}/event), {} delivered, {} received, {} dropped, \
+             {} disconnected, {} timed out, {} errors",
+            run.encodes,
+            self.encodes_per_event(),
+            run.delivered,
+            run.received,
+            run.dropped,
+            run.disconnected,
+            run.timed_out,
+            run.errors
+        );
+        let _ = writeln!(
+            out,
+            "  {:.2}s ({:.0} events/s, {:.0} deliveries/s)",
+            run.elapsed.as_secs_f64(),
+            run.events_per_s(self.opts.events),
+            run.deliveries_per_s()
+        );
         if self.opts.check {
             let _ = writeln!(out, "  check: {}", if self.passed() { "PASS" } else { "FAIL" });
         }
@@ -414,57 +376,43 @@ impl ChannelReport {
 
     /// JSON report (the `BENCH_channels.json` artifact shape).
     pub fn to_json(&self) -> String {
-        let mut runs = String::new();
-        for (i, run) in self.runs.iter().enumerate() {
-            let _ = write!(
-                runs,
-                "{}    {{\"backend\": \"{}\", \"encodes\": {}, \"encodes_per_event\": {:.3}, \
-                 \"delivered\": {}, \"received\": {}, \"dropped\": {}, \"disconnected\": {}, \
-                 \"timed_out\": {}, \"errors\": {}, \"elapsed_s\": {:.3}, \
-                 \"events_per_s\": {:.1}, \"deliveries_per_s\": {:.1}}}",
-                if i == 0 { "" } else { ",\n" },
-                backend_name(run.backend),
-                run.encodes,
-                self.encodes_per_event(run),
-                run.delivered,
-                run.received,
-                run.dropped,
-                run.disconnected,
-                run.timed_out,
-                run.errors,
-                run.elapsed.as_secs_f64(),
-                run.events_per_s(self.opts.events),
-                run.deliveries_per_s()
-            );
-        }
+        let run = &self.run;
         format!(
             "{{\n  \"bench\": \"channels\",\n  \"subscribers\": {},\n  \"projections\": {},\n  \
              \"events\": {},\n  \"payload_doubles\": {},\n  \"policy\": \"{}\",\n  \
-             \"runs\": [\n{}\n  ],\n  \"passed\": {}\n}}\n",
+             \"encodes\": {},\n  \"encodes_per_event\": {:.3},\n  \"delivered\": {},\n  \
+             \"received\": {},\n  \"dropped\": {},\n  \"disconnected\": {},\n  \
+             \"timed_out\": {},\n  \"errors\": {},\n  \"elapsed_s\": {:.3},\n  \
+             \"events_per_s\": {:.1},\n  \"deliveries_per_s\": {:.1},\n  \"passed\": {}\n}}\n",
             self.opts.subs,
             self.opts.projections,
             self.opts.events,
             self.opts.payload,
             policy_name(self.opts.policy),
-            runs,
+            run.encodes,
+            self.encodes_per_event(),
+            run.delivered,
+            run.received,
+            run.dropped,
+            run.disconnected,
+            run.timed_out,
+            run.errors,
+            run.elapsed.as_secs_f64(),
+            run.events_per_s(self.opts.events),
+            run.deliveries_per_s(),
             self.passed()
         )
     }
 }
 
-fn channel_config(opts: &ChannelOptions, backend: Backend) -> ChannelConfig {
-    ChannelConfig {
-        backend,
-        queue_cap: opts.queue_cap,
-        policy: opts.policy,
-        ..ChannelConfig::default()
-    }
+fn channel_config(opts: &ChannelOptions) -> ChannelConfig {
+    ChannelConfig { queue_cap: opts.queue_cap, policy: opts.policy, ..ChannelConfig::default() }
 }
 
-/// Run one backend's fan-out bench: host in-process, `subs` subscriber
-/// threads over `projections` views, publish `events`, then drain.
-fn bench_backend(opts: &ChannelOptions, backend: Backend) -> Result<BackendRun, ToolError> {
-    let host = ChannelHost::start(channel_config(opts, backend)).map_err(|e| e.to_string())?;
+/// The fan-out bench: host in-process, `subs` subscriber threads over
+/// `projections` views, publish `events`, then drain.
+pub fn bench(opts: ChannelOptions) -> Result<ChannelReport, ToolError> {
+    let host = ChannelHost::start(channel_config(&opts)).map_err(|e| e.to_string())?;
     let channel = host.create_channel(&demo_definition()?).map_err(|e| e.to_string())?;
     let addr: SocketAddr = host.addr();
     let id = channel.format_id();
@@ -527,8 +475,7 @@ fn bench_backend(opts: &ChannelOptions, backend: Backend) -> Result<BackendRun, 
             Err(_) => errors += 1,
         }
     }
-    Ok(BackendRun {
-        backend,
+    let run = BenchRun {
         encodes,
         delivered,
         received,
@@ -537,35 +484,19 @@ fn bench_backend(opts: &ChannelOptions, backend: Backend) -> Result<BackendRun, 
         timed_out: stats.timed_out,
         errors,
         elapsed,
-    })
-}
-
-/// Run `bench` for the selected backend(s).
-pub fn bench(opts: ChannelOptions) -> Result<ChannelReport, ToolError> {
-    let backends = match opts.backend {
-        BackendSel::One(b) => vec![b],
-        BackendSel::Both => vec![Backend::Threaded, Backend::EventLoop],
     };
-    let mut runs = Vec::with_capacity(backends.len());
-    for backend in backends {
-        runs.push(bench_backend(&opts, backend)?);
-    }
-    Ok(ChannelReport { opts, runs })
+    Ok(ChannelReport { opts, run })
 }
 
 /// `openmeta channel publish` — host the demo channel and emit events.
 pub fn publish(opts: &ChannelOptions) -> Result<(), ToolError> {
-    let BackendSel::One(backend) = opts.backend else {
-        return Err("publish needs a single backend".to_string());
-    };
-    let host = ChannelHost::start_on(("0.0.0.0", opts.port), channel_config(opts, backend))
+    let host = ChannelHost::start_on(("0.0.0.0", opts.port), channel_config(opts))
         .map_err(|e| e.to_string())?;
     let channel = host.create_channel(&demo_definition()?).map_err(|e| e.to_string())?;
     println!(
-        "channel: FlowSample (id {}) on {} ({} backend, {} policy)",
+        "channel: FlowSample (id {}) on {} ({} policy)",
         channel.format_id().0,
         host.addr(),
-        backend_name(backend),
         policy_name(opts.policy)
     );
     let mut rec = channel.new_record();
@@ -655,8 +586,6 @@ mod tests {
     fn parse_recognizes_bench_flags() {
         let opts = ChannelOptions::parse(&argv(&[
             "bench",
-            "--backend",
-            "threaded",
             "--subs",
             "8",
             "--projections",
@@ -674,7 +603,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(opts.mode, ChannelMode::Bench);
-        assert_eq!(opts.backend, BackendSel::One(Backend::Threaded));
         assert_eq!((opts.subs, opts.projections, opts.events, opts.payload), (8, 2, 16, 64));
         assert_eq!(opts.policy, SlowPolicy::DropNewest);
         assert_eq!(opts.queue_cap, 4);
@@ -716,8 +644,8 @@ mod tests {
         assert_eq!(demo_channel_id().unwrap(), demo_channel_id().unwrap());
     }
 
-    /// The CI gate in miniature: encode count scales with views, the
-    /// block policy is lossless, and both backends agree.
+    /// The CI gate in miniature: encode count scales with views and the
+    /// block policy is lossless.
     #[test]
     fn bench_smoke_gates_on_shared_encodes() {
         let opts = ChannelOptions {
@@ -729,12 +657,10 @@ mod tests {
             ..ChannelOptions::default()
         };
         let report = bench(opts).unwrap();
-        assert_eq!(report.runs.len(), 2, "both backends benched");
-        for run in &report.runs {
-            assert_eq!(run.encodes, 12 * 3, "{}", report.to_text());
-            assert_eq!(run.received, 6 * 12, "{}", report.to_text());
-            assert_eq!(run.errors + run.dropped + run.disconnected, 0);
-        }
+        let run = &report.run;
+        assert_eq!(run.encodes, 12 * 3, "{}", report.to_text());
+        assert_eq!(run.received, 6 * 12, "{}", report.to_text());
+        assert_eq!(run.errors + run.dropped + run.disconnected, 0);
         assert!(report.passed(), "{}", report.to_text());
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"channels\""), "{json}");

@@ -1,23 +1,25 @@
 //! `openmeta loadgen` — drive many concurrent keep-alive clients
 //! against a format server or HTTP metadata host.
 //!
-//! The generator is a single-threaded readiness sweep over nonblocking
-//! sockets — the same technique as `openmeta_net`'s event-loop backend,
-//! so one process can hold 10k+ connections without 10k threads.  Each
-//! connection runs a request/response state machine (write request →
-//! track response bytes → record latency → next request) and every
+//! The generator is a single-threaded readiness loop over nonblocking
+//! sockets — the same technique as `openmeta_net`'s server event loop,
+//! so one process can hold 10k+ connections without 10k threads.  It
+//! blocks in `poll(2)` ([`openmeta_net::sys`]) until a connection is
+//! ready, then advances only the ready ones.  Each connection runs a
+//! request/response state machine (write request → track response
+//! bytes → record latency → next request) and every
 //! completed round trip lands in the `openmeta_loadgen_latency_ns`
 //! histogram in the global metrics registry, where `openmeta stats` and
 //! the `--json` report read p50/p99/p999 from.
 //!
 //! ```text
-//! openmeta loadgen [--server http|pbio] [--backend threaded|eventloop]
-//!                  [--connections N] [--requests N] [--json] [--check]
-//!                  [--max-p99-ms MS] [--serve-only] [--target HOST:PORT]
+//! openmeta loadgen [--server http|pbio] [--connections N] [--requests N]
+//!                  [--json] [--check] [--max-p99-ms MS] [--serve-only]
+//!                  [--target HOST:PORT]
 //! ```
 //!
 //! Without `--target` the generator starts the chosen server in-process
-//! (on the chosen backend) and reports its transport counters alongside
+//! and reports its transport counters alongside
 //! the latency numbers.  For scales past the per-process fd limit, run
 //! `--serve-only` in one process (it prints the listen address) and
 //! point a second process at it with `--target`.  `--check` turns the
@@ -26,11 +28,13 @@
 
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use openmeta_net::nio::{read_ready, write_ready, ReadOutcome, WriteOutcome};
-use openmeta_net::{Backend, LengthFramer, ServerConfig, TransportCounters};
-use openmeta_obs::MetricsRegistry;
+use openmeta_net::sys::{poll, PollFd, POLLIN, POLLOUT};
+use openmeta_net::{LengthFramer, ServerConfig, TransportCounters};
+use openmeta_obs::{Histogram, MetricsRegistry};
 use openmeta_ohttp::HttpServer;
 use openmeta_pbio::server::{fetch_request_payload, FormatServer, FormatServerClient};
 use openmeta_pbio::{FormatDescriptor, FormatSpec, IOField, MachineModel};
@@ -51,8 +55,6 @@ pub enum ServerKind {
 pub struct LoadgenOptions {
     /// Protocol / server under test.
     pub server: ServerKind,
-    /// Engine for the in-process server (ignored with `--target`).
-    pub backend: Backend,
     /// Concurrent keep-alive connections.
     pub connections: usize,
     /// Requests per connection.
@@ -73,7 +75,6 @@ impl Default for LoadgenOptions {
     fn default() -> Self {
         LoadgenOptions {
             server: ServerKind::Http,
-            backend: Backend::EventLoop,
             connections: 1000,
             requests: 10,
             json: false,
@@ -99,13 +100,6 @@ impl LoadgenOptions {
                         "http" => ServerKind::Http,
                         "pbio" => ServerKind::Pbio,
                         other => return Err(format!("unknown server '{other}'")),
-                    }
-                }
-                "--backend" => {
-                    opts.backend = match value("--backend")?.as_str() {
-                        "threaded" => Backend::Threaded,
-                        "eventloop" => Backend::EventLoop,
-                        other => return Err(format!("unknown backend '{other}'")),
                     }
                 }
                 "--connections" => {
@@ -175,17 +169,13 @@ impl ServerUnderTest {
 }
 
 /// Server bounds sized for a load test: admit every planned connection
-/// plus slack, and (threaded only) a worker per connection since each
-/// blocking worker pins one keep-alive connection.  The read deadline is
+/// plus slack.  The read deadline is
 /// stretched well past the ramp-up window — connecting 10k clients one
 /// by one takes longer than the keep-alive idle default, and an
 /// idle-killed connection would show up as a spurious client error.
 fn server_config(opts: &LoadgenOptions) -> ServerConfig {
     let base = ServerConfig::default();
     ServerConfig {
-        backend: opts.backend,
-        workers: opts.connections.max(base.workers),
-        accept_queue: opts.connections.max(base.accept_queue),
         max_connections: opts.connections + 64,
         read_timeout: Some(Duration::from_secs(300)),
         ..base
@@ -320,13 +310,6 @@ impl LoadReport {
             && self.p99_ns <= self.opts.max_p99_ms.saturating_mul(1_000_000)
     }
 
-    fn backend_name(&self) -> &'static str {
-        match self.opts.backend {
-            Backend::Threaded => "threaded",
-            Backend::EventLoop => "eventloop",
-        }
-    }
-
     fn server_name(&self) -> &'static str {
         match self.opts.server {
             ServerKind::Http => "http",
@@ -339,9 +322,8 @@ impl LoadReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "loadgen: {} server ({} backend), {} connections x {} requests",
+            "loadgen: {} server, {} connections x {} requests",
             self.server_name(),
-            self.backend_name(),
             self.opts.connections,
             self.opts.requests
         );
@@ -385,13 +367,12 @@ impl LoadReport {
             None => "null".to_string(),
         };
         format!(
-            "{{\n  \"bench\": \"loadgen\",\n  \"server\": \"{}\",\n  \"backend\": \"{}\",\n  \
+            "{{\n  \"bench\": \"loadgen\",\n  \"server\": \"{}\",\n  \
              \"connections\": {},\n  \"requests_per_connection\": {},\n  \"completed\": {},\n  \
              \"errors\": {},\n  \"elapsed_s\": {:.3},\n  \"requests_per_s\": {:.1},\n  \
              \"latency_ns\": {{\"mean\": {:.0}, \"p50\": {}, \"p99\": {}, \"p999\": {}}},\n  \
              \"server_counters\": {},\n  \"passed\": {}\n}}\n",
             self.server_name(),
-            self.backend_name(),
             self.opts.connections,
             self.opts.requests,
             self.completed,
@@ -494,39 +475,47 @@ fn sweep(
         + Duration::from_millis((opts.connections * opts.requests) as u64 / 10);
     let mut scratch = vec![0u8; 64 * 1024];
     let mut completed = 0u64;
+    // One poll entry per connection, in `conns` order.  Every connection
+    // starts "ready" so the first pass sends each one's first request.
+    let mut fds: Vec<PollFd> =
+        conns.iter().map(|c| PollFd::new(c.stream.as_raw_fd(), POLLOUT)).collect();
+    let mut first_pass = true;
     loop {
         let mut live = 0usize;
-        let mut progressed = false;
-        for conn in conns.iter_mut() {
+        let mut busy = false;
+        for (conn, fd) in conns.iter_mut().zip(fds.iter_mut()) {
             if conn.failed || conn.done >= opts.requests {
                 continue;
             }
-            live += 1;
-            match drive(conn, opts.requests, request, &mut scratch) {
-                Ok(round_trips) => {
-                    for latency_ns in &round_trips {
-                        latency.record(*latency_ns);
-                        completed += 1;
-                    }
-                    progressed |= !round_trips.is_empty();
-                }
-                Err(_) => {
-                    conn.failed = true;
-                    errors += 1;
+            if first_pass || fd.revents() != 0 {
+                busy = true;
+                match drive(conn, opts.requests, request, &mut scratch, &latency) {
+                    Ok(round_trips) => completed += round_trips,
+                    Err(_) => conn.failed = true,
                 }
             }
+            if conn.failed || conn.done >= opts.requests {
+                // Finished or failed: poll skips negative descriptors.
+                *fd = PollFd::new(-1, 0);
+                errors += u64::from(conn.failed);
+                continue;
+            }
+            live += 1;
+            fd.set_events(if conn.out_pos < conn.out.len() { POLLOUT } else { POLLIN });
         }
+        first_pass = false;
         if live == 0 {
             break;
         }
-        if started.elapsed() > budget {
+        let Some(left) = budget.checked_sub(started.elapsed()) else {
             // Count every unfinished connection as one error.
             errors += conns.iter().filter(|c| !c.failed && c.done < opts.requests).count() as u64;
             break;
-        }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        };
+        // After a pass that found work, look again without blocking, as
+        // the server's event loop does.
+        let wait = if busy { Duration::ZERO } else { left };
+        poll(&mut fds, Some(wait)).map_err(|e| format!("poll: {e}"))?;
     }
     let elapsed = started.elapsed();
 
@@ -544,68 +533,59 @@ fn sweep(
     })
 }
 
-/// Advance one connection's state machine; returns the latencies (ns) of
-/// round trips that completed during this sweep.
+/// Advance one ready connection's state machine until its socket would
+/// block or it has made `target` round trips, recording each completed
+/// round trip's latency; returns how many completed.
 fn drive(
     conn: &mut ClientConn,
     target: usize,
     request: &[u8],
     scratch: &mut [u8],
-) -> Result<Vec<u64>, ToolError> {
-    // Start the next request when idle.
-    if !conn.in_flight && conn.done < target {
-        conn.out.clear();
-        conn.out.extend_from_slice(request);
-        conn.out_pos = 0;
-        conn.in_flight = true;
-        conn.sent_at = openmeta_obs::clock::now();
-    }
-    // Flush any unwritten request bytes.
-    while conn.out_pos < conn.out.len() {
-        match write_ready(&mut conn.stream, &conn.out[conn.out_pos..]).map_err(|e| e.to_string())? {
-            WriteOutcome::Wrote(n) => conn.out_pos += n,
-            WriteOutcome::NotReady => break,
+    latency: &Histogram,
+) -> Result<u64, ToolError> {
+    let mut completed = 0;
+    while conn.done < target {
+        // Start the next request when idle.
+        if !conn.in_flight {
+            conn.out.clear();
+            conn.out.extend_from_slice(request);
+            conn.out_pos = 0;
+            conn.in_flight = true;
+            conn.sent_at = openmeta_obs::clock::now();
         }
-    }
-    if conn.out_pos < conn.out.len() {
-        return Ok(Vec::new());
-    }
-    // Consume whatever response bytes are ready.
-    let mut finished = Vec::new();
-    loop {
+        // Flush any unwritten request bytes.
+        while conn.out_pos < conn.out.len() {
+            match write_ready(&mut conn.stream, &conn.out[conn.out_pos..])
+                .map_err(|e| e.to_string())?
+            {
+                WriteOutcome::Wrote(n) => conn.out_pos += n,
+                WriteOutcome::NotReady => return Ok(completed),
+            }
+        }
+        // Consume whatever response bytes are ready.
         match read_ready(&mut conn.stream, scratch).map_err(|e| e.to_string())? {
             ReadOutcome::Bytes(n) => {
-                let responses = conn.tracker.push(&scratch[..n])?;
-                for _ in 0..responses {
+                for _ in 0..conn.tracker.push(&scratch[..n])? {
                     let ns = u64::try_from(conn.sent_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    finished.push(ns);
+                    latency.record(ns);
+                    completed += 1;
                     conn.done += 1;
                     conn.in_flight = false;
                 }
-                if conn.done >= target {
-                    return Ok(finished);
-                }
             }
-            ReadOutcome::Eof => {
-                return Err("server closed the connection mid-run".to_string());
-            }
-            ReadOutcome::NotReady => return Ok(finished),
+            ReadOutcome::Eof => return Err("server closed the connection mid-run".to_string()),
+            ReadOutcome::NotReady => return Ok(completed),
         }
     }
+    Ok(completed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn smoke_opts(server: ServerKind, backend: Backend) -> LoadgenOptions {
-        LoadgenOptions {
-            server,
-            backend,
-            connections: 24,
-            requests: 4,
-            ..LoadgenOptions::default()
-        }
+    fn smoke_opts(server: ServerKind) -> LoadgenOptions {
+        LoadgenOptions { server, connections: 24, requests: 4, ..LoadgenOptions::default() }
     }
 
     #[test]
@@ -613,8 +593,6 @@ mod tests {
         let args: Vec<String> = [
             "--server",
             "pbio",
-            "--backend",
-            "threaded",
             "--connections",
             "7",
             "--requests",
@@ -629,7 +607,6 @@ mod tests {
         .collect();
         let opts = LoadgenOptions::parse(&args).unwrap();
         assert_eq!(opts.server, ServerKind::Pbio);
-        assert_eq!(opts.backend, Backend::Threaded);
         assert_eq!(opts.connections, 7);
         assert_eq!(opts.requests, 3);
         assert!(opts.json && opts.check);
@@ -643,8 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn http_eventloop_smoke() {
-        let report = run(smoke_opts(ServerKind::Http, Backend::EventLoop)).unwrap();
+    fn http_smoke() {
+        let report = run(smoke_opts(ServerKind::Http)).unwrap();
         assert_eq!(report.errors, 0, "{}", report.to_text());
         assert_eq!(report.completed, 24 * 4);
         let json = report.to_json();
@@ -653,15 +630,13 @@ mod tests {
     }
 
     #[test]
-    fn pbio_both_backends_smoke() {
-        for backend in [Backend::EventLoop, Backend::Threaded] {
-            let report = run(smoke_opts(ServerKind::Pbio, backend)).unwrap();
-            assert_eq!(report.errors, 0, "{}", report.to_text());
-            assert_eq!(report.completed, 24 * 4);
-            let counters = report.counters.as_ref().expect("in-process counters");
-            // 24 sweep connections plus the registering client.
-            assert!(counters.accepted >= 25, "accepted {}", counters.accepted);
-        }
+    fn pbio_smoke() {
+        let report = run(smoke_opts(ServerKind::Pbio)).unwrap();
+        assert_eq!(report.errors, 0, "{}", report.to_text());
+        assert_eq!(report.completed, 24 * 4);
+        let counters = report.counters.as_ref().expect("in-process counters");
+        // 24 load connections plus the registering client.
+        assert!(counters.accepted >= 25, "accepted {}", counters.accepted);
     }
 
     #[test]

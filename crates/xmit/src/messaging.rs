@@ -217,7 +217,7 @@ impl XmitReceiver {
     }
 
     /// Read one frame through the sans-io [`LengthFramer`] — the same
-    /// decoder the event-loop backend feeds from its readiness sweep.
+    /// decoder the servers' event loop feeds as bytes arrive.
     /// The untrusted-length discipline carries over: the framer only
     /// buffers bytes that actually arrived, and an oversized length
     /// prefix is rejected as soon as the header is complete.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo xtask analyze   # source lints + curated clippy + planlint over fixtures
-//! cargo xtask loom      # model tests: RUSTFLAGS="--cfg loom" worker-pool/pool suites
+//! cargo xtask loom      # model tests: RUSTFLAGS="--cfg loom" pool/registry suites
 //! cargo xtask miri      # Miri over the pbio codec/plan unit tests (skips if unavailable)
 //! ```
 //!
@@ -10,7 +10,8 @@
 //! violation (`.unwrap()` in non-test library code, raw
 //! `TcpStream::connect` without a deadline outside `crates/net`, direct
 //! `Instant::now()` timing outside `crates/obs`/`crates/bench`, a crate
-//! missing `#![deny(unsafe_code)]`, blocking socket I/O inside an
+//! missing `#![deny(unsafe_code)]`, `unsafe` or `allow(unsafe_code)`
+//! anywhere but the `poll(2)` binding, blocking socket I/O inside an
 //! event-loop module, a hand-rolled frame read loop — `.bytes_needed()`
 //! outside `crates/net`/`crates/analyzer`), on any curated clippy lint,
 //! on any error-severity `planlint` diagnostic over `fixtures/schemas/`,
@@ -46,7 +47,8 @@ const INSTANT_EXEMPT: &[&str] = &["obs", "bench", "xtask"];
 const FRAME_LOOP_EXEMPT: &[&str] = &["net", "analyzer", "xtask"];
 
 /// Library crates that must carry `#![deny(unsafe_code)]` at the root.
-/// The whole workspace is unsafe-free; this keeps it that way.
+/// Together with [`UNSAFE_ALLOWED`] this keeps the workspace's one
+/// `unsafe` call where it is.
 const DENY_UNSAFE: &[&str] = &[
     "analyzer",
     "bench",
@@ -62,12 +64,19 @@ const DENY_UNSAFE: &[&str] = &[
     "xml",
 ];
 
+/// The one file allowed `unsafe` (and the `allow(unsafe_code)` that
+/// lifts its crate's deny): the `poll(2)` binding.  Every other `.rs`
+/// file in the workspace — sources, tests, benches, examples — is
+/// scanned, except this tool's own, whose lint messages and test
+/// inputs spell the keyword.
+const UNSAFE_ALLOWED: &str = "crates/net/src/sys.rs";
+
 /// Curated clippy deny set layered on top of `-D warnings`.
 const CLIPPY_DENY: &[&str] =
     &["clippy::dbg_macro", "clippy::todo", "clippy::unimplemented", "clippy::mem_forget"];
 
 /// Blocking I/O spellings banned inside event-loop modules (files whose
-/// name contains `event_loop`).  The readiness sweep must never issue a
+/// name contains `event_loop`).  The event loop must never issue a
 /// blocking `read`/`write` on a connection socket — one stalled peer
 /// would stall every connection on that shard — so all socket I/O there
 /// routes through `nio::read_ready`/`nio::write_ready` (which live in a
@@ -300,6 +309,50 @@ fn lint_tree(root: &Path) -> Vec<String> {
             }
         }
     }
+
+    // `unsafe` is confined to one file across every target, tests
+    // included.
+    let mut all = Vec::new();
+    for dir in crate_dirs.iter().filter(|d| !d.ends_with("xtask")) {
+        collect_rs(dir, &mut all);
+    }
+    for top in ["src", "tests", "examples"] {
+        collect_rs(&root.join(top), &mut all);
+    }
+    all.sort();
+    for file in &all {
+        let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
+        if let Ok(text) = std::fs::read_to_string(file) {
+            violations.extend(lint_unsafe(&rel, &text));
+        }
+    }
+    violations
+}
+
+/// Flag `unsafe` (as a keyword, not inside `unsafe_code`) and
+/// `allow(unsafe_code)` on any non-comment line, unless `rel` is
+/// [`UNSAFE_ALLOWED`].
+fn lint_unsafe(rel: &str, text: &str) -> Vec<String> {
+    if rel.replace('\\', "/") == UNSAFE_ALLOWED {
+        return Vec::new();
+    }
+    let is_word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let mut violations = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
+        let keyword = line.match_indices("unsafe").any(|(i, w)| {
+            !is_word(line[..i].chars().next_back()) && !is_word(line[i + w.len()..].chars().next())
+        });
+        if keyword || line.contains("allow(unsafe_code)") {
+            violations.push(format!(
+                "{rel}:{}: `unsafe` outside {UNSAFE_ALLOWED} — the workspace's one foreign \
+                 call is the `poll(2)` binding there",
+                idx + 1
+            ));
+        }
+    }
     violations
 }
 
@@ -412,8 +465,6 @@ fn loom() -> ExitCode {
         "test",
         "-q",
         "-p",
-        "openmeta-net",
-        "-p",
         "openmeta-ohttp",
         "-p",
         "openmeta-obs",
@@ -442,7 +493,8 @@ fn miri() -> ExitCode {
         eprintln!("xtask: miri unavailable on this toolchain; skipping (not a failure)");
         return ExitCode::SUCCESS;
     }
-    // The whole workspace is #![deny(unsafe_code)], so Miri's value here
+    // pbio is #![deny(unsafe_code)] (the workspace's one `unsafe` call is
+    // the `poll(2)` binding in net), so Miri's value here
     // is checking the codec/plan arithmetic for UB-adjacent issues
     // (overflow in layout math surfaces as panics under Miri too).
     let mut cmd = Command::new("cargo");
@@ -568,6 +620,18 @@ mod tests {
         assert!(lint_source("lib.rs", src, OPTS).is_empty());
         let exempt = LintOpts { allow_unwrap: true, ..OPTS };
         assert!(lint_source("lib.rs", "fn f() { x.unwrap() }\n", exempt).is_empty());
+    }
+
+    #[test]
+    fn unsafe_is_flagged_everywhere_but_the_poll_binding() {
+        let block = "fn f() {\n    let n = unsafe { g() };\n}\n";
+        let allow = "#![allow(unsafe_code)]\n";
+        for src in [block, allow, "#[cfg(test)]\nmod t {\n    unsafe fn g() {}\n}\n"] {
+            assert_eq!(lint_unsafe("crates/pbio/src/lib.rs", src).len(), 1, "{src}");
+            assert!(lint_unsafe(UNSAFE_ALLOWED, src).is_empty(), "{src}");
+        }
+        let benign = "#![deny(unsafe_code)]\n// an `unsafe` remark\nlet unsafe_count = 0;\n";
+        assert!(lint_unsafe("crates/pbio/src/lib.rs", benign).is_empty());
     }
 
     #[test]

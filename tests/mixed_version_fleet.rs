@@ -1,7 +1,7 @@
 //! Mixed-version fleet interop: every compatible version pairing of the
 //! `Telemetry` format negotiates at connection setup and interoperates,
-//! over raw XMIT links and over ECho channels on both transport
-//! backends; the one breaking variant is bounced at the handshake —
+//! over raw XMIT links and over ECho channels; the one breaking variant
+//! is bounced at the handshake —
 //! before any record crosses the wire — and reconnections ride the pair
 //! cache with zero plan recompiles and zero steady-state allocations.
 
@@ -9,7 +9,7 @@ use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use openmeta_echo::{Backend, ChannelConfig, ChannelHost, ChannelSubscriber, EchoError};
+use openmeta_echo::{ChannelConfig, ChannelHost, ChannelSubscriber, EchoError};
 use openmeta_net::TransportConfig;
 use openmeta_pbio::{FormatDescriptor, FormatRegistry, MachineModel};
 use xmit::{NegotiationCache, PairVerdict, Xmit, XmitError, XmitReceiver, XmitSender};
@@ -227,9 +227,10 @@ fn reconnect_loop_rides_the_pair_cache() {
 /// versions of subscriber (two seats each) negotiate their own formats
 /// at SUBSCRIBE time, the breaking version bounces with SUB_ERR, and
 /// the host's pair cache amortizes repeated versions.
-fn echo_fleet(backend: Backend) {
+#[test]
+fn echo_fleet_mixed_versions() {
     const EVENTS: usize = 8;
-    let host = ChannelHost::start(ChannelConfig { backend, ..ChannelConfig::default() }).unwrap();
+    let host = ChannelHost::start(ChannelConfig::default()).unwrap();
     let mut doc = openmeta_schema::parse_str(&xml(Variant::V1)).unwrap();
     let channel = host.create_channel(&doc.types.remove(0)).unwrap();
     let addr = host.addr();
@@ -303,21 +304,11 @@ fn echo_fleet(backend: Backend) {
 
     let want: Vec<i64> = (0..EVENTS as i64).collect();
     for h in handles {
-        assert_eq!(h.join().unwrap().unwrap(), want, "backend {backend:?}");
+        assert_eq!(h.join().unwrap().unwrap(), want);
     }
     // One miss per distinct version, plus the retyped first contact
     // (a rejection is classified once, then cached like any pair).
     assert_eq!(stats.misses, versions.len() as u64 + 1);
     assert_eq!(stats.hits, versions.len() as u64, "second seat of each version hits");
     assert_eq!(stats.rejected, 1, "the retyped offer");
-}
-
-#[test]
-fn echo_fleet_mixed_versions_threaded_backend() {
-    echo_fleet(Backend::Threaded);
-}
-
-#[test]
-fn echo_fleet_mixed_versions_event_loop_backend() {
-    echo_fleet(Backend::EventLoop);
 }

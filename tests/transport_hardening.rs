@@ -1,5 +1,5 @@
 //! Transport-hardening integration tests: deadlines, retry backoff,
-//! bounded worker pools, persistent client connections, and graceful
+//! connection bounds, persistent client connections, and graceful
 //! shutdown — across the record plane (xmit messaging) and the metadata
 //! plane (format server, HTTP server).
 //!
@@ -168,21 +168,19 @@ fn sender_connect_retries_until_receiver_appears() {
 #[test]
 fn format_server_enforces_its_connection_bound() {
     let cfg = ServerConfig {
-        workers: 1,
-        accept_queue: 0,
         max_connections: 1,
         read_timeout: Some(Duration::from_secs(2)),
         ..ServerConfig::default()
     };
     let server = FormatServer::start_with(cfg).unwrap();
-    // Occupy the only worker with an idle connection.
+    // Occupy the only connection slot with an idle connection.
     let holder = TcpStream::connect(server.addr()).unwrap();
     let start = Instant::now();
     while server.transport_counters().active == 0 && start.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(5));
     }
     // The next connection is admitted by the listener but rejected by
-    // the pool: it sees EOF, never a worker.
+    // the event loop: it sees EOF, never a reply.
     let mut second = TcpStream::connect(server.addr()).unwrap();
     second.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut buf = Vec::new();
@@ -217,8 +215,8 @@ fn format_server_drop_drains_despite_idle_persistent_clients() {
     let xm = Xmit::new(MachineModel::native());
     xm.load_str(&metadata()).unwrap();
     let token = xm.bind("Sample").unwrap();
-    // The round trip leaves the client's connection parked in a worker's
-    // blocking read; drop must not wait out the whole read deadline.
+    // The round trip leaves the client's connection open and idle;
+    // drop must not wait out the whole read deadline.
     client.register(&token.format).unwrap();
     let start = Instant::now();
     drop(server);
@@ -228,8 +226,6 @@ fn format_server_drop_drains_despite_idle_persistent_clients() {
 #[test]
 fn http_server_rejections_and_counters_are_visible() {
     let cfg = ServerConfig {
-        workers: 2,
-        accept_queue: 1,
         max_connections: 3,
         read_timeout: Some(Duration::from_millis(500)),
         ..ServerConfig::default()
