@@ -1,31 +1,15 @@
 //! Regenerate every figure in one run (used to fill EXPERIMENTS.md).
 
 use openmeta_bench::reports;
-use openmeta_bench::workloads::{figure3_cases, figure6_cases};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (reg, enc, wire_iters, disc) = if quick { (50, 20, 10, 20) } else { (2000, 500, 200, 200) };
+    let (reg, enc, wire_iters) = if quick { (50, 20, 10) } else { (2000, 500, 200) };
     println!("{}\n", reports::figure3_report(reg));
     println!("{}\n", reports::figure6_report(reg));
-    println!(
-        "{}\n",
-        reports::discovery_report_from(&reports::discovery_rows(&figure3_cases(), disc))
-    );
-    println!(
-        "{}\n",
-        reports::discovery_report_from(&reports::discovery_rows(&figure6_cases(), disc))
-    );
     println!("{}\n", reports::figure7_report(enc));
     println!("{}\n", reports::figure8_report(wire_iters));
     println!("{}\n", reports::figure8_decode_report(wire_iters));
     println!("{}\n", reports::figure1_report(wire_iters));
     println!("{}", reports::plan_ablation_report(wire_iters));
-    let plans = reports::plan_cache_burst(10_000);
-    println!(
-        "\nplan cache (10 000-decode burst): {} hits, {} misses ({:.3}% hit rate)",
-        plans.hits,
-        plans.misses,
-        100.0 * plans.hits as f64 / (plans.hits + plans.misses).max(1) as f64
-    );
 }

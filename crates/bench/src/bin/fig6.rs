@@ -1,27 +1,7 @@
-//! Regenerate Figure 6: Hydrology registration costs and RDM, plus the
-//! discovery fast-path comparison (cold / warm / revalidated cache
-//! states over real HTTP).  `--json` additionally writes the rows and
-//! cache counters to `BENCH_fig6.json`.
-
-use openmeta_bench::reports::{
-    discovery_report_from, discovery_rows, figure6_report_from, figure_json, plan_cache_burst,
-    registration_rows,
-};
-use openmeta_bench::workloads::figure6_cases;
+//! Regenerate Figure 6: Hydrology registration costs and RDM.
+//! `--quick` for fewer iterations.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let iters = if quick { 50 } else { 2000 };
-    let disc_iters = if quick { 20 } else { 200 };
-    let cases = figure6_cases();
-    let rows = registration_rows(&cases, iters);
-    println!("{}", figure6_report_from(&rows));
-    let discovery = discovery_rows(&cases, disc_iters);
-    println!("\n{}", discovery_report_from(&discovery));
-    if args.iter().any(|a| a == "--json") {
-        let json = figure_json(&rows, &discovery, plan_cache_burst(1000));
-        std::fs::write("BENCH_fig6.json", json).expect("write BENCH_fig6.json");
-        eprintln!("wrote BENCH_fig6.json");
-    }
+    let iters = if std::env::args().any(|a| a == "--quick") { 50 } else { 2000 };
+    println!("{}", openmeta_bench::reports::figure6_report(iters));
 }

@@ -1,24 +1,15 @@
 //! Regenerate Figure 7: encode times, native vs XMIT metadata, plus the
 //! zero-copy columns (view decode vs memcpy, allocations per encode).
-//! `--json` additionally writes the rows and a metrics-registry
-//! snapshot to `BENCH_fig7.json`.  `--check` asserts the zero-copy
-//! gates (0 allocs/op everywhere; view decode ≤ 2× memcpy on bulk
-//! rows) and exits nonzero on violation.
+//! `--check` asserts the zero-copy gates (0 allocs/op everywhere; view
+//! decode ≤ 2× memcpy on bulk rows) and exits nonzero on violation.
 
-use openmeta_bench::reports::{
-    check_figure7_rows, figure7_report_from, figure7_rows, figure7_rows_to_json, rows_with_metrics,
-};
+use openmeta_bench::reports::{check_figure7_rows, figure7_report_from, figure7_rows};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let iters = if args.iter().any(|a| a == "--quick") { 20 } else { 500 };
     let rows = figure7_rows(iters);
     println!("{}", figure7_report_from(&rows));
-    if args.iter().any(|a| a == "--json") {
-        std::fs::write("BENCH_fig7.json", rows_with_metrics(&figure7_rows_to_json(&rows)))
-            .expect("write BENCH_fig7.json");
-        eprintln!("wrote BENCH_fig7.json");
-    }
     if args.iter().any(|a| a == "--check") {
         if let Err(msg) = check_figure7_rows(&rows) {
             eprintln!("zero-copy check FAILED: {msg}");

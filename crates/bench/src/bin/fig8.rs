@@ -1,19 +1,7 @@
 //! Regenerate Figure 8: send-side encode times across wire formats.
-//! `--json` additionally writes the rows and a metrics-registry
-//! snapshot to `BENCH_fig8.json`.
-
-use openmeta_bench::reports::{
-    figure8_report_from, figure8_rows, figure8_rows_to_json, rows_with_metrics,
-};
+//! `--quick` for fewer iterations.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let iters = if args.iter().any(|a| a == "--quick") { 10 } else { 200 };
-    let rows = figure8_rows(iters);
-    println!("{}", figure8_report_from(&rows));
-    if args.iter().any(|a| a == "--json") {
-        std::fs::write("BENCH_fig8.json", rows_with_metrics(&figure8_rows_to_json(&rows)))
-            .expect("write BENCH_fig8.json");
-        eprintln!("wrote BENCH_fig8.json");
-    }
+    let iters = if std::env::args().any(|a| a == "--quick") { 10 } else { 200 };
+    println!("{}", openmeta_bench::reports::figure8_report(iters));
 }

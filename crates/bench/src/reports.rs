@@ -4,12 +4,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use openmeta_ohttp::{
-    DocumentSource, HttpServer, PoolStats, StandardSource, TransportCounters, Url,
-};
-use openmeta_pbio::{FormatRegistry, MachineModel, PlanCacheStats, RawRecord, Value};
+use openmeta_pbio::{FormatRegistry, MachineModel, RawRecord, Value};
 use openmeta_wire::{all_formats, WireFormat, XmlWire};
-use xmit::{SchemaCacheStats, Xmit};
+use xmit::Xmit;
 
 use crate::workloads::{
     figure1_record, figure3_cases, figure6_cases, figure7_cases, figure8_record, RegistrationCase,
@@ -107,397 +104,21 @@ fn registration_table(rows: &[RegistrationRow]) -> Table {
 
 /// Figure 3: proof-of-concept registration costs.
 pub fn figure3_report(iters: usize) -> String {
-    figure3_report_from(&registration_rows(&figure3_cases(), iters))
-}
-
-/// Render Figure 3 from pre-measured rows.
-pub fn figure3_report_from(rows: &[RegistrationRow]) -> String {
     format!(
         "Figure 3 — format registration costs using PBIO and XMIT\n\
          (paper: RDM 1.87–2.05 for 32/52/180-byte structures)\n\n{}",
-        registration_table(rows).render()
+        registration_table(&registration_rows(&figure3_cases(), iters)).render()
     )
 }
 
 /// Figure 6: Hydrology registration costs.
 pub fn figure6_report(iters: usize) -> String {
-    figure6_report_from(&registration_rows(&figure6_cases(), iters))
-}
-
-/// Render Figure 6 from pre-measured rows.
-pub fn figure6_report_from(rows: &[RegistrationRow]) -> String {
     format!(
         "Figure 6 — format registration costs for the Hydrology application\n\
          (paper: RDM 2.11–2.73 for 12/20/44-byte structures, 4 for the\n\
          field-heavy 152-byte GridMetadata)\n\n{}",
-        registration_table(rows).render()
+        registration_table(&registration_rows(&figure6_cases(), iters)).render()
     )
-}
-
-/// One row of the discovery fast-path comparison: the Figure 3/6
-/// registration measurement repeated over real HTTP with the discovery
-/// cache in cold, warm (TTL-fresh), and revalidated (`304`) states, plus
-/// a per-stage breakdown of where the cold cost goes.
-pub struct DiscoveryRow {
-    /// Format name.
-    pub name: String,
-    /// SPARC32 structure size (the paper's x-axis).
-    pub sparc_size: usize,
-    /// Native (compiled-in) registration time, the RDM denominator.
-    pub pbio: Duration,
-    /// Cold discovery: fresh toolkit, TCP connect + GET + parse + bind.
-    pub cold: Duration,
-    /// Warm discovery: cache entry inside the TTL, no network at all.
-    pub warm: Duration,
-    /// Revalidated discovery: conditional GET answered `304`, cached
-    /// parse re-applied.
-    pub revalidated: Duration,
-    /// Stage: first fetch on a fresh connection (connect + transfer).
-    pub connect_fetch: Duration,
-    /// Stage: fetch over an already-pooled connection (transfer only).
-    pub fetch: Duration,
-    /// Stage: schema parse of the document text (streaming parser).
-    pub parse: Duration,
-    /// Stage: the same parse through the retained DOM path (the
-    /// pre-fast-path implementation, kept for the generic document API).
-    pub parse_dom: Duration,
-    /// Stage: binding + registry insertion of the parsed types.
-    pub register: Duration,
-}
-
-impl DiscoveryRow {
-    /// RDM with a cold cache (comparable to Figures 3/6 plus transport).
-    pub fn rdm_cold(&self) -> f64 {
-        self.cold.as_secs_f64() / self.pbio.as_secs_f64()
-    }
-
-    /// RDM with a TTL-fresh cache.
-    pub fn rdm_warm(&self) -> f64 {
-        self.warm.as_secs_f64() / self.pbio.as_secs_f64()
-    }
-
-    /// RDM through a `304 Not Modified` revalidation.
-    pub fn rdm_revalidated(&self) -> f64 {
-        self.revalidated.as_secs_f64() / self.pbio.as_secs_f64()
-    }
-
-    /// Connect-only share of the first fetch.
-    pub fn connect(&self) -> Duration {
-        self.connect_fetch.saturating_sub(self.fetch)
-    }
-}
-
-/// The discovery benchmark's rows plus the cache/pool counters the run
-/// accumulated (cache-hit counts are part of the acceptance criteria:
-/// warm loads must actually skip fetch + parse).
-pub struct DiscoveryBench {
-    /// Per-format measurements.
-    pub rows: Vec<DiscoveryRow>,
-    /// Schema-cache counters over the warm + revalidated loops.
-    pub schema_cache: SchemaCacheStats,
-    /// Connection-pool counters for the HTTP legs.
-    pub pool: PoolStats,
-    /// The benchmark HTTP server's transport counters (accepted/rejected
-    /// connections, timeouts, requests served).
-    pub transport: TransportCounters,
-}
-
-/// Measure discovery cost over real HTTP for a set of cases, in all
-/// three cache states.
-pub fn discovery_rows(cases: &[RegistrationCase], iters: usize) -> DiscoveryBench {
-    let server = HttpServer::start().expect("benchmark HTTP server");
-    for case in cases {
-        server.put_xml(&format!("/{}.xsd", case.name), case.xml.clone());
-    }
-
-    // Shared toolkits accumulate the counters the report quotes.
-    let warm_toolkit = Xmit::new(MachineModel::native());
-    warm_toolkit.set_cache_ttl(Some(Duration::from_secs(3600)));
-    let reval_toolkit = Xmit::new(MachineModel::native());
-
-    let rows = cases
-        .iter()
-        .map(|case| {
-            let url = server.url_for(&format!("/{}.xsd", case.name));
-
-            let pbio = time_mean(
-                iters,
-                || FormatRegistry::new(MachineModel::native()),
-                |reg| {
-                    for spec in &case.compiled {
-                        reg.register(spec.clone()).expect("registers");
-                    }
-                    reg
-                },
-            );
-
-            // Cold: a fresh toolkit per iteration — new pool, empty
-            // cache — so every load pays connect + fetch + parse + bind.
-            let cold = time_mean(
-                iters,
-                || Xmit::new(MachineModel::native()),
-                |toolkit| {
-                    toolkit.load_url(&url).expect("loads");
-                    toolkit.bind(case.name).expect("binds");
-                    toolkit
-                },
-            );
-
-            // Warm: the shared toolkit's entry stays inside the TTL, so
-            // the load is answered from cache with zero network traffic.
-            warm_toolkit.load_url(&url).expect("preload");
-            let warm = time_mean(
-                iters,
-                || (),
-                |()| {
-                    let out = warm_toolkit.load_url_cached(&url).expect("loads");
-                    assert!(out.was_cache_hit(), "warm load must not re-parse");
-                    warm_toolkit.bind(case.name).expect("binds")
-                },
-            );
-
-            // Revalidated: no TTL, so every load is a conditional GET the
-            // server answers with `304 Not Modified`.
-            reval_toolkit.load_url(&url).expect("preload");
-            let revalidated = time_mean(
-                iters,
-                || (),
-                |()| {
-                    reval_toolkit.revalidate(&url).expect("revalidates");
-                    reval_toolkit.bind(case.name).expect("binds")
-                },
-            );
-
-            // Stage breakdown.  A fresh source pays connect + transfer; a
-            // pooled source pays transfer only; their difference is the
-            // connect share reported by [`DiscoveryRow::connect`].
-            let parsed_url = Url::parse(&url).expect("url");
-            let connect_fetch = time_mean(iters, StandardSource::new, |src| {
-                src.fetch(&parsed_url).expect("fetches")
-            });
-            let pooled_src = StandardSource::new();
-            let fetch =
-                time_mean(iters, || (), |()| pooled_src.fetch(&parsed_url).expect("fetches"));
-            let parse = time_mean(
-                iters,
-                || (),
-                |()| openmeta_schema::parse_str(&case.xml).expect("parses"),
-            );
-            let parse_dom = time_mean(
-                iters,
-                || (),
-                |()| openmeta_schema::parse_str_dom(&case.xml).expect("parses"),
-            );
-            let register = time_mean(
-                iters,
-                || {
-                    let t = Xmit::new(MachineModel::native());
-                    t.load_str(&case.xml).expect("loads");
-                    t
-                },
-                |t| {
-                    t.bind(case.name).expect("binds");
-                    t
-                },
-            );
-
-            DiscoveryRow {
-                name: case.name.to_string(),
-                sparc_size: case.sparc_size,
-                pbio,
-                cold,
-                warm,
-                revalidated,
-                connect_fetch,
-                fetch,
-                parse,
-                parse_dom,
-                register,
-            }
-        })
-        .collect();
-
-    let mut schema_cache = warm_toolkit.schema_cache_stats();
-    let reval_stats = reval_toolkit.schema_cache_stats();
-    schema_cache.fresh_hits += reval_stats.fresh_hits;
-    schema_cache.revalidated += reval_stats.revalidated;
-    schema_cache.content_hits += reval_stats.content_hits;
-    schema_cache.misses += reval_stats.misses;
-
-    let mut pool = reval_toolkit.source().pool_stats();
-    let warm_pool = warm_toolkit.source().pool_stats();
-    pool.requests += warm_pool.requests;
-    pool.connects += warm_pool.connects;
-    pool.reuses += warm_pool.reuses;
-    pool.stale_retries += warm_pool.stale_retries;
-
-    let transport = server.transport_counters();
-    DiscoveryBench { rows, schema_cache, pool, transport }
-}
-
-/// Render the discovery fast-path comparison from pre-measured rows.
-pub fn discovery_report_from(bench: &DiscoveryBench) -> String {
-    let mut t = Table::new(&[
-        "format",
-        "struct size",
-        "PBIO reg (ms)",
-        "cold (ms) / RDM",
-        "warm (ms) / RDM",
-        "reval (ms) / RDM",
-    ]);
-    for r in &bench.rows {
-        t.row(vec![
-            r.name.clone(),
-            r.sparc_size.to_string(),
-            ms(r.pbio),
-            format!("{} / {:.2}", ms(r.cold), r.rdm_cold()),
-            format!("{} / {:.2}", ms(r.warm), r.rdm_warm()),
-            format!("{} / {:.2}", ms(r.revalidated), r.rdm_revalidated()),
-        ]);
-    }
-    let mut stages = Table::new(&[
-        "format",
-        "connect",
-        "fetch",
-        "parse (stream)",
-        "parse (DOM)",
-        "speedup",
-        "register",
-    ]);
-    for r in &bench.rows {
-        stages.row(vec![
-            r.name.clone(),
-            pretty(r.connect()),
-            pretty(r.fetch),
-            pretty(r.parse),
-            pretty(r.parse_dom),
-            format!("{:.2}x", r.parse_dom.as_secs_f64() / r.parse.as_secs_f64()),
-            pretty(r.register),
-        ]);
-    }
-    let c = &bench.schema_cache;
-    let p = &bench.pool;
-    format!(
-        "Discovery fast path — registration over HTTP with the schema cache\n\
-         cold (fresh toolkit), warm (TTL-fresh, no network), and\n\
-         revalidated (conditional GET, 304)\n\n{}\n\n\
-         cold-path stage breakdown\n\n{}\n\n\
-         schema cache: {} fresh hits, {} revalidated, {} content hits, {} misses\n\
-         connection pool: {} requests, {} connects, {} reuses, {} stale retries\n\
-         server transport: {} accepted, {} rejected, {} timed out, {} requests in, {} responses out",
-        t.render(),
-        stages.render(),
-        c.fresh_hits,
-        c.revalidated,
-        c.content_hits,
-        c.misses,
-        p.requests,
-        p.connects,
-        p.reuses,
-        p.stale_retries,
-        bench.transport.accepted,
-        bench.transport.rejected,
-        bench.transport.timed_out,
-        bench.transport.frames_in,
-        bench.transport.frames_out,
-    )
-}
-
-/// Serialize discovery rows + counters as a JSON object (times in ns).
-pub fn discovery_to_json(bench: &DiscoveryBench) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in bench.rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"format\": \"{}\", \"sparc_size\": {}, \"pbio_ns\": {}, \
-             \"cold_ns\": {}, \"warm_ns\": {}, \"revalidated_ns\": {}, \
-             \"rdm_cold\": {:.4}, \"rdm_warm\": {:.4}, \"rdm_revalidated\": {:.4}, \
-             \"connect_ns\": {}, \"fetch_ns\": {}, \"parse_ns\": {}, \"parse_dom_ns\": {}, \
-             \"register_ns\": {}}}",
-            json_escape(&r.name),
-            r.sparc_size,
-            r.pbio.as_nanos(),
-            r.cold.as_nanos(),
-            r.warm.as_nanos(),
-            r.revalidated.as_nanos(),
-            r.rdm_cold(),
-            r.rdm_warm(),
-            r.rdm_revalidated(),
-            r.connect().as_nanos(),
-            r.fetch.as_nanos(),
-            r.parse.as_nanos(),
-            r.parse_dom.as_nanos(),
-            r.register.as_nanos(),
-        ));
-    }
-    let c = &bench.schema_cache;
-    let p = &bench.pool;
-    out.push_str(&format!(
-        "\n  ],\n  \"counters\": {{\n    \"schema_cache\": {{\"fresh_hits\": {}, \
-         \"revalidated\": {}, \"content_hits\": {}, \"misses\": {}}},\n    \
-         \"pool\": {{\"requests\": {}, \"connects\": {}, \"reuses\": {}, \
-         \"stale_retries\": {}}},\n    \"transport\": {}\n  }}\n}}\n",
-        c.fresh_hits,
-        c.revalidated,
-        c.content_hits,
-        c.misses,
-        p.requests,
-        p.connects,
-        p.reuses,
-        p.stale_retries,
-        bench.transport.to_json(),
-    ));
-    out
-}
-
-/// Combined per-figure JSON artifact: the classic registration rows, the
-/// discovery fast-path measurements, the BCM plan-cache counters the run
-/// accumulated, and a full metrics-registry snapshot (every counter,
-/// gauge, and stage-duration histogram the run touched).
-pub fn figure_json(
-    registration: &[RegistrationRow],
-    discovery: &DiscoveryBench,
-    plan_cache: PlanCacheStats,
-) -> String {
-    format!(
-        "{{\n\"registration\": {},\n\"discovery\": {},\n\
-         \"plan_cache\": {{\"hits\": {}, \"misses\": {}}},\n\
-         \"metrics\": {}}}\n",
-        registration_rows_to_json(registration).trim_end(),
-        discovery_to_json(discovery).trim_end(),
-        plan_cache.hits,
-        plan_cache.misses,
-        openmeta_obs::MetricsRegistry::global().snapshot().to_json().trim_end(),
-    )
-}
-
-/// Wrap a figure's serialized rows with a metrics-registry snapshot:
-/// `{"rows": <rows>, "metrics": <snapshot>}`.  The fig7/fig8 `--json`
-/// artifacts use this so each run records the stage histograms and cache
-/// counters it accumulated alongside its measurements.
-pub fn rows_with_metrics(rows_json: &str) -> String {
-    format!(
-        "{{\n\"rows\": {},\n\"metrics\": {}}}\n",
-        rows_json.trim_end(),
-        openmeta_obs::MetricsRegistry::global().snapshot().to_json().trim_end(),
-    )
-}
-
-/// Exercise the marshal path enough to populate the plan cache, then
-/// report its counters (the PR-1 ablation counters, surfaced in the
-/// figure artifacts).
-pub fn plan_cache_burst(iters: usize) -> PlanCacheStats {
-    let registry = Arc::new(FormatRegistry::new(MachineModel::native()));
-    let (rec, _) = figure8_record(&registry, 1_000);
-    let fmt = rec.format().clone();
-    registry.reset_plan_cache_stats();
-    let wire = xmit::encode(&rec).expect("encode");
-    for _ in 0..iters.max(1) {
-        openmeta_pbio::decode_with(&wire, &registry, &fmt).expect("decode");
-    }
-    registry.plan_cache_stats()
 }
 
 /// One row of the Figure 7 encode comparison.
@@ -774,14 +395,10 @@ pub fn figure8_rows(iters: usize) -> Vec<Figure8Row> {
 
 /// Figure 8: send-side encode times per wire format and message size.
 pub fn figure8_report(iters: usize) -> String {
-    figure8_report_from(&figure8_rows(iters))
-}
-
-/// Render Figure 8 from pre-measured rows.
-pub fn figure8_report_from(rows: &[Figure8Row]) -> String {
+    let rows = figure8_rows(iters);
     let mut t = Table::new(&["binary size", "format", "encode time", "vs PBIO"]);
     let mut pbio_time = None;
-    for r in rows {
+    for r in &rows {
         if r.format == "pbio" {
             pbio_time = Some(r.encode);
         }
@@ -1076,92 +693,6 @@ pub fn plan_ablation_report(iters: usize) -> String {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize Figure 3/6 registration rows as a JSON array (times in ns).
-pub fn registration_rows_to_json(rows: &[RegistrationRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"format\": \"{}\", \"sparc_size\": {}, \"encoded_size\": {}, \
-             \"pbio_ns\": {}, \"xmit_ns\": {}, \"rdm\": {:.4}}}",
-            json_escape(&r.name),
-            r.sparc_size,
-            r.encoded_size,
-            r.pbio.as_nanos(),
-            r.xmit.as_nanos(),
-            r.rdm()
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Serialize Figure 7 rows as a JSON array (times in ns).
-pub fn figure7_rows_to_json(rows: &[Figure7Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"record\": \"{}\", \"encoded_size\": {}, \"native_ns\": {}, \
-             \"xmit_ns\": {}, \"ratio\": {:.4}, \"view_decode_ns\": {}, \
-             \"memcpy_ns\": {}, \"view_ratio\": {:.4}, \"alloc_per_op\": {:.4}, \
-             \"bytes_copied_per_op\": {:.1}}}",
-            json_escape(&r.name),
-            r.encoded_size,
-            r.native.as_nanos(),
-            r.xmit.as_nanos(),
-            r.ratio(),
-            r.view_decode.as_nanos(),
-            r.memcpy.as_nanos(),
-            r.view_ratio(),
-            r.alloc_per_op,
-            r.bytes_copied_per_op
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Serialize Figure 8 rows as a JSON array (times in ns).
-pub fn figure8_rows_to_json(rows: &[Figure8Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"target_bytes\": {}, \"actual_bytes\": {}, \"format\": \"{}\", \
-             \"encode_ns\": {}}}",
-            r.target,
-            r.actual,
-            json_escape(&r.format),
-            r.encode.as_nanos()
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1188,62 +719,6 @@ mod tests {
         ] {
             assert!(report.contains('|'), "table missing:\n{report}");
         }
-    }
-
-    #[test]
-    fn discovery_bench_hits_cache_and_serializes() {
-        let cases = figure3_cases();
-        let bench = discovery_rows(&cases[..1], FAST);
-        assert_eq!(bench.rows.len(), 1);
-        let r = &bench.rows[0];
-        assert!(r.rdm_cold() > 0.0 && r.rdm_warm() > 0.0 && r.rdm_revalidated() > 0.0);
-        assert!(bench.schema_cache.fresh_hits > 0, "warm loop must hit the TTL cache");
-        assert!(bench.schema_cache.revalidated > 0, "reval loop must see 304s");
-        assert!(bench.pool.reuses > 0, "HTTP legs must reuse pooled connections");
-
-        assert!(bench.transport.accepted > 0, "server must have seen the bench connections");
-        assert!(bench.transport.frames_in >= bench.transport.frames_out);
-
-        let report = discovery_report_from(&bench);
-        assert!(report.contains("RDM") && report.contains("schema cache"), "{report}");
-        assert!(report.contains("server transport:"), "{report}");
-
-        let j = discovery_to_json(&bench);
-        assert!(j.contains("\"rdm_warm\":") && j.contains("\"schema_cache\""), "{j}");
-        assert!(j.contains("\"transport\": {\"accepted\":"), "{j}");
-
-        let combined =
-            figure_json(&registration_rows(&cases[..1], FAST), &bench, plan_cache_burst(10));
-        for key in
-            ["\"registration\":", "\"discovery\":", "\"plan_cache\":", "\"rdm\":", "\"metrics\":"]
-        {
-            assert!(combined.contains(key), "missing {key} in:\n{combined}");
-        }
-        // The run above exercised discovery and marshaling, so the
-        // embedded snapshot carries real series.
-        assert!(combined.contains("openmeta_plan_cache_hits_total"), "{combined}");
-    }
-
-    #[test]
-    fn json_serializers_emit_well_formed_arrays() {
-        let reg = registration_rows(&figure3_cases(), FAST);
-        let j = registration_rows_to_json(&reg);
-        assert!(j.starts_with("[\n") && j.ends_with("]\n"), "{j}");
-        assert!(j.contains("\"rdm\":"));
-
-        let f7 = figure7_rows_to_json(&figure7_rows(FAST));
-        assert!(f7.contains("\"native_ns\":") && f7.contains("\"ratio\":"), "{f7}");
-        assert!(
-            f7.contains("\"alloc_per_op\":") && f7.contains("\"bytes_copied_per_op\":"),
-            "{f7}"
-        );
-        assert!(f7.contains("\"view_decode_ns\":") && f7.contains("\"memcpy_ns\":"), "{f7}");
-
-        let f8 = figure8_rows_to_json(&figure8_rows(FAST));
-        assert!(f8.contains("\"format\": \"pbio\""), "{f8}");
-        let wrapped = rows_with_metrics(&f8);
-        assert!(wrapped.contains("\"rows\":") && wrapped.contains("\"metrics\":"), "{wrapped}");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -417,11 +417,14 @@ mod tests {
 
     #[test]
     fn deeply_nested_version_offer_is_rejected() {
-        // A version offer whose descriptor nests 5 000 levels deep.
-        let level =
-            [0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, 4];
+        // A version offer whose descriptor nests 5 000 levels deep.  Each
+        // level carries the SPARC32 machine tag 0x00804041.
+        let level = [
+            0, 1, b'N', 0x00, 0x80, 0x40, 0x41, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0,
+            0, 8, 8, 4,
+        ];
         let mut desc = level.repeat(5_000);
-        desc.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        desc.extend_from_slice(&[0, 1, b'L', 0x00, 0x80, 0x40, 0x41, 0, 0, 0, 0, 1, 0, 0]);
         let mut payload = 7u64.to_be_bytes().to_vec();
         payload.extend_from_slice(&[0, 1]);
         payload.extend_from_slice(&0u64.to_be_bytes());

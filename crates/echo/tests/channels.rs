@@ -299,60 +299,64 @@ fn publish_rejects_foreign_format_records() {
     assert!(matches!(chan.publish(&rec), Err(EchoError::Schema(_))));
 }
 
+/// Encode sharing at fan-out scale: 64 subscribers over 3 views
+/// (identity, `{timestep, quality}` and a narrowed `{depth}`), 200
+/// events of 512 doubles, default `Block` policy.  Encodes must equal
+/// events × views, nothing may be dropped or disconnected, and every
+/// subscriber must receive every event.  CI runs this test in release.
 #[test]
 fn fanout_scales_encodes_with_groups_not_subscribers() {
-    // The headline property at a size CI can afford: 24 subscribers,
-    // 3 distinct projections → 3 encodes per event.
+    const SUBS: usize = 64;
+    const EVENTS: usize = 200;
+    const PAYLOAD: usize = 512;
     let host = ChannelHost::start(ChannelConfig::default()).unwrap();
     let chan = host.create_channel(&flow_type()).unwrap();
     let views = [
         None,
-        Some(Projection::keeping(["timestep"])),
-        Some(Projection::keeping(["timestep", "depth"])),
+        Some(Projection::keeping(["timestep", "quality"])),
+        Some(Projection::keeping(["depth"]).with_narrowing()),
     ];
-    let mut subs: Vec<ChannelSubscriber> = (0..24)
+    let drainers: Vec<_> = (0..SUBS)
         .map(|i| {
-            ChannelSubscriber::connect(
-                host.addr(),
-                chan.format_id(),
-                views[i % views.len()].as_ref(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let drainers: Vec<_> = subs
-        .drain(..)
-        .map(|mut sub| {
+            let view = i % views.len();
+            let mut sub =
+                ChannelSubscriber::connect(host.addr(), chan.format_id(), views[view].as_ref())
+                    .unwrap();
             thread::spawn(move || {
                 let mut n = 0usize;
                 while let Some(rec) = sub.recv().unwrap() {
-                    assert!(rec.get_i64("timestep").is_ok());
+                    if view == 2 {
+                        assert_eq!(rec.get_f64_array("depth").unwrap().len(), PAYLOAD);
+                    } else {
+                        assert_eq!(rec.get_i64("timestep").unwrap(), n as i64);
+                    }
                     n += 1;
                 }
                 n
             })
         })
         .collect();
+    assert_eq!(chan.subscriber_count(), SUBS);
 
-    let events = 16;
-    for t in 0..events {
-        let mut rec = chan.new_record();
-        rec.set_i64("timestep", t).unwrap();
-        rec.set_string("station", "s").unwrap();
-        rec.set_f64_array("depth", &[1.0, 2.0]).unwrap();
-        rec.set_f64("quality", 0.75).unwrap();
+    let mut rec = chan.new_record();
+    rec.set_string("station", "s").unwrap();
+    rec.set_f64_array("depth", &[0.5; PAYLOAD]).unwrap();
+    for t in 0..EVENTS {
+        rec.set_i64("timestep", t as i64).unwrap();
+        rec.set_f64("quality", t as f64 / EVENTS as f64).unwrap();
         let receipt = chan.publish(&rec).unwrap();
-        assert_eq!(receipt.encodes, 3);
-        assert_eq!(receipt.delivered, 24);
+        assert_eq!(receipt.encodes, views.len(), "one encode per view, event {t}");
+        assert_eq!(receipt.delivered, SUBS);
+        assert_eq!((receipt.dropped, receipt.disconnected), (0, 0), "event {t}");
     }
     let stats = chan.stats();
-    assert_eq!(stats.encodes, 3 * events as u64);
-    assert_eq!(stats.dropped, 0);
+    assert_eq!(stats.encodes, (EVENTS * views.len()) as u64);
+    assert_eq!((stats.dropped, stats.disconnected), (0, 0));
 
     drop(chan);
     drop(host); // drain + EOF
-    let sum: usize = drainers.into_iter().map(|d| d.join().unwrap()).sum();
-    assert_eq!(sum, 24 * events as usize, "every event reaches every seat");
+    let received: usize = drainers.into_iter().map(|d| d.join().unwrap()).sum();
+    assert_eq!(received, SUBS * EVENTS, "every event reaches every seat");
 }
 
 /// Arc-shared frames come from `pbio`'s buffer pool and return to it:

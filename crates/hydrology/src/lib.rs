@@ -20,7 +20,7 @@
 //! * [`components`] — the five component implementations.
 //! * [`pipeline`] — wiring: each component in its own thread, data plane
 //!   over TCP with [`xmit::XmitSender`]/[`xmit::XmitReceiver`], control
-//!   plane over crossbeam channels.
+//!   plane over `std::sync::mpsc` channels.
 
 #![deny(unsafe_code)]
 

@@ -19,8 +19,8 @@
 //! * [`ServerConfig`] — max-connections bound, per-connection deadlines
 //!   and the drain budget for servers;
 //! * [`ServerStats`] / [`TransportCounters`] — per-server counters
-//!   (accepted, active, rejected, timed out, frames in/out) surfaced
-//!   through the bench `--json` reports;
+//!   (accepted, active, rejected, timed out, frames in/out), read by
+//!   tests and `openmeta loadgen`;
 //! * [`read_exact_capped`] — frame-payload reads that grow the buffer as
 //!   bytes actually arrive, so an untrusted length prefix cannot force a
 //!   large up-front allocation;

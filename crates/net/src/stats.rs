@@ -124,22 +124,6 @@ pub struct TransportCounters {
     pub frames_out: u64,
 }
 
-impl TransportCounters {
-    /// Render as a JSON object (for the bench `--json` artifacts).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"accepted\": {}, \"active\": {}, \"rejected\": {}, \
-             \"timed_out\": {}, \"frames_in\": {}, \"frames_out\": {}}}",
-            self.accepted,
-            self.active,
-            self.rejected,
-            self.timed_out,
-            self.frames_in,
-            self.frames_out
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +147,6 @@ mod tests {
         assert_eq!(snap.frames_out, 1);
         stats.conn_finished();
         assert_eq!(stats.snapshot().active, 0);
-        assert!(snap.to_json().contains("\"accepted\": 2"));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   the `openmeta_stage_duration_ns{stage="..."}` histogram family on
 //!   drop.  Stage names follow the paper's decomposition: `discovery.*`,
 //!   `binding.*`, `marshal.*`, `transport.*`.
-//! * Exporters — [`Snapshot::to_json`] (stable schema, embedded in the
-//!   bench `--json` artifacts) and [`Snapshot::to_prometheus`] (text
-//!   exposition, served from `/metrics` on the `ohttp` server).
+//! * Exporters — [`Snapshot::to_json`] (stable schema, served from
+//!   `/metrics.json`) and [`Snapshot::to_prometheus`] (text exposition,
+//!   served from `/metrics` on the `ohttp` server).
 //! * [`clock`] — the sanctioned `Instant::now()` entry point; `cargo
 //!   xtask analyze` rejects direct `Instant::now()` timing in library
 //!   code outside this crate so all new timing flows through here.

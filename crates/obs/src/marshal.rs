@@ -6,7 +6,7 @@
 //! nothing.  These counters make the claim observable — the buffer pool
 //! and the plan executors in `openmeta-pbio` record every heap
 //! allocation they cause and every payload byte they copy, so a
-//! `/metrics` scrape (or the fig7 `--json` artifact) can show the hot
+//! `/metrics` scrape (or the fig7 allocs/op column) can show the hot
 //! path flatlining.
 //!
 //! Counters are process-global and monotonic; benchmarks that need

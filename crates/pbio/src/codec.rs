@@ -132,7 +132,7 @@ fn read_descriptor(cur: &mut Cur<'_>, depth: usize) -> Result<FormatDescriptor, 
         )));
     }
     let name = cur.str()?;
-    let machine = MachineModel::from_tag(cur.u32()?);
+    let machine = MachineModel::from_tag(cur.u32()?)?;
     let record_size = cur.u32()? as usize;
     let align = cur.u8()? as usize;
     let nfields = cur.u16()? as usize;
@@ -248,15 +248,47 @@ mod tests {
         assert!(decode_descriptor(&bytes).is_err());
     }
 
+    #[test]
+    fn non_canonical_machine_tags_are_rejected() {
+        let good = encode_descriptor(&sample());
+        // The tag follows the root's name: u16 length + "Outer".
+        let at = 2 + "Outer".len();
+        let sparc = MachineModel::SPARC32.tag();
+        assert_eq!(good[at..at + 4], sparc.to_be_bytes());
+        for bad in [
+            sparc | 0b10,                         // unused bit 1
+            sparc | 0b1000,                       // unused bit 3
+            sparc | (1 << 28),                    // unused bit 28
+            sparc | (1 << 31),                    // unused bit 31
+            sparc & !(0xff << 20),                // max_align 0
+            sparc & !(0xff << 4),                 // pointer size 0
+            sparc & !(0xff << 12),                // long size 0
+            (sparc & !(0xff << 20)) | (3 << 20),  // max_align 3
+            (sparc & !(0xff << 20)) | (32 << 20), // max_align 32
+            (sparc & !(0xff << 4)) | (6 << 4),    // pointer size 6
+            (sparc & !(0xff << 12)) | (12 << 12), // long size 12
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 4].copy_from_slice(&bad.to_be_bytes());
+            let err = decode_descriptor(&bytes).unwrap_err();
+            assert!(matches!(err, PbioError::BadWireData(_)), "tag {bad:#010x}: {err:?}");
+        }
+    }
+
     /// A descriptor nested `levels` deep below its root, encoded by hand:
     /// building it as a value would recurse as deep as the decoder.
     fn nested_chain(levels: usize) -> Vec<u8> {
         // Name "N", machine tag, size, align, then one field "f" (offset,
         // size, align) whose kind is nested.
-        let mut level = vec![0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1];
+        let tag = MachineModel::SPARC32.tag().to_be_bytes();
+        let mut level = vec![0, 1, b'N'];
+        level.extend_from_slice(&tag);
+        level.extend_from_slice(&[0, 0, 0, 8, 8, 0, 1]);
         level.extend_from_slice(&[0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, KIND_NESTED]);
         let mut out = level.repeat(levels);
-        out.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        out.extend_from_slice(&[0, 1, b'L']);
+        out.extend_from_slice(&tag);
+        out.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0]);
         out
     }
 

@@ -9,6 +9,8 @@
 //! machine so the reproduction can report the same "structure size" figures
 //! (e.g. `SimpleData` = 12 bytes, `JoinRequest` = 20 bytes).
 
+use crate::error::PbioError;
+
 /// Byte order of multi-byte scalars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ByteOrder {
@@ -92,13 +94,30 @@ impl MachineModel {
             | ((self.max_align as u32) << 20)
     }
 
-    pub(crate) fn from_tag(tag: u32) -> MachineModel {
-        MachineModel {
-            byte_order: if tag & 1 == 1 { ByteOrder::Big } else { ByteOrder::Little },
-            pointer_size: ((tag >> 4) & 0xff) as usize,
-            long_size: ((tag >> 12) & 0xff) as usize,
-            max_align: ((tag >> 20) & 0xff) as usize,
+    /// Inverse of [`MachineModel::tag`].  A tag arrives from a peer, so
+    /// it is rejected unless it is canonical: no unused bit set, and
+    /// every width a nonzero power of two no larger than 16.
+    pub(crate) fn from_tag(tag: u32) -> Result<MachineModel, PbioError> {
+        const USED: u32 = 1 | (0xff << 4) | (0xff << 12) | (0xff << 20);
+        let width = |shift: u32, what: &str| {
+            let w = ((tag >> shift) & 0xff) as usize;
+            if w.is_power_of_two() && w <= 16 {
+                Ok(w)
+            } else {
+                Err(PbioError::BadWireData(format!("machine tag {tag:#010x}: {what} {w}")))
+            }
+        };
+        if tag & !USED != 0 {
+            return Err(PbioError::BadWireData(format!(
+                "machine tag {tag:#010x} sets unused bits"
+            )));
         }
+        Ok(MachineModel {
+            byte_order: if tag & 1 == 1 { ByteOrder::Big } else { ByteOrder::Little },
+            pointer_size: width(4, "pointer size")?,
+            long_size: width(12, "long size")?,
+            max_align: width(20, "max align")?,
+        })
     }
 }
 
@@ -138,7 +157,7 @@ mod tests {
             MachineModel::X86_64,
             MachineModel::native(),
         ] {
-            assert_eq!(MachineModel::from_tag(m.tag()), m);
+            assert_eq!(MachineModel::from_tag(m.tag()), Ok(m));
         }
     }
 

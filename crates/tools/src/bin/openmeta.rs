@@ -8,12 +8,11 @@
 //! openmeta inspect  <pbio-file>
 //! openmeta serve    <dir> [port]
 //! openmeta formats  diff <old-url> <new-url> [--json]
-//! openmeta negotiate bench [--handshakes N] [--pairs K] [--json] [--check]
 //! openmeta planlint [--json] <xsd-file>...
 //! openmeta protolint [--json] [--root <dir>] [--mutants]
 //! openmeta stats    [--json|--prom] [url]
 //! openmeta loadgen  [--server http|pbio] [--connections N] ...
-//! openmeta channel  <bench|publish|subscribe> ...
+//! openmeta channel  <publish|subscribe> ...
 //! ```
 
 use std::process::ExitCode;
@@ -25,7 +24,6 @@ fn usage() -> ExitCode {
          openmeta codegen <java|c|cpp|class> <url-or-file> <type> [package] [-o dir]\n  \
          openmeta diff <old-url> <new-url> <type> [machine]\n  \
          openmeta formats diff <old-url> <new-url> [--json]\n  \
-         openmeta negotiate bench [--handshakes N] [--pairs K] [--json] [--check]\n  \
          openmeta match <message-file> <url-or-file>\n  \
          openmeta inspect <pbio-file>\n  \
          openmeta serve <dir> [port]\n  \
@@ -34,9 +32,8 @@ fn usage() -> ExitCode {
          openmeta stats [--json|--prom] [url]\n  \
          openmeta loadgen [--server http|pbio] [--connections N] [--requests N]\n           \
          [--json] [--check] [--max-p99-ms MS] [--serve-only] [--target host:port]\n  \
-         openmeta channel bench [--subs N] [--projections K] [--events N]\n           \
-         [--payload N] [--policy block|drop|disconnect] [--queue-cap N] [--json] [--check]\n  \
-         openmeta channel publish [--port P] [--events N] [--interval-ms MS] [--payload N]\n  \
+         openmeta channel publish [--port P] [--events N] [--interval-ms MS] [--payload N]\n           \
+         [--policy block|drop|disconnect] [--queue-cap N]\n  \
          openmeta channel subscribe <host:port> [--keep f1,f2] [--narrow] [--id N]\n           \
          [--count N]"
     );
@@ -112,33 +109,6 @@ fn main() -> ExitCode {
                     Ok((out, passed)) => {
                         print!("{out}");
                         if !passed {
-                            return ExitCode::FAILURE;
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            ("negotiate", rest) => {
-                let Some((sub, rest)) = rest.split_first() else { return usage() };
-                if sub != "bench" {
-                    return usage();
-                }
-                let opts = match openmeta_tools::negotiate::NegotiateOptions::parse(rest) {
-                    Ok(opts) => opts,
-                    Err(e) => {
-                        eprintln!("openmeta: {e}");
-                        return usage();
-                    }
-                };
-                match openmeta_tools::negotiate::run(opts) {
-                    Ok(report) => {
-                        if report.opts.json {
-                            print!("{}", report.to_json());
-                        } else {
-                            print!("{}", report.to_text());
-                        }
-                        if report.opts.check && !report.passed() {
                             return ExitCode::FAILURE;
                         }
                         Ok(())
@@ -246,21 +216,7 @@ fn main() -> ExitCode {
                         return usage();
                     }
                 };
-                match openmeta_tools::channel::run(opts) {
-                    Ok(Some(report)) => {
-                        if report.opts.json {
-                            print!("{}", report.to_json());
-                        } else {
-                            print!("{}", report.to_text());
-                        }
-                        if report.opts.check && !report.passed() {
-                            return ExitCode::FAILURE;
-                        }
-                        Ok(())
-                    }
-                    Ok(None) => Ok(()),
-                    Err(e) => Err(e),
-                }
+                openmeta_tools::channel::run(opts)
             }
             ("serve", [dir, rest @ ..]) => {
                 let port = match rest {

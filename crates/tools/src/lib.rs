@@ -10,12 +10,13 @@
 //! | `codegen <java\|c\|class> <url> <type>` | [`codegen`] | emit language bindings |
 //! | `match <message-file> <url>` | [`match_msg`] | schema-check a live message (§3) |
 //! | `formats diff <old> <new> [--json]` | [`formats_diff`] | negotiation verdict for every shared type of two schema versions |
-//! | `negotiate bench [...]` | [`negotiate::run`] | handshake latency + pair-cache CI gate (`BENCH_negotiate.json`) |
 //! | `inspect <pbio-file>` | [`inspect`] | dump a self-describing PBIO data file |
 //! | `serve <dir> [port]` | [`serve`] | host a directory of metadata documents |
 //! | `planlint [--json] <xsd-file>...` | [`planlint`] | statically verify every marshal plan a schema produces |
 //! | `protolint [--json] [--root <dir>] [--mutants]` | [`protolint`] | protocol-layer static analysis: sans-io exploration, lock-order graph, taint lint |
 //! | `stats [--json\|--prom] [url]` | [`stats`] | render this process's metrics registry, or scrape a server's `/metrics` |
+//! | `loadgen [--server http\|pbio] [...]` | [`loadgen::run`] | drive a server over N connections; `--check` gates errors and p99 |
+//! | `channel <publish\|subscribe> [...]` | [`channel::run`] | host or join the demo ECho event channel |
 //!
 //! The `url` arguments accept `http://`, `file://` and bare paths (which
 //! are treated as `file://`).
@@ -24,7 +25,6 @@
 
 pub mod channel;
 pub mod loadgen;
-pub mod negotiate;
 pub mod output;
 
 use std::fmt::Write as _;

@@ -59,7 +59,7 @@ pub struct LoadgenOptions {
     pub connections: usize,
     /// Requests per connection.
     pub requests: usize,
-    /// Emit the report as JSON (the `BENCH_loadgen.json` shape).
+    /// Emit the report as JSON.
     pub json: bool,
     /// Gate mode: fail on errors or a p99 above `max_p99_ms`.
     pub check: bool,
@@ -356,7 +356,7 @@ impl LoadReport {
         out
     }
 
-    /// JSON report (the `BENCH_loadgen.json` artifact shape).
+    /// JSON report.
     pub fn to_json(&self) -> String {
         let counters = match &self.counters {
             Some(c) => format!(

@@ -635,17 +635,47 @@ mod tests {
 
     #[test]
     fn deeply_nested_offer_is_rejected() {
-        // One offer whose descriptor nests 5 000 levels deep.
-        let level =
-            [0, 1, b'N', 0, 0, 0, 0, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0, 0, 8, 8, 4];
+        // One offer whose descriptor nests 5 000 levels deep.  Each
+        // level carries the SPARC32 machine tag 0x00804041.
+        let level = [
+            0, 1, b'N', 0x00, 0x80, 0x40, 0x41, 0, 0, 0, 8, 8, 0, 1, 0, 1, b'f', 0, 0, 0, 0, 0, 0,
+            0, 8, 8, 4,
+        ];
         let mut desc = level.repeat(5_000);
-        desc.extend_from_slice(&[0, 1, b'L', 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]);
+        desc.extend_from_slice(&[0, 1, b'L', 0x00, 0x80, 0x40, 0x41, 0, 0, 0, 0, 1, 0, 0]);
         let mut payload = 1u16.to_be_bytes().to_vec();
         payload.extend_from_slice(&0u64.to_be_bytes());
         payload.extend_from_slice(&(desc.len() as u32).to_be_bytes());
         payload.extend_from_slice(&desc);
         let err = Hello::decode(&payload).unwrap_err();
         assert!(err.to_string().contains("nesting"), "{err}");
+    }
+
+    /// An offered descriptor whose machine tag claims `max_align = 0`
+    /// is bad wire data.  It used to decode, then panic in the plan
+    /// verifier's alignment clamp while the pair was negotiated.
+    #[test]
+    fn zero_max_align_offer_errors_instead_of_panicking() {
+        let sparc = FormatRegistry::new(MachineModel::SPARC32);
+        let sender = sparc
+            .register(FormatSpec::new(
+                "T",
+                vec![IOField::auto("x", "integer", 4), IOField::auto("y", "float", 8)],
+            ))
+            .unwrap();
+        let mut bytes = encode_descriptor(&sender);
+        // The machine tag follows the name: u16 length + "T".
+        let tag = u32::from_be_bytes(bytes[3..7].try_into().unwrap()) & !(0xff << 20);
+        bytes[3..7].copy_from_slice(&tag.to_be_bytes());
+
+        let cache = NegotiationCache::new();
+        let reg = FormatRegistry::new(MachineModel::native());
+        let receiver = reg.register_descriptor((*v2()).clone());
+        let outcome = decode_descriptor(&bytes).map_err(XmitError::from).and_then(|offered| {
+            let offered = reg.register_descriptor(offered);
+            cache.negotiate_pair(&reg, &offered, &receiver)
+        });
+        assert!(matches!(outcome, Err(XmitError::Bcm(PbioError::BadWireData(_)))), "{outcome:?}");
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! the document changes, notifying subscribers with the fresh tokens.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::XmitError;
 use crate::toolkit::{BindingToken, LoadOutcome, Xmit};
@@ -54,8 +53,8 @@ impl FormatWatcher {
         let url = url.into();
         let versions_seen = Arc::new(AtomicU64::new(0));
         let poll_errors = Arc::new(AtomicU64::new(0));
-        let (tx, rx): (Sender<FormatChange>, Receiver<FormatChange>) = unbounded();
-        let (stop_tx, stop_rx): (Sender<()>, Receiver<()>) = unbounded();
+        let (tx, rx): (Sender<FormatChange>, Receiver<FormatChange>) = channel();
+        let (stop_tx, stop_rx): (Sender<()>, Receiver<()>) = channel();
 
         // Initial load happens on the caller's thread so errors surface.
         let initial = toolkit.load_url_cached(&url)?;

@@ -37,6 +37,11 @@ const COMPATIBLE: [Variant; 5] =
     [Variant::V1, Variant::Grown, Variant::Shrunk, Variant::Reordered, Variant::Widened];
 
 fn xml(v: Variant) -> String {
+    typed_xml("Telemetry", v)
+}
+
+/// Variant `v` of the fleet's format, declared under `name`.
+fn typed_xml(name: &str, v: Variant) -> String {
     let timestep = match v {
         Variant::Retyped => r#"<xsd:element name="timestep" type="xsd:string" />"#,
         _ => r#"<xsd:element name="timestep" type="xsd:integer" />"#,
@@ -55,7 +60,7 @@ fn xml(v: Variant) -> String {
         Variant::Grown => format!("{timestep}{reading}{samples}{station}{tag}"),
         _ => format!("{timestep}{reading}{samples}{station}"),
     };
-    format!(r#"<xsd:complexType name="Telemetry" xmlns:xsd="{XSD}">{body}</xsd:complexType>"#)
+    format!(r#"<xsd:complexType name="{name}" xmlns:xsd="{XSD}">{body}</xsd:complexType>"#)
 }
 
 fn bind(v: Variant, machine: MachineModel) -> (Xmit, Arc<FormatDescriptor>) {
@@ -77,8 +82,8 @@ fn expected_verdict(s: Variant, r: Variant) -> PairVerdict {
     }
 }
 
-fn fill(xm: &Xmit, v: Variant, t: i64) -> openmeta_pbio::RawRecord {
-    let token = xm.bind("Telemetry").unwrap();
+fn fill(xm: &Xmit, name: &str, v: Variant, t: i64) -> openmeta_pbio::RawRecord {
+    let token = xm.bind(name).unwrap();
     let mut rec = token.new_record();
     rec.set_i64("timestep", t).unwrap();
     rec.set_f64("reading", t as f64 * 0.5).unwrap();
@@ -121,7 +126,7 @@ fn point_to_point_matrix_interoperates_across_versions() {
                 "pairing {s:?} -> {r:?}"
             );
             for t in 0..3 {
-                tx.send(&fill(&tx_xmit, s, t)).unwrap();
+                tx.send(&fill(&tx_xmit, "Telemetry", s, t)).unwrap();
             }
             drop(tx);
             assert_eq!(rx_thread.join().unwrap(), vec![0, 1, 2], "pairing {s:?} -> {r:?}");
@@ -162,13 +167,31 @@ fn incompatible_pairing_is_rejected_at_handshake() {
     }
 }
 
-/// Reconnections are steady state: one pair-cache miss ever, every
-/// later handshake a hit, no convert plan recompiles, and the marshal
-/// path stays allocation-free.
+/// Reconnections are steady state: one pair-cache miss per pair ever,
+/// every later handshake a hit, no convert plan recompiles, and the
+/// marshal path stays allocation-free.  Two fleets: one grown receiver
+/// over 6 reconnects, and a 3-pair offer (one identical, two grown
+/// versions, records riding the last pair) over 32 handshakes.
 #[test]
 fn reconnect_loop_rides_the_pair_cache() {
-    const RECONNECTS: usize = 6;
-    let (rx_xmit, _) = bind(Variant::Grown, MachineModel::native());
+    ride_the_pair_cache(&[Variant::Grown], 6);
+    ride_the_pair_cache(&[Variant::V1, Variant::Grown, Variant::Grown], 32);
+}
+
+/// A V1 sender connects `handshakes` times, each time offering
+/// `Telemetry<i>` for every `i` in `receiver`, whose entry is the
+/// receiver's version of that type.  Records ride the last pair.
+fn ride_the_pair_cache(receiver: &[Variant], handshakes: usize) {
+    let pairs = receiver.len();
+    let names: Vec<String> = (0..pairs).map(|i| format!("Telemetry{i}")).collect();
+    let schema = |version: &dyn Fn(usize) -> Variant| {
+        let types: String =
+            names.iter().enumerate().map(|(i, n)| typed_xml(n, version(i))).collect();
+        format!(r#"<xsd:schema xmlns:xsd="{XSD}">{types}</xsd:schema>"#)
+    };
+    let rx_xmit = Xmit::new(MachineModel::native());
+    rx_xmit.load_str(&schema(&|i| receiver[i])).unwrap();
+    rx_xmit.bind_all().unwrap();
     let registry: Arc<FormatRegistry> = rx_xmit.registry().clone();
     let cache = Arc::new(NegotiationCache::new());
 
@@ -178,7 +201,7 @@ fn reconnect_loop_rides_the_pair_cache() {
     let thread_registry = registry.clone();
     let thread_cache = cache.clone();
     let rx_thread = std::thread::spawn(move || {
-        for _ in 0..RECONNECTS {
+        for _ in 0..handshakes {
             let (stream, _) = listener.accept().unwrap();
             let mut rx = XmitReceiver::new(stream, thread_registry.clone());
             rx.set_negotiation_cache(thread_cache.clone());
@@ -190,13 +213,27 @@ fn reconnect_loop_rides_the_pair_cache() {
         }
     });
 
-    let (tx_xmit, format) = bind(Variant::V1, MachineModel::native());
-    let rec = fill(&tx_xmit, Variant::V1, 7);
-    let mut plan_misses_after_first = 0u64;
-    for h in 0..RECONNECTS {
+    let tx_xmit = Xmit::new(MachineModel::native());
+    tx_xmit.load_str(&schema(&|_| Variant::V1)).unwrap();
+    let formats: Vec<Arc<FormatDescriptor>> =
+        names.iter().map(|n| tx_xmit.bind(n).unwrap().format.clone()).collect();
+    let offer: Vec<&Arc<FormatDescriptor>> = formats.iter().collect();
+    let rec = fill(&tx_xmit, &names[pairs - 1], Variant::V1, 7);
+    let plan_misses =
+        || registry.plan_cache_stats().misses + tx_xmit.registry().plan_cache_stats().misses;
+    let mut first_contact_plan_compiles = 0u64;
+    let (mut records, mut records_sent) = (0u64, 0u64);
+    for h in 0..handshakes {
         let mut tx = XmitSender::connect(addr).unwrap();
-        let accept = tx.negotiate(&[&format]).unwrap();
-        assert_eq!(accept.verdict_for(format.id()), Some(PairVerdict::Projectable));
+        let accept = tx.negotiate(&offer).unwrap();
+        for (format, &r) in formats.iter().zip(receiver) {
+            assert_eq!(
+                accept.verdict_for(format.id()),
+                Some(expected_verdict(Variant::V1, r)),
+                "handshake {h}: {}",
+                format.name
+            );
+        }
         for _ in 0..4 {
             tx.send(&rec).unwrap();
         }
@@ -205,21 +242,23 @@ fn reconnect_loop_rides_the_pair_cache() {
             tx.send(&rec).unwrap();
         }
         assert_eq!(tx.marshal_stats().allocs, warm, "steady sends must not allocate");
+        records_sent += 20;
         drop(tx);
-        assert_eq!(ack_rx.recv().unwrap(), 20);
-        let plan_misses =
-            registry.plan_cache_stats().misses + tx_xmit.registry().plan_cache_stats().misses;
+        records += ack_rx.recv().unwrap();
         if h == 0 {
-            plan_misses_after_first = plan_misses;
+            first_contact_plan_compiles = plan_misses();
+            assert!(first_contact_plan_compiles > 0, "first contact compiles its plans");
         } else {
-            assert_eq!(plan_misses, plan_misses_after_first, "reconnect {h} recompiled a plan");
+            assert_eq!(plan_misses(), first_contact_plan_compiles, "handshake {h} recompiled");
         }
     }
     rx_thread.join().unwrap();
+    assert_eq!(records, records_sent, "every record sent was decoded");
 
     let stats = cache.stats();
-    assert_eq!(stats.misses, 1, "one first contact");
-    assert_eq!(stats.hits, (RECONNECTS - 1) as u64, "every reconnect a cache hit");
+    let total = (handshakes * pairs) as u64;
+    assert_eq!(stats.misses, pairs as u64, "one first contact per pair");
+    assert_eq!(stats.hits, total - pairs as u64, "every later negotiation a cache hit");
     assert_eq!(stats.rejected, 0);
 }
 
