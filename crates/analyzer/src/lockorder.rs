@@ -1,13 +1,16 @@
 //! Lock-order (may-hold-while-acquiring) graph analysis.
 //!
 //! Every blocking lock acquisition in the workspace goes through the
-//! shared helpers in `openmeta_obs::sync` — `sync::lock`, `sync::wait`,
-//! `sync::wait_timeout` — which is a deliberate design decision: one
-//! set of entry points means a source-level analyzer can see every
-//! acquisition.  This engine extracts those sites from `crates/*/src`,
-//! tracks guard liveness (let-bound guards die at `drop(g)` or at the
-//! end of their block; `for x in sync::lock(..)` temporaries live for
-//! the loop body; other inline uses are instantaneous), and builds a
+//! shared helpers in `openmeta_obs::sync` — `sync::lock`, `sync::read`,
+//! `sync::write`, `sync::wait`, `sync::wait_timeout` — which is a
+//! deliberate design decision: one set of entry points means a
+//! source-level analyzer can see every acquisition (`cargo xtask
+//! analyze` rejects a bare `.lock()`, `.read()` or `.write()` elsewhere).
+//! This engine extracts those sites from `crates/*/src`, tracks guard
+//! liveness (let-bound guards die at `drop(g)` or at the end of their
+//! block; a guard in the head of a `for`, `if let`, `while let` or
+//! `match` lives for the whole block that follows, as edition-2021
+//! temporaries do; other inline uses are instantaneous), and builds a
 //! **may-hold-while-acquiring graph**: an edge `A → B` means some code
 //! path acquires lock class `B` while holding class `A`.  A cycle in
 //! that graph is a potential deadlock and fails the analysis.
@@ -16,7 +19,9 @@
 //! matter:
 //!
 //! * lock *classes* are `crate::field` names — two instances of one
-//!   field unify (may over-report, never under-report an ordering);
+//!   field unify (may over-report, never under-report an ordering) —
+//!   and a `sync::read` is an acquisition like any other, because a
+//!   reader can wait behind a queued writer;
 //! * **call edges**: while a guard is held, a call to a same-crate
 //!   function that (transitively) acquires locks contributes edges to
 //!   everything it acquires — this is what checks comments like
@@ -52,10 +57,13 @@ struct Site {
     at: String,
 }
 
+/// The helpers that acquire a lock and return its guard.
+const ACQUIRE: &[&str] = &["sync::lock(", "sync::read(", "sync::write("];
+
 /// A live guard while scanning a function body.
 #[derive(Debug, Clone)]
 struct Guard {
-    /// Binding name; `"<temp>"` for `for`-loop temporaries.
+    /// Binding name; `"<temp>"` for block-head temporaries.
     name: String,
     class: String,
     /// The guard dies when brace depth drops below this.
@@ -162,8 +170,7 @@ fn resolve(ex: Extraction, cfg: &LockOrderConfig) -> ProtoReport {
         if cfg.allowed_edges.iter().any(|(h, a)| *h == held && *a == acquired) {
             continue;
         }
-        graph.entry(held.clone()).or_default().entry(acquired).or_insert(at);
-        graph.entry_or_node(&held);
+        graph.entry(held).or_default().entry(acquired).or_insert(at);
     }
 
     for cycle in find_cycles(&graph) {
@@ -191,19 +198,6 @@ fn resolve(ex: Extraction, cfg: &LockOrderConfig) -> ProtoReport {
         report.push(Stage::LockOrder, at.clone(), at, violation);
     }
     report
-}
-
-/// Small helper so isolated nodes still appear in the graph.
-trait EntryOrNode {
-    fn entry_or_node(&mut self, node: &str);
-}
-
-impl EntryOrNode for BTreeMap<String, BTreeMap<String, String>> {
-    fn entry_or_node(&mut self, node: &str) {
-        if !self.contains_key(node) {
-            self.insert(node.to_string(), BTreeMap::new());
-        }
-    }
 }
 
 /// Distinct cycles as closed paths (`[a, b, a]`), deduplicated by the
@@ -322,29 +316,28 @@ fn extract_file(file: &SourceFile, ex: &mut Extraction) {
                     ));
                 }
             }
-        } else if let Some(arg) = call_arg(line, "sync::lock(") {
+        } else if let Some(acquire) = acquisition(line) {
+            let arg = call_arg(line, acquire).unwrap_or_default();
             ex.sites += 1;
             let class = format!("{}::{}", file.crate_name, last_segment(&arg));
             for g in &guards {
                 ex.edges.push((g.class.clone(), class.clone(), at.clone()));
             }
             ex.fn_direct.entry(fn_key.clone()).or_default().insert(class.clone());
-            // Guard liveness: let-bound, for-loop temporary, or
+            // Guard liveness: let-bound, block-head temporary, or
             // instantaneous.
             let trimmed = lstrip_label(line.trim_start());
-            if let Some(name) = let_binding_of_bare_lock(trimmed) {
+            if let Some(name) = let_binding_of_bare_lock(trimmed, acquire) {
                 guards.push(Guard { name, class, min_depth: depth_before });
-            } else if trimmed.starts_with("for ") || trimmed.contains(" for ") {
-                guards.push(Guard {
-                    name: "<temp>".to_string(),
-                    class,
-                    min_depth: depth_before + 1,
-                });
+            } else if holds_for_block(trimmed) && trimmed.trim_end().ends_with('{') {
+                // Held until the block this line opens closes (for
+                // `} else if let .. {` that is the new branch).
+                guards.push(Guard { name: "<temp>".to_string(), class, min_depth: depth });
             }
         }
 
         // Calls made while holding a lock, for the call-edge pass.
-        if !guards.is_empty() && !line.contains("sync::lock(") {
+        if !guards.is_empty() && acquisition(line).is_none() {
             for callee in call_tokens(line) {
                 ex.pending_calls.push(PendingCall {
                     held: guards
@@ -402,6 +395,19 @@ fn drop_target(line: &str) -> Option<String> {
     } else {
         None
     }
+}
+
+/// The first lock-acquiring helper called on this line, if any.
+fn acquisition(line: &str) -> Option<&'static str> {
+    ACQUIRE.iter().filter_map(|p| line.find(p).map(|i| (i, *p))).min().map(|(_, p)| p)
+}
+
+/// Is this line the head of a block whose scrutinee temporaries live
+/// until the block closes: `for`, `if let`, `while let` or `match`?
+fn holds_for_block(trimmed: &str) -> bool {
+    ["for ", "if let ", "while let ", "match "]
+        .iter()
+        .any(|kw| trimmed.starts_with(kw) || trimmed.contains(&format!(" {kw}")))
 }
 
 /// The guard identifier passed to `sync::wait(` / `sync::wait_timeout(`.
@@ -464,10 +470,11 @@ fn lstrip_label(trimmed: &str) -> &str {
     trimmed
 }
 
-/// `let [mut] NAME[: ty] = sync::lock(...);` where the RHS is the bare
-/// lock call (a trailing method call like `.clone()` means the guard is
-/// a temporary, not a binding).
-fn let_binding_of_bare_lock(trimmed: &str) -> Option<String> {
+/// `let [mut] NAME[: ty] = sync::lock(...);` (or `sync::read`/`sync::write`,
+/// named by `acquire`) where the RHS is the bare lock call (a trailing
+/// method call like `.clone()` means the guard is a temporary, not a
+/// binding).
+fn let_binding_of_bare_lock(trimmed: &str, acquire: &str) -> Option<String> {
     let rest = trimmed.strip_prefix("let ")?;
     let rest = rest.strip_prefix("mut ").unwrap_or(rest);
     let name: String =
@@ -477,8 +484,8 @@ fn let_binding_of_bare_lock(trimmed: &str) -> Option<String> {
     }
     // Whatever follows the closing paren of sync::lock(...) decides:
     // `;` → guard binding; anything else → temporary.
-    let lock_idx = trimmed.find("sync::lock(")?;
-    let after = &trimmed[lock_idx + "sync::lock(".len()..];
+    let lock_idx = trimmed.find(acquire)?;
+    let after = &trimmed[lock_idx + acquire.len()..];
     let mut depth = 1i32;
     for (i, c) in after.char_indices() {
         match c {
@@ -561,6 +568,53 @@ mod tests {
 
     fn run(text: &str) -> ProtoReport {
         analyze_lock_order(&[file("demo", text)], &LockOrderConfig::default())
+    }
+
+    /// The direct `(held, acquired)` class pairs one file records.
+    fn edges(text: &str) -> Vec<(String, String)> {
+        let mut ex = Extraction::default();
+        extract_file(&file("demo", text), &mut ex);
+        ex.edges.into_iter().map(|(held, acquired, _)| (held, acquired)).collect()
+    }
+
+    fn edge(held: &str, acquired: &str) -> (String, String) {
+        (format!("demo::{held}"), format!("demo::{acquired}"))
+    }
+
+    #[test]
+    fn read_guard_held_across_a_write_records_the_edge() {
+        let e = edges(
+            "fn f(&self) {\n    let g = sync::read(&self.alpha);\n    sync::write(&self.beta).insert(1);\n}\n",
+        );
+        assert_eq!(e, vec![edge("alpha", "beta")]);
+    }
+
+    #[test]
+    fn read_write_inversion_is_a_cycle() {
+        let report = run(
+            "fn a(&self) {\n    let g = sync::read(&self.alpha);\n    let h = sync::write(&self.beta);\n}\n\
+             fn b(&self) {\n    let g = sync::write(&self.beta);\n    let h = sync::read(&self.alpha);\n}\n",
+        );
+        assert_eq!(report.lock_sites, 4);
+        assert!(report.diagnostics.iter().any(|d| d.violation.check == "lock-cycle"));
+    }
+
+    #[test]
+    fn block_head_guards_live_for_the_block() {
+        let e = edges(
+            "fn f(&self) {\n    if let Some(x) = sync::read(&self.alpha).get(&k) {\n        sync::lock(&self.beta).push(*x);\n    } else if let Some(y) = sync::read(&self.gamma).first() {\n        sync::lock(&self.delta).push(*y);\n    }\n    let after = sync::lock(&self.omega);\n}\n\
+             fn g(&self) {\n    match sync::lock(&self.alpha).pop() {\n        Some(v) => sync::write(&self.beta).push(v),\n        None => {}\n    }\n}\n",
+        );
+        assert_eq!(
+            e,
+            vec![
+                edge("alpha", "beta"),
+                edge("alpha", "gamma"),
+                edge("alpha", "delta"),
+                edge("gamma", "delta"),
+                edge("alpha", "beta"),
+            ]
+        );
     }
 
     #[test]

@@ -43,9 +43,9 @@ use openmeta_schema::{to_xml, ComplexType, SchemaDocument};
 use xmit::{project_type, NegotiationCache, NegotiationStats, Projection, Xmit, XmitError};
 
 use crate::fanout::{Frame, Instruments, Offer, Seat, SlowPolicy, Writers};
-use crate::sync;
 use crate::wire::{self, FRAME_FORMAT, FRAME_RECORD, FRAME_SUB_ERR, FRAME_SUB_OK};
 use crate::EchoError;
+use openmeta_obs::sync;
 
 /// Host-wide channel configuration.
 #[derive(Debug, Clone)]

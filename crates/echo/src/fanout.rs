@@ -32,7 +32,7 @@ use openmeta_net::is_timeout;
 use openmeta_obs::{clock, Counter, Gauge, MetricsRegistry};
 use openmeta_pbio::PooledBuf;
 
-use crate::sync;
+use openmeta_obs::sync;
 
 /// One encoded frame, shared across every seat of a group.  The buffer
 /// comes from `pbio`'s [`BufferPool`](openmeta_pbio::BufferPool); when

@@ -77,7 +77,6 @@
 pub mod channel;
 pub mod fanout;
 pub mod subscriber;
-pub(crate) mod sync;
 pub mod wire;
 
 use std::fmt;

@@ -36,6 +36,7 @@
 //! decode it with [`subscribe_from_frame`] (host) or
 //! [`reply_from_frame`] (subscriber).
 
+use openmeta_net::frame_header;
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::{FormatDescriptor, FormatId, PbioError};
 use xmit::Projection;
@@ -62,12 +63,9 @@ pub(crate) const MAX_FRAME: usize = 64 << 20;
 /// across every subscriber of a group.
 pub(crate) fn build_frame(out: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) -> Result<(), EchoError> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
-    if len > MAX_FRAME {
-        return Err(EchoError::Bcm(PbioError::Io(format!("frame too large: {len} bytes"))));
-    }
-    out.reserve(5 + len);
-    out.extend_from_slice(&(len as u32).to_be_bytes());
-    out.push(kind);
+    let header = frame_header(len, Some(kind), MAX_FRAME).map_err(PbioError::from)?;
+    out.reserve(header.len() + len);
+    out.extend_from_slice(&header);
     for part in parts {
         out.extend_from_slice(part);
     }

@@ -79,9 +79,9 @@ use openmeta_obs::{clock, span, Gauge, MetricsRegistry};
 use crate::config::ServerConfig;
 use crate::nio::{self, ReadOutcome, WriteOutcome};
 use crate::stats::ServerStats;
-use crate::sync::{self, Mutex};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::timer::TimerWheel;
+use openmeta_obs::sync::{self, Mutex};
 
 /// What a handler did with a chunk of bytes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

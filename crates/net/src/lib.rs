@@ -38,7 +38,6 @@ pub mod retry;
 pub mod sansio;
 mod server;
 pub mod stats;
-pub(crate) mod sync;
 pub mod sys;
 pub mod timer;
 
@@ -49,7 +48,7 @@ pub use event_loop::{Dispatch, EventHandler, HandlerFactory};
 pub use faults::{Fault, FaultProxy};
 pub use framing::{is_timeout, read_exact_capped, write_all_vectored, READ_CHUNK};
 pub use retry::RetryPolicy;
-pub use sansio::{read_frame_blocking, LengthFramer};
+pub use sansio::{frame_header, read_frame_blocking, FrameHeader, LengthFramer};
 pub use server::Server;
 pub use stats::{ServerStats, TransportCounters};
 pub use timer::TimerWheel;

@@ -126,6 +126,38 @@ impl LengthFramer {
     }
 }
 
+/// A frame's header bytes, as built by [`frame_header`].
+#[derive(Debug, Clone, Copy)]
+pub struct FrameHeader([u8; 5], usize);
+
+impl std::ops::Deref for FrameHeader {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[..self.1]
+    }
+}
+
+/// The header of a frame carrying `len` payload bytes: `len:u32be`, or
+/// `len:u32be kind:u8` when `kind` is given — the two layouts
+/// [`LengthFramer`] reads.  `max` is the receiving framer's cap; a
+/// longer payload is `InvalidInput` here, before anything is written,
+/// rather than a frame the receiver rejects mid-stream.
+pub fn frame_header(len: usize, kind: Option<u8>, max: usize) -> io::Result<FrameHeader> {
+    let prefix = u32::try_from(len).ok().filter(|_| len <= max).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the receiver's {max}-byte limit"),
+        )
+    })?;
+    let mut bytes = [0u8; 5];
+    bytes[..4].copy_from_slice(&prefix.to_be_bytes());
+    if let Some(kind) = kind {
+        bytes[4] = kind;
+    }
+    Ok(FrameHeader(bytes, 4 + usize::from(kind.is_some())))
+}
+
 /// Drive a [`LengthFramer`] from a blocking reader: the thin wrapper the
 /// pre-event-loop transports keep their APIs with.
 ///
@@ -177,6 +209,26 @@ mod tests {
         v.push(kind);
         v.extend_from_slice(payload);
         v
+    }
+
+    #[test]
+    fn frame_header_allows_max_and_refuses_one_more() {
+        for kind in [None, Some(9)] {
+            let hdr = frame_header(64, kind, 64).unwrap();
+            let mut f = if kind.is_some() {
+                LengthFramer::with_kind_byte(64)
+            } else {
+                LengthFramer::new(64)
+            };
+            f.push(&hdr);
+            f.push(&[0xab; 64]);
+            assert_eq!(f.next_frame().unwrap(), Some((kind.unwrap_or(0), vec![0xab; 64])));
+
+            let err = frame_header(65, kind, 64).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{kind:?}");
+        }
+        assert_eq!(&*frame_header(5, None, 64).unwrap(), &[0, 0, 0, 5]);
+        assert_eq!(&*frame_header(5, Some(2), 64).unwrap(), &[0, 0, 0, 5, 2]);
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! The workspace's shared lock helpers behind a loom swap point.
+//! The workspace's one way to take a blocking lock: `sync::lock`,
+//! `sync::read`, `sync::write`, `sync::wait`, `sync::wait_timeout`.
+//! One set of entry points lets the lock-order analyzer (`openmeta
+//! protolint`) see every acquisition; `cargo xtask analyze` rejects a
+//! bare `.lock()`, `.read()` or `.write()` anywhere else in library
+//! code.  It lives in `openmeta-obs`, the crate everything depends on.
 //!
-//! Normal builds use `std::sync`; under `RUSTFLAGS="--cfg loom"` the
-//! same names resolve to loom's model-checked versions, so locking in
-//! every crate that routes through this module runs unchanged inside
-//! `loom::model` schedule exploration (`cargo xtask loom`).
-//!
-//! This is deliberately the *only* lock-helper module in the workspace:
-//! `openmeta-net`, `openmeta-ohttp`, `openmeta-pbio` and `openmeta-echo`
-//! re-export it as their `sync` module rather than carrying copies, so
-//! the lock-order analyzer (`openmeta protolint`, engine 2) has a single
-//! set of acquisition entry points — `sync::lock`, `sync::wait`,
-//! `sync::wait_timeout` — to key on.  `openmeta-obs` hosts it because it
-//! is the workspace's base crate (everything else already depends on it).
+//! Under `RUSTFLAGS="--cfg loom"`, `Mutex` and `Condvar` resolve to
+//! loom's model-checked versions (`cargo xtask loom`).  `RwLock` is
+//! std's under both cfgs: no loom model uses a reader-writer lock.
 //!
 //! The helpers also centralize poison recovery: a holder that panics
 //! only ever does so between two consistent single-step states in every
@@ -22,6 +18,7 @@
 pub use loom::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub use std::sync::{Condvar, Mutex, MutexGuard};
+pub use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use std::sync::PoisonError;
 use std::time::Duration;
@@ -29,6 +26,16 @@ use std::time::Duration;
 /// Acquire `m`, recovering the guard if a previous holder panicked.
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Share `l` for reading, recovering the guard if a writer panicked.
+pub fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take `l` for writing, recovering the guard if a previous holder panicked.
+pub fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Exclusive access through `&mut`, recovering from poisoning.

@@ -25,7 +25,6 @@ pub mod pool;
 pub mod request;
 pub mod server;
 pub mod source;
-pub(crate) mod sync;
 pub mod url;
 
 pub use client::{http_get, http_get_conditional, read_response, Fetch, RawResponse, Response};

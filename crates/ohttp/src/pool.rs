@@ -26,8 +26,8 @@ use crate::client::{
     CONNECT_TIMEOUT, IO_TIMEOUT,
 };
 use crate::error::HttpError;
-use crate::sync;
 use crate::url::Url;
+use openmeta_obs::sync;
 
 /// A capped, per-key store of idle reusable resources — the pool's
 /// retention policy, extracted so its check-in/check-out races can be

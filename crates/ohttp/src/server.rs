@@ -33,7 +33,7 @@ use std::sync::Arc;
 use openmeta_obs::{Counter, MetricsRegistry};
 
 use openmeta_net::{Dispatch, EventHandler, Server, ServerConfig, ServerStats, TransportCounters};
-use parking_lot::RwLock;
+use openmeta_obs::sync::{self, RwLock};
 
 use crate::content_hash64;
 use crate::error::HttpError;
@@ -112,7 +112,7 @@ impl HttpServer {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
         let body = body.into();
         let doc = Document { content_type: content_type.to_string(), etag: etag_for(&body), body };
-        self.shared.content.write().insert(path, Arc::new(doc));
+        sync::write(&self.shared.content).insert(path, Arc::new(doc));
     }
 
     /// Publish an XML document (convenience for metadata hosting).
@@ -123,7 +123,7 @@ impl HttpServer {
     /// Remove a document; `true` if it existed.
     pub fn remove(&self, path: &str) -> bool {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        self.shared.content.write().remove(&path).is_some()
+        sync::write(&self.shared.content).remove(&path).is_some()
     }
 
     /// Number of requests served (for amortization experiments).
@@ -200,7 +200,7 @@ fn render(shared: &HttpShared, request: &Request) -> Vec<u8> {
             response_bytes(200, "OK", "application/json", None, Some(body.as_bytes()))
         }
         path => {
-            let doc = shared.content.read().get(path).cloned();
+            let doc = sync::read(&shared.content).get(path).cloned();
             match doc {
                 Some(doc) => {
                     let fresh = request

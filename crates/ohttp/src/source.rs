@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::RwLock;
+use openmeta_obs::sync::{self, RwLock};
 
 use crate::client::Fetch;
 use crate::error::HttpError;
@@ -64,7 +64,7 @@ impl StandardSource {
 
     /// Publish a document under `mem://key`.
     pub fn put_mem(&self, key: &str, text: impl Into<String>) {
-        self.mem.write().insert(format!("/{}", key.trim_start_matches('/')), text.into());
+        sync::write(&self.mem).insert(format!("/{}", key.trim_start_matches('/')), text.into());
     }
 
     /// Connection-pool counters for the `http://` leg.
@@ -101,9 +101,7 @@ impl DocumentSource for StandardSource {
                         HttpError::Io(e.to_string())
                     }
                 }),
-            "mem" => self
-                .mem
-                .read()
+            "mem" => sync::read(&self.mem)
                 .get(&url.path)
                 .cloned()
                 .map(|text| Fetched::New { text, etag: None })

@@ -72,7 +72,6 @@ pub mod pool;
 pub mod record;
 pub mod registry;
 pub mod server;
-pub(crate) mod sync;
 pub mod types;
 pub mod value;
 pub mod verify;

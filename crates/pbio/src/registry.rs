@@ -9,8 +9,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use openmeta_obs::sync::{self, RwLock};
 use openmeta_obs::{Counter, MetricsRegistry};
-use parking_lot::RwLock;
 
 use crate::error::PbioError;
 use crate::format::{FormatDescriptor, FormatId, FormatSpec};
@@ -120,7 +120,7 @@ impl FormatRegistry {
     /// existing descriptor (registration is idempotent).
     pub fn register(&self, spec: FormatSpec) -> Result<Arc<FormatDescriptor>, PbioError> {
         let descriptor = {
-            let inner = self.inner.read();
+            let inner = sync::read(&self.inner);
             FormatDescriptor::resolve(&spec, self.machine, &|name| {
                 inner.by_name.get(name).cloned()
             })?
@@ -143,7 +143,7 @@ impl FormatRegistry {
         // case (every sender re-announces its formats), and it should not
         // serialize against concurrent lookups.
         {
-            let inner = self.inner.read();
+            let inner = sync::read(&self.inner);
             if let Some(existing) = inner.by_id.get(&id) {
                 if **existing == descriptor {
                     let existing = existing.clone();
@@ -154,7 +154,9 @@ impl FormatRegistry {
                             .is_some_and(|bound| Arc::ptr_eq(bound, &existing));
                     drop(inner);
                     if !name_current {
-                        self.inner.write().by_name.insert(existing.name.clone(), existing.clone());
+                        sync::write(&self.inner)
+                            .by_name
+                            .insert(existing.name.clone(), existing.clone());
                     }
                     return existing;
                 }
@@ -168,7 +170,7 @@ impl FormatRegistry {
         // thread may have inserted the same content meanwhile) so racing
         // registrations share one Arc.
         let arc = Arc::new(descriptor);
-        let mut inner = self.inner.write();
+        let mut inner = sync::write(&self.inner);
         let entry = match inner.by_id.get(&id) {
             Some(existing) if **existing == *arc => existing.clone(),
             _ => {
@@ -184,17 +186,17 @@ impl FormatRegistry {
 
     /// Latest format registered under `name`.
     pub fn lookup_name(&self, name: &str) -> Option<Arc<FormatDescriptor>> {
-        self.inner.read().by_name.get(name).cloned()
+        sync::read(&self.inner).by_name.get(name).cloned()
     }
 
     /// Format with content id `id` (any version, any machine model).
     pub fn lookup_id(&self, id: FormatId) -> Option<Arc<FormatDescriptor>> {
-        self.inner.read().by_id.get(&id).cloned()
+        sync::read(&self.inner).by_id.get(&id).cloned()
     }
 
     /// Number of distinct format versions known.
     pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        sync::read(&self.inner).by_id.len()
     }
 
     /// `true` when no formats are registered.
@@ -204,7 +206,7 @@ impl FormatRegistry {
 
     /// Names currently bound, sorted (for diagnostics and tools).
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.read().by_name.keys().cloned().collect();
+        let mut v: Vec<String> = sync::read(&self.inner).by_name.keys().cloned().collect();
         v.sort();
         v
     }
@@ -221,7 +223,7 @@ impl FormatRegistry {
         desc: &Arc<FormatDescriptor>,
         id: FormatId,
     ) -> Result<Arc<EncodePlan>, PbioError> {
-        if let Some(plan) = self.plans.read().encode.get(&id) {
+        if let Some(plan) = sync::read(&self.plans).encode.get(&id) {
             self.plan_hits.inc();
             return Ok(plan.clone());
         }
@@ -239,7 +241,7 @@ impl FormatRegistry {
                 });
             }
         }
-        Ok(self.plans.write().encode.entry(id).or_insert(plan).clone())
+        Ok(sync::write(&self.plans).encode.entry(id).or_insert(plan).clone())
     }
 
     /// The compiled conversion plan for a (sender, receiver) pair, cached
@@ -250,7 +252,7 @@ impl FormatRegistry {
         target: &Arc<FormatDescriptor>,
     ) -> Result<Arc<ConvertPlan>, PbioError> {
         let key = (sender.id(), target.id());
-        if let Some(plan) = self.plans.read().convert.get(&key) {
+        if let Some(plan) = sync::read(&self.plans).convert.get(&key) {
             self.plan_hits.inc();
             return Ok(plan.clone());
         }
@@ -266,7 +268,7 @@ impl FormatRegistry {
                 });
             }
         }
-        Ok(self.plans.write().convert.entry(key).or_insert(plan).clone())
+        Ok(sync::write(&self.plans).convert.entry(key).or_insert(plan).clone())
     }
 
     /// The borrowed-decode plan for a (sender, receiver) pair, or `None`
@@ -284,7 +286,7 @@ impl FormatRegistry {
         target: &Arc<FormatDescriptor>,
     ) -> Result<Option<Arc<ViewPlan>>, PbioError> {
         let key = (sender.id(), target.id());
-        if let Some(cached) = self.plans.read().view.get(&key) {
+        if let Some(cached) = sync::read(&self.plans).view.get(&key) {
             self.plan_hits.inc();
             return Ok(cached.clone());
         }
@@ -305,7 +307,7 @@ impl FormatRegistry {
             }
             None => None,
         };
-        Ok(self.plans.write().view.entry(key).or_insert(entry).clone())
+        Ok(sync::write(&self.plans).view.entry(key).or_insert(entry).clone())
     }
 
     /// Cumulative plan-cache hit/miss counters.

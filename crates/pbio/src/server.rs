@@ -20,15 +20,15 @@
 //! persistent connection with retry-with-backoff connects and a single
 //! transparent reconnect when the held connection has gone stale.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-use crate::sync::{self, Mutex};
 use openmeta_net::{
-    connect_retrying, read_frame_blocking, Dispatch, EventHandler, LengthFramer, Server,
-    ServerConfig, ServerStats, TransportConfig, TransportCounters,
+    connect_retrying, frame_header, read_frame_blocking, write_all_vectored, Dispatch,
+    EventHandler, LengthFramer, Server, ServerConfig, ServerStats, TransportConfig,
+    TransportCounters,
 };
+use openmeta_obs::sync::{self, Mutex};
 
 use crate::codec::{decode_descriptor, encode_descriptor};
 use crate::error::PbioError;
@@ -45,15 +45,11 @@ const ST_ERROR: u8 = 2;
 /// Maximum frame size accepted by either side (defensive bound).
 const MAX_FRAME: usize = 16 << 20;
 
-/// Write one frame as a single buffered write (length prefix and payload
-/// in one segment, so Nagle never parks the payload behind a delayed ACK).
+/// Write one frame in one gather-write (length prefix and payload in one
+/// segment, so Nagle never parks the payload behind a delayed ACK).
 pub(crate) fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), PbioError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| PbioError::Server("frame too large".to_string()))?;
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
-    stream.write_all(&out)?;
+    let header = frame_header(payload.len(), None, MAX_FRAME)?;
+    write_all_vectored(stream, &[&header, payload])?;
     Ok(())
 }
 
@@ -141,10 +137,7 @@ impl EventHandler for FormatConn {
                 let _span = openmeta_obs::span!("server.request");
                 handle_request(&payload, &self.store)
             };
-            let len = u32::try_from(reply.len()).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "reply frame too large")
-            })?;
-            out.extend_from_slice(&len.to_be_bytes());
+            out.extend_from_slice(&frame_header(reply.len(), None, MAX_FRAME)?);
             out.extend_from_slice(&reply);
             dispatch.requests += 1;
         }

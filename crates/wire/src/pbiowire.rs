@@ -1,7 +1,8 @@
 //! PBIO as a `WireFormat` — the system under test in Figure 8.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use openmeta_obs::sync::{self, Mutex};
 use openmeta_pbio::{decode_with, Encoder, FormatDescriptor, FormatRegistry, RawRecord};
 
 use crate::error::WireError;
@@ -28,7 +29,7 @@ impl WireFormat for PbioWire {
     }
 
     fn encode(&self, rec: &RawRecord, out: &mut Vec<u8>) -> Result<usize, WireError> {
-        let mut enc = self.encoder.lock().expect("encoder mutex poisoned");
+        let mut enc = sync::lock(&self.encoder);
         Ok(enc.encode_into(rec, out)?)
     }
 

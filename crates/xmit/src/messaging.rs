@@ -18,8 +18,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use openmeta_net::{
-    connect_retrying, harden_stream, read_frame_blocking, write_all_vectored, LengthFramer,
-    TransportConfig,
+    connect_retrying, harden_stream, read_frame_blocking, write_all_vectored, FrameHeader,
+    LengthFramer, TransportConfig,
 };
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::{
@@ -36,14 +36,10 @@ pub(crate) const FRAME_FORMAT: u8 = 1;
 pub(crate) const FRAME_RECORD: u8 = 2;
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 
-/// Frame header: `len:u32be kind:u8`, built on the stack.
-fn frame_header(kind: u8, payload: &[u8]) -> Result<[u8; 5], XmitError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| XmitError::Bcm(PbioError::Io("frame too large".to_string())))?;
-    let mut hdr = [0u8; 5];
-    hdr[0..4].copy_from_slice(&len.to_be_bytes());
-    hdr[4] = kind;
-    Ok(hdr)
+/// Frame header: `len:u32be kind:u8`, refused when the receiver's
+/// framer would reject `payload` as over [`MAX_FRAME`].
+fn frame_header(kind: u8, payload: &[u8]) -> Result<FrameHeader, XmitError> {
+    Ok(openmeta_net::frame_header(payload.len(), Some(kind), MAX_FRAME).map_err(PbioError::from)?)
 }
 
 fn write_frame(stream: &mut TcpStream, kind: u8, payload: &[u8]) -> Result<(), XmitError> {

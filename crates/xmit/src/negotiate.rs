@@ -41,11 +41,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use openmeta_obs::sync::{self, RwLock};
 use openmeta_obs::{Counter, MetricsRegistry};
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::verify::verify_convert_plan;
 use openmeta_pbio::{FormatDescriptor, FormatId, FormatRegistry, PbioError};
-use parking_lot::RwLock;
 
 use crate::error::XmitError;
 use crate::evolution::{diff_descriptors, Compatibility, EvolutionReport, FieldChange};
@@ -403,12 +403,12 @@ impl NegotiationCache {
 
     /// Distinct (sender, receiver) pairs decided so far.
     pub fn len(&self) -> usize {
-        self.pairs.read().len()
+        sync::read(&self.pairs).len()
     }
 
     /// `true` when no pair has been decided yet.
     pub fn is_empty(&self) -> bool {
-        self.pairs.read().is_empty()
+        sync::read(&self.pairs).is_empty()
     }
 
     /// Decide (or replay) the verdict for one pair.  On first contact
@@ -425,7 +425,7 @@ impl NegotiationCache {
         receiver: &Arc<FormatDescriptor>,
     ) -> Result<PairVerdict, XmitError> {
         let key = (sender.id(), receiver.id());
-        if let Some(cached) = self.pairs.read().get(&key) {
+        if let Some(cached) = sync::read(&self.pairs).get(&key) {
             self.hits.inc();
             return match &cached.reject {
                 None => Ok(cached.verdict),
@@ -465,7 +465,7 @@ impl NegotiationCache {
             None => Ok(verdict),
             Some(reason) => Err(XmitError::Negotiation(reason.clone())),
         };
-        self.pairs.write().entry(key).or_insert(CachedPair { verdict, reject });
+        sync::write(&self.pairs).entry(key).or_insert(CachedPair { verdict, reject });
         outcome
     }
 

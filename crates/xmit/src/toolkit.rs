@@ -4,9 +4,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use openmeta_obs::sync::{self, RwLock};
 use openmeta_obs::{clock, Counter, MetricsRegistry};
-
-use parking_lot::RwLock;
 
 use openmeta_ohttp::{content_hash64, DocumentSource, Fetched, StandardSource, Url};
 use openmeta_pbio::server::FormatServerClient;
@@ -176,6 +175,61 @@ struct Bound {
     deps: Arc<[String]>,
 }
 
+/// Everything discovery and binding read or write.  It sits under one
+/// lock so that a bind and an install are ordered: an install either
+/// lands before a bind reads a definition, or drops the binding that
+/// bind cached.
+#[derive(Default)]
+struct State {
+    /// Loaded complex types, latest definition per name.
+    types: HashMap<String, ComplexType>,
+    /// Loaded enumerations, latest definition per name.
+    enums: HashMap<String, EnumType>,
+    /// URL → cached parse with its HTTP validator and content hash.
+    schema_cache: HashMap<String, SchemaCacheEntry>,
+    /// Content hash → cached parse, deduplicating identical documents
+    /// served from different URLs.
+    content_index: HashMap<u64, Arc<ParsedDoc>>,
+    /// Successfully bound formats by type name, so repeat binds are a
+    /// lookup instead of a re-map + re-register.  An entry is dropped
+    /// when the definition of any name it was built from actually
+    /// changes, so a composition re-binds when a dependency evolves and
+    /// every other binding stays cached.
+    bound: HashMap<String, Bound>,
+    /// Freshness window within which cached entries skip the network
+    /// entirely.  `None` (the default) always revalidates.
+    cache_ttl: Option<Duration>,
+}
+
+impl State {
+    /// Make `types` and `enums` the latest definitions of their names,
+    /// then drop every cached binding built from a name whose definition
+    /// actually changed, counting them in `invalidated`.
+    fn install(&mut self, types: &[ComplexType], enums: &[EnumType], invalidated: &Counter) {
+        let mut changed = Vec::new();
+        for ct in types {
+            if self.types.get(&ct.name) != Some(ct) {
+                self.types.insert(ct.name.clone(), ct.clone());
+                changed.push(ct.name.as_str());
+            }
+        }
+        for en in enums {
+            if self.enums.get(&en.name) != Some(en) {
+                self.enums.insert(en.name.clone(), en.clone());
+                changed.push(en.name.as_str());
+            }
+        }
+        if changed.is_empty() {
+            return;
+        }
+        let before = self.bound.len();
+        self.bound.retain(|_, b| {
+            !changed.iter().any(|&n| b.deps.binary_search_by(|d| d.as_str().cmp(n)).is_ok())
+        });
+        invalidated.add((before - self.bound.len()) as u64);
+    }
+}
+
 /// The XMIT toolkit instance.
 ///
 /// Holds loaded (but not yet bound) complex types, a PBIO format registry
@@ -185,29 +239,14 @@ pub struct Xmit {
     registry: Arc<FormatRegistry>,
     standard: Arc<StandardSource>,
     custom: Option<Arc<dyn DocumentSource>>,
-    /// Loaded complex types, latest definition per name.
-    types: RwLock<HashMap<String, ComplexType>>,
-    /// Loaded enumerations, latest definition per name.
-    enums: RwLock<HashMap<String, EnumType>>,
-    /// URL → type names it defined at last load (for refresh bookkeeping).
-    documents: RwLock<HashMap<String, Vec<String>>>,
-    /// URL → cached parse with its HTTP validator and content hash.
-    schema_cache: RwLock<HashMap<String, SchemaCacheEntry>>,
-    /// Content hash → cached parse, deduplicating identical documents
-    /// served from different URLs.
-    content_index: RwLock<HashMap<u64, Arc<ParsedDoc>>>,
-    /// Successfully bound formats by type name, so repeat binds are a
-    /// lookup instead of a re-map + re-register.  An entry is dropped
-    /// when the definition of any name it was built from actually
-    /// changes, so a composition re-binds when a dependency evolves and
-    /// every other binding stays cached.
-    bound: RwLock<HashMap<String, Bound>>,
-    /// Freshness window within which cached entries skip the network
-    /// entirely.  `None` (the default) always revalidates.
-    cache_ttl: RwLock<Option<Duration>>,
+    /// Discovery and binding state.  Never held across a fetch or a
+    /// parse.
+    state: RwLock<State>,
     cache_counters: CacheCounters,
     binding_counters: BindingCounters,
     /// Optional format server for resolving unknown format ids on decode.
+    /// A lock of its own: publishing and resolving hold it across a
+    /// network round trip.
     format_server: RwLock<Option<FormatServerClient>>,
 }
 
@@ -219,13 +258,7 @@ impl Xmit {
             registry: Arc::new(FormatRegistry::new(machine)),
             standard: Arc::new(StandardSource::new()),
             custom: None,
-            types: RwLock::new(HashMap::new()),
-            enums: RwLock::new(HashMap::new()),
-            documents: RwLock::new(HashMap::new()),
-            schema_cache: RwLock::new(HashMap::new()),
-            content_index: RwLock::new(HashMap::new()),
-            bound: RwLock::new(HashMap::new()),
-            cache_ttl: RwLock::new(None),
+            state: RwLock::new(State::default()),
             cache_counters: CacheCounters::default(),
             binding_counters: BindingCounters::default(),
             format_server: RwLock::new(None),
@@ -247,25 +280,16 @@ impl Xmit {
         &self.standard
     }
 
-    fn fetch(&self, url: &Url) -> Result<String, XmitError> {
-        match &self.custom {
-            Some(s) => Ok(s.fetch(url)?),
-            None => Ok(self.standard.fetch(url)?),
-        }
-    }
-
-    fn fetch_conditional(&self, url: &Url, etag: Option<&str>) -> Result<Fetched, XmitError> {
-        match &self.custom {
-            Some(s) => Ok(s.fetch_conditional(url, etag)?),
-            None => Ok(self.standard.fetch_conditional(url, etag)?),
-        }
+    /// The source discovery fetches through: the caller's, if given.
+    fn discovery_source(&self) -> &dyn DocumentSource {
+        self.custom.as_deref().unwrap_or(&*self.standard)
     }
 
     /// Fetch a document's text through the toolkit's source without
     /// loading it (used by [`crate::watcher::FormatWatcher`] to detect
     /// changes).
     pub fn fetch_document(&self, url: &Url) -> Result<String, XmitError> {
-        self.fetch(url)
+        Ok(self.discovery_source().fetch(url)?)
     }
 
     /// Set the freshness window for the discovery cache.  Within `ttl` of
@@ -273,7 +297,7 @@ impl Xmit {
     /// without any network traffic; `None` (the default) revalidates on
     /// every load.
     pub fn set_cache_ttl(&self, ttl: Option<Duration>) {
-        *self.cache_ttl.write() = ttl;
+        sync::write(&self.state).cache_ttl = ttl;
     }
 
     /// Discovery-cache counters since construction (or the last reset).
@@ -320,27 +344,30 @@ impl Xmit {
 
         // TTL-fresh: answer from cache with no network traffic at all.
         if allow_fresh {
-            if let Some(ttl) = *self.cache_ttl.read() {
-                if let Some(doc) = self.schema_cache.read().get(url).and_then(|entry| {
-                    (entry.fetched_at.elapsed() <= ttl).then(|| entry.doc.clone())
-                }) {
-                    self.apply_doc(&doc, url);
-                    self.cache_counters.fresh_hits.inc();
-                    return Ok(LoadOutcome::Fresh(doc.names.clone()));
-                }
+            let fresh = {
+                let st = sync::read(&self.state);
+                let entry = st.cache_ttl.and_then(|ttl| {
+                    st.schema_cache.get(url).filter(|e| e.fetched_at.elapsed() <= ttl)
+                });
+                entry.map(|e| e.doc.clone())
+            };
+            if let Some(doc) = fresh {
+                self.install(&doc.types, &doc.enums);
+                self.cache_counters.fresh_hits.inc();
+                return Ok(LoadOutcome::Fresh(doc.names.clone()));
             }
         }
 
-        let etag = self.schema_cache.read().get(url).and_then(|e| e.etag.clone());
+        let etag = sync::read(&self.state).schema_cache.get(url).and_then(|e| e.etag.clone());
         let fetched = {
             let _span = openmeta_obs::span!("discovery.fetch");
-            self.fetch_conditional(&parsed, etag.as_deref())?
+            self.discovery_source().fetch_conditional(&parsed, etag.as_deref())?
         };
         match fetched {
             Fetched::NotModified => {
                 let doc = {
-                    let mut cache = self.schema_cache.write();
-                    let entry = cache.get_mut(url).ok_or_else(|| {
+                    let mut st = sync::write(&self.state);
+                    let entry = st.schema_cache.get_mut(url).ok_or_else(|| {
                         XmitError::Discovery(openmeta_ohttp::HttpError::BadResponse(
                             "304 Not Modified for a URL never cached".to_string(),
                         ))
@@ -348,7 +375,7 @@ impl Xmit {
                     entry.fetched_at = clock::now();
                     entry.doc.clone()
                 };
-                self.apply_doc(&doc, url);
+                self.install(&doc.types, &doc.enums);
                 self.cache_counters.revalidated.inc();
                 Ok(LoadOutcome::Revalidated(doc.names.clone()))
             }
@@ -356,23 +383,21 @@ impl Xmit {
                 let hash = content_hash64(text.as_bytes());
                 // Dedupe against this URL's previous body or any other
                 // URL that served identical bytes.
-                let cached = self
-                    .schema_cache
-                    .read()
-                    .get(url)
-                    .filter(|e| e.hash == hash)
-                    .map(|e| e.doc.clone())
-                    .or_else(|| self.content_index.read().get(&hash).cloned());
+                let cached = {
+                    let st = sync::read(&self.state);
+                    st.schema_cache
+                        .get(url)
+                        .filter(|e| e.hash == hash)
+                        .map(|e| e.doc.clone())
+                        .or_else(|| st.content_index.get(&hash).cloned())
+                };
                 if let Some(doc) = cached {
-                    self.store_entry(url, new_etag, hash, doc.clone());
-                    self.apply_doc(&doc, url);
+                    self.store(url, new_etag, hash, &doc);
                     self.cache_counters.content_hits.inc();
                     return Ok(LoadOutcome::Unchanged(doc.names.clone()));
                 }
                 let doc = Arc::new(Self::parse_doc(&text)?);
-                self.store_entry(url, new_etag, hash, doc.clone());
-                self.content_index.write().insert(hash, doc.clone());
-                self.apply_doc(&doc, url);
+                self.store(url, new_etag, hash, &doc);
                 self.cache_counters.misses.inc();
                 Ok(LoadOutcome::Loaded(doc.names.clone()))
             }
@@ -387,53 +412,21 @@ impl Xmit {
     }
 
     /// (Re-)apply a parsed document's definitions.  Cache hits go through
-    /// here too: the `types`/`enums` maps hold the *latest* definition per
-    /// name, and a cached load must win over whatever another document
-    /// installed since.
-    fn apply_doc(&self, doc: &ParsedDoc, url: &str) {
-        self.install(&doc.types, &doc.enums);
-        self.documents.write().insert(url.to_string(), doc.names.clone());
-    }
-
-    /// Make `types` and `enums` the latest definitions of their names,
-    /// then drop every cached binding built from a name whose definition
-    /// actually changed.
+    /// here too: the state holds the *latest* definition per name, and a
+    /// cached load must win over whatever another document installed
+    /// since.
     fn install(&self, types: &[ComplexType], enums: &[EnumType]) {
-        let mut changed = Vec::new();
-        {
-            let mut map = self.types.write();
-            for ct in types {
-                if map.get(&ct.name) != Some(ct) {
-                    map.insert(ct.name.clone(), ct.clone());
-                    changed.push(ct.name.as_str());
-                }
-            }
-        }
-        {
-            let mut map = self.enums.write();
-            for en in enums {
-                if map.get(&en.name) != Some(en) {
-                    map.insert(en.name.clone(), en.clone());
-                    changed.push(en.name.as_str());
-                }
-            }
-        }
-        if changed.is_empty() {
-            return;
-        }
-        let mut bound = self.bound.write();
-        let before = bound.len();
-        bound.retain(|_, b| {
-            !changed.iter().any(|&n| b.deps.binary_search_by(|d| d.as_str().cmp(n)).is_ok())
-        });
-        self.binding_counters.invalidated.add((before - bound.len()) as u64);
+        sync::write(&self.state).install(types, enums, &self.binding_counters.invalidated);
     }
 
-    fn store_entry(&self, url: &str, etag: Option<String>, hash: u64, doc: Arc<ParsedDoc>) {
-        self.schema_cache.write().insert(
-            url.to_string(),
-            SchemaCacheEntry { etag, hash, doc, fetched_at: clock::now() },
-        );
+    /// Cache `doc` as `url`'s parse and under its content hash, and
+    /// install its definitions, under one write lock.
+    fn store(&self, url: &str, etag: Option<String>, hash: u64, doc: &Arc<ParsedDoc>) {
+        let mut st = sync::write(&self.state);
+        st.content_index.entry(hash).or_insert_with(|| doc.clone());
+        let entry = SchemaCacheEntry { etag, hash, doc: doc.clone(), fetched_at: clock::now() };
+        st.schema_cache.insert(url.to_string(), entry);
+        st.install(&doc.types, &doc.enums, &self.binding_counters.invalidated);
     }
 
     /// Load definitions from already-fetched XML text.
@@ -451,19 +444,19 @@ impl Xmit {
 
     /// Names of all loaded complex types, sorted.
     pub fn loaded_types(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.types.read().keys().cloned().collect();
+        let mut v: Vec<String> = sync::read(&self.state).types.keys().cloned().collect();
         v.sort();
         v
     }
 
     /// Look at a loaded (unbound) definition.
     pub fn definition(&self, name: &str) -> Option<ComplexType> {
-        self.types.read().get(name).cloned()
+        sync::read(&self.state).types.get(name).cloned()
     }
 
     /// Look at a loaded enumeration definition.
     pub fn enumeration(&self, name: &str) -> Option<EnumType> {
-        self.enums.read().get(name).cloned()
+        sync::read(&self.state).enums.get(name).cloned()
     }
 
     /// Wire value of an enumeration symbol (its declaration index).
@@ -490,15 +483,31 @@ impl Xmit {
     /// binding composed types first) and register it.
     pub fn bind(&self, name: &str) -> Result<BindingToken, XmitError> {
         let _span = openmeta_obs::span!("binding.bind");
-        let mut visiting = Vec::new();
-        let bound = self.bind_inner(name, &mut visiting)?;
-        Ok(BindingToken { type_name: name.to_string(), format: bound.format })
+        let hit = sync::read(&self.state).bound.get(name).map(|b| b.format.clone());
+        let format = match hit {
+            Some(format) => {
+                self.binding_counters.hits.inc();
+                format
+            }
+            None => {
+                let mut st = sync::write(&self.state);
+                self.bind_locked(&mut st, name, &mut Vec::new())?.format
+            }
+        };
+        Ok(BindingToken { type_name: name.to_string(), format })
     }
 
-    fn bind_inner(&self, name: &str, visiting: &mut Vec<String>) -> Result<Bound, XmitError> {
-        if let Some(hit) = self.bound.read().get(name).cloned() {
+    /// Bind `name` over state the caller holds for writing, so the
+    /// definitions it reads and the bindings it caches are one snapshot.
+    fn bind_locked(
+        &self,
+        st: &mut State,
+        name: &str,
+        visiting: &mut Vec<String>,
+    ) -> Result<Bound, XmitError> {
+        if let Some(hit) = st.bound.get(name) {
             self.binding_counters.hits.inc();
-            return Ok(hit);
+            return Ok(hit.clone());
         }
         self.binding_counters.misses.inc();
         if visiting.iter().any(|v| v == name) {
@@ -507,12 +516,8 @@ impl Xmit {
                 visiting.join(" -> ")
             )));
         }
-        let ct = self
-            .types
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| XmitError::UnknownType(name.to_string()))?;
+        let ct =
+            st.types.get(name).cloned().ok_or_else(|| XmitError::UnknownType(name.to_string()))?;
         visiting.push(name.to_string());
         // Bind composed types first so registry resolution succeeds;
         // enumeration references map to a scalar and need no binding.
@@ -520,20 +525,19 @@ impl Xmit {
         for e in &ct.elements {
             if let TypeRef::Named(n) = &e.type_ref {
                 deps.push(n.clone());
-                if self.enums.read().contains_key(n) {
+                if st.enums.contains_key(n) {
                     continue;
                 }
-                deps.extend_from_slice(&self.bind_inner(n, visiting)?.deps);
+                deps.extend_from_slice(&self.bind_locked(st, n, visiting)?.deps);
             }
         }
         visiting.pop();
         deps.sort_unstable();
         deps.dedup();
-        let enums = self.enums.read();
-        let spec = map_type_with_enums(&ct, &self.registry.machine(), &|n| enums.contains_key(n))?;
-        drop(enums);
+        let spec =
+            map_type_with_enums(&ct, &self.registry.machine(), &|n| st.enums.contains_key(n))?;
         let bound = Bound { format: self.registry.register(spec)?, deps: deps.into() };
-        self.bound.write().insert(name.to_string(), bound.clone());
+        st.bound.insert(name.to_string(), bound.clone());
         Ok(bound)
     }
 
@@ -553,13 +557,13 @@ impl Xmit {
 
     /// Attach the format server decode should resolve unknown ids from.
     pub fn attach_format_server(&self, addr: std::net::SocketAddr) {
-        *self.format_server.write() = Some(FormatServerClient::connect(addr));
+        *sync::write(&self.format_server) = Some(FormatServerClient::connect(addr));
     }
 
     /// Publish a bound format's descriptor to the attached server so
     /// remote components can resolve it by id.
     pub fn publish_format(&self, token: &BindingToken) -> Result<FormatId, XmitError> {
-        let guard = self.format_server.read();
+        let guard = sync::read(&self.format_server);
         let client = guard
             .as_ref()
             .ok_or_else(|| XmitError::Binding("no format server attached".to_string()))?;
@@ -571,7 +575,7 @@ impl Xmit {
     pub fn decode_resolving(&self, wire: &[u8]) -> Result<RawRecord, XmitError> {
         let header = openmeta_pbio::marshal::parse_header(wire)?;
         if self.registry.lookup_id(header.format_id).is_none() {
-            let guard = self.format_server.read();
+            let guard = sync::read(&self.format_server);
             let client = guard.as_ref().ok_or(XmitError::Bcm(
                 openmeta_pbio::PbioError::UnknownFormatId(header.format_id.0),
             ))?;

@@ -13,7 +13,9 @@
 //! missing `#![deny(unsafe_code)]`, `unsafe` or `allow(unsafe_code)`
 //! anywhere but the `poll(2)` binding, blocking socket I/O inside an
 //! event-loop module, a hand-rolled frame read loop — `.bytes_needed()`
-//! outside `crates/net`/`crates/analyzer`), on any curated clippy lint,
+//! outside `crates/net`/`crates/analyzer`, a lock taken with a bare
+//! zero-argument `lock`/`read`/`write` call instead of through
+//! `openmeta_obs::sync`), on any curated clippy lint,
 //! on any error-severity `planlint` diagnostic over `fixtures/schemas/`,
 //! and on any `protolint` diagnostic: the sans-io explorer, lock-order
 //! graph, and wire-input taint lint must all pass on the real tree,
@@ -70,6 +72,11 @@ const DENY_UNSAFE: &[&str] = &[
 /// scanned, except this tool's own, whose lint messages and test
 /// inputs spell the keyword.
 const UNSAFE_ALLOWED: &str = "crates/net/src/sys.rs";
+
+/// The one file that may call a lock's own `lock`/`read`/`write`: the
+/// `openmeta_obs::sync` helpers, which every other site goes through so
+/// the lock-order analyzer sees it.
+const LOCK_HOME: &str = "crates/obs/src/sync.rs";
 
 /// Curated clippy deny set layered on top of `-D warnings`.
 const CLIPPY_DENY: &[&str] =
@@ -383,6 +390,14 @@ struct LintOpts {
 /// comment-only lines are ignored.
 fn lint_source(rel: &str, text: &str, opts: LintOpts) -> Vec<String> {
     let mut violations = Vec::new();
+    // Ways round `openmeta_obs::sync`: a lock's own zero-argument method,
+    // or the deleted vendored lock shim.  Assembled at run time so this
+    // file does not match its own lint.
+    let mut lock_bypasses = ["lock", "read", "write"].map(|m| format!(".{m}()")).to_vec();
+    lock_bypasses.push(concat!("parking", "_lot::").to_string());
+    if rel.replace('\\', "/") == LOCK_HOME {
+        lock_bypasses.clear();
+    }
     let mut in_test = false;
     let mut depth: i64 = 0;
     let mut entered_body = false;
@@ -432,6 +447,12 @@ fn lint_source(rel: &str, text: &str, opts: LintOpts) -> Vec<String> {
             violations.push(format!(
                 "{rel}:{lineno}: hand-rolled frame read loop (`.bytes_needed()`) — drive \
                  frames with net::read_frame_blocking"
+            ));
+        }
+        for pat in lock_bypasses.iter().filter(|p| line.contains(p.as_str())) {
+            violations.push(format!(
+                "{rel}:{lineno}: `{pat}` takes a lock around openmeta_obs::sync — use \
+                 `sync::lock`/`sync::read`/`sync::write` so the lock-order analyzer sees it"
             ));
         }
         if opts.event_loop_module {
@@ -620,6 +641,27 @@ mod tests {
         assert!(lint_source("lib.rs", src, OPTS).is_empty());
         let exempt = LintOpts { allow_unwrap: true, ..OPTS };
         assert!(lint_source("lib.rs", "fn f() { x.unwrap() }\n", exempt).is_empty());
+    }
+
+    #[test]
+    fn bare_lock_calls_are_flagged_outside_the_lock_home() {
+        let src =
+            "pub fn f(m: &RwLock<u8>) -> u8 {\n    *m.read()\n}\n\n#[cfg(test)]\nmod tests {\n    \
+                   fn t(m: &RwLock<u8>) -> u8 { *m.read() }\n}\n";
+        let v = lint_source("crates/demo/src/lib.rs", src, OPTS);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("lib.rs:2") && v[0].contains("sync::read"), "{v:?}");
+        for call in ["m.lock()", "m.write()"] {
+            let v = lint_source("lib.rs", &format!("fn f() {{ {call}; }}\n"), OPTS);
+            assert_eq!(v.len(), 1, "{call}: {v:?}");
+        }
+        // The helpers themselves, and calls that take arguments, pass.
+        assert!(lint_source(LOCK_HOME, src, OPTS).is_empty());
+        let ok =
+            "fn f() {\n    let g = sync::read(&m);\n    s.read(&mut buf)?;\n    p.try_lock();\n}\n";
+        assert!(lint_source("lib.rs", ok, OPTS).is_empty());
+        let shim = concat!("use parking", "_lot::RwLock;\n");
+        assert_eq!(lint_source("lib.rs", shim, OPTS).len(), 1);
     }
 
     #[test]

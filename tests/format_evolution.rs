@@ -3,6 +3,9 @@
 //! without causing receivers of previous versions of the message to
 //! fail" (§5).
 
+use std::sync::{Arc, Barrier};
+use std::thread;
+
 use xmit::{HttpServer, MachineModel, Xmit};
 
 const XSD: &str = "http://www.w3.org/2001/XMLSchema";
@@ -122,4 +125,57 @@ fn renamed_field_is_a_clean_default_not_corruption() {
     assert_eq!(got.format().id(), ta.id());
     assert_eq!(got.get_string("station").unwrap(), "x");
     assert_eq!(got.get_f64("level").unwrap(), 0.0, "renamed field defaults, never aliases");
+}
+
+#[test]
+fn refresh_racing_a_bind_never_leaves_a_stale_binding() {
+    // A component refreshes a format (`load_str` of a new revision of
+    // `T`) while another thread binds it.  Whichever wins, the binding
+    // the toolkit keeps afterwards must be the new revision's.  `T`
+    // composes six parts from another document, so a bind spends most
+    // of its time binding them after it has read `T`'s definition.
+    const TRIALS: usize = 500;
+    let parts: String = (0..6)
+        .map(|k| {
+            format!(
+                r#"<xsd:complexType name="P{k}">
+                     <xsd:element name="a" type="xsd:int" />
+                     <xsd:element name="b" type="xsd:double" />
+                   </xsd:complexType>"#
+            )
+        })
+        .collect();
+    let parts = format!(r#"<xsd:schema xmlns:xsd="{XSD}">{parts}</xsd:schema>"#);
+    let t = |extra: &str| {
+        let refs: String =
+            (0..6).map(|k| format!(r#"<xsd:element name="p{k}" type="P{k}" />"#)).collect();
+        format!(r#"<xsd:complexType name="T" xmlns:xsd="{XSD}">{refs}{extra}</xsd:complexType>"#)
+    };
+    let (v1, v2) = (t(""), t(r#"<xsd:element name="flags" type="xsd:int" />"#));
+    let fresh = Xmit::new(MachineModel::native());
+    fresh.load_str(&parts).unwrap();
+    fresh.load_str(&v2).unwrap();
+    let want = fresh.bind("T").unwrap().id();
+
+    let mut stale = 0;
+    for _ in 0..TRIALS {
+        let xmit = Arc::new(Xmit::new(MachineModel::native()));
+        xmit.load_str(&parts).unwrap();
+        xmit.load_str(&v1).unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let binder = {
+            let (xmit, start) = (Arc::clone(&xmit), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                xmit.bind("T").unwrap();
+            })
+        };
+        start.wait();
+        xmit.load_str(&v2).unwrap();
+        binder.join().unwrap();
+        if xmit.bind("T").unwrap().id() != want {
+            stale += 1;
+        }
+    }
+    assert_eq!(stale, 0, "{stale} of {TRIALS} trials kept the old revision's binding");
 }
