@@ -13,11 +13,10 @@
 //! image (that frame is both the identity group's payload and the
 //! conversion source).  Each projected group then executes its
 //! conversion sub-plan — `decode_with` through the group's registry,
-//! which compiles, caches, and (in debug / `verify-plans` builds)
-//! certifies the plan via `pbio::verify` — and encodes the projected
-//! record once.  Frames are `Arc`-shared across a group's seats, so
-//! encodes per event equals the number of active groups, not the
-//! number of subscribers.
+//! which compiles, certifies (via `pbio::verify`, in every build) and
+//! caches the plan — and encodes the projected record once.  Frames
+//! are `Arc`-shared across a group's seats, so encodes per event
+//! equals the number of active groups, not the number of subscribers.
 //!
 //! Plans are additionally forced at *subscribe* time
 //! ([`FormatRegistry::convert_plan`]): a projection whose conversion
@@ -392,8 +391,8 @@ impl ChannelInner {
     /// Find or build the group for a projection spec.  Building binds
     /// the projected type, registers the full descriptor as conversion
     /// source, and forces the conversion plan through the registry's
-    /// cache — where `pbio::verify` certifies it (debug /
-    /// `verify-plans` builds) — before any subscriber is accepted.
+    /// cache — where `pbio::verify` certifies it — before any subscriber
+    /// is accepted.
     fn group_for(&self, projection: &Option<Projection>) -> Result<Arc<Group>, EchoError> {
         let Some(p) = projection else {
             return sync::lock(&self.groups)

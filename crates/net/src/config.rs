@@ -20,8 +20,6 @@ pub struct TransportConfig {
     pub read_timeout: Option<Duration>,
     /// Write deadline on established connections (`None` = block forever).
     pub write_timeout: Option<Duration>,
-    /// Disable Nagle so small frames are not parked behind delayed ACKs.
-    pub nodelay: bool,
     /// Backoff schedule for connect retries.
     pub retry: RetryPolicy,
 }
@@ -32,7 +30,6 @@ impl Default for TransportConfig {
             connect_timeout: Duration::from_secs(10),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            nodelay: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -65,14 +62,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Apply a config's deadlines and nodelay to an established stream.
+/// Apply a config's deadlines to an established stream, and disable
+/// Nagle so small frames are not parked behind delayed ACKs.
 pub fn harden_stream(stream: &TcpStream, cfg: &TransportConfig) -> io::Result<()> {
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_write_timeout(cfg.write_timeout)?;
-    if cfg.nodelay {
-        stream.set_nodelay(true)?;
-    }
-    Ok(())
+    stream.set_nodelay(true)
 }
 
 /// Resolve `addr` and connect with `cfg`'s connect deadline, trying every

@@ -5,11 +5,12 @@
 //! `Content-Length`, `Transfer-Encoding: chunked` and read-to-EOF bodies,
 //! and reports whether the connection may be reused for another request.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::error::HttpError;
+use crate::request::MAX_HEAD;
 use crate::url::Url;
 
 /// A successful HTTP response.
@@ -119,10 +120,11 @@ pub(crate) fn write_get_request(
 /// Handles `Content-Length`, `Transfer-Encoding: chunked`, bodiless
 /// statuses (1xx/204/304), and read-to-EOF (`Connection: close`) framing.
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<RawResponse, HttpError> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
+    // The status line and headers share one budget, the request side's.
+    let mut head_budget = MAX_HEAD;
+    let Some(status_line) = read_line_capped(reader, &mut head_budget)? else {
         return Err(HttpError::BadResponse("connection closed before status line".to_string()));
-    }
+    };
     let status_line = status_line.trim_end();
     let mut parts = status_line.splitn(3, ' ');
     let version = parts.next().unwrap_or("");
@@ -143,10 +145,9 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<RawResponse, HttpErro
     let mut close = false;
     let mut keep_alive = false;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let Some(line) = read_line_capped(reader, &mut head_budget)? else {
             return Err(HttpError::BadResponse("connection closed inside headers".to_string()));
-        }
+        };
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -265,18 +266,18 @@ pub fn http_get_conditional(url: &Url, etag: Option<&str>) -> Result<Fetch, Http
 pub(crate) fn read_chunked<R: BufRead>(reader: &mut R) -> Result<Vec<u8>, HttpError> {
     let mut body = Vec::new();
     loop {
-        let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
+        let mut line_budget = MAX_HEAD;
+        let Some(size_line) = read_line_capped(reader, &mut line_budget)? else {
             return Err(HttpError::BadResponse("EOF inside chunked body".to_string()));
-        }
+        };
         let size_str = size_line.trim().split(';').next().unwrap_or("").trim();
         let size = usize::from_str_radix(size_str, 16)
             .map_err(|_| HttpError::BadResponse(format!("bad chunk size '{size_str}'")))?;
         if size == 0 {
             // Trailer section ends with a blank line.
-            loop {
-                let mut t = String::new();
-                if reader.read_line(&mut t)? == 0 || t == "\r\n" || t == "\n" {
+            let mut trailer_budget = MAX_HEAD;
+            while let Some(t) = read_line_capped(reader, &mut trailer_budget)? {
+                if t == "\r\n" || t == "\n" {
                     break;
                 }
             }
@@ -292,6 +293,31 @@ pub(crate) fn read_chunked<R: BufRead>(reader: &mut R) -> Result<Vec<u8>, HttpEr
             return Err(HttpError::BadResponse("chunk not CRLF-terminated".to_string()));
         }
     }
+}
+
+/// Read one line, terminator included, charging its bytes to `budget`.
+/// `Ok(None)` is EOF before the first byte.  A line that would overrun
+/// the budget is `BadResponse`: response heads, chunk-size lines and
+/// trailers are wire-controlled, so a server streaming a line with no
+/// newline must not grow client memory without limit.
+fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    budget: &mut usize,
+) -> Result<Option<String>, HttpError> {
+    let mut line = Vec::new();
+    let n = Read::take(reader, *budget as u64).read_until(b'\n', &mut line)?;
+    if n == *budget && !line.ends_with(b"\n") {
+        return Err(HttpError::BadResponse(format!(
+            "response line runs past the {MAX_HEAD}-byte head limit"
+        )));
+    }
+    *budget -= n;
+    if n == 0 {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| HttpError::BadResponse("response line is not UTF-8".to_string()))
 }
 
 #[cfg(test)]

@@ -481,6 +481,39 @@ mod tests {
     }
 
     #[test]
+    fn endless_response_header_is_cut_at_the_head_limit() {
+        use std::io::{Read, Write};
+        // A server that streams a 1 MiB header line with no newline and
+        // then holds the connection open: without the cap the client
+        // buffers all of it and waits for the rest until its I/O
+        // deadline.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let url = Url::parse(&format!("http://{}/big", listener.local_addr().unwrap())).unwrap();
+        let cfg = PoolConfig { io_timeout: Duration::from_secs(20), ..PoolConfig::default() };
+        let pool = ConnectionPool::new(cfg);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut request = [0u8; 1024];
+                let _ = s.read(&mut request);
+                let mut reply = b"HTTP/1.1 200 OK\r\nX-Big: ".to_vec();
+                reply.resize(reply.len() + (1 << 20), b'a');
+                // The client hangs up at the cap; a failed write is expected.
+                let _ = s.write_all(&reply);
+                let _ = s.read(&mut request);
+            });
+            let start = std::time::Instant::now();
+            let err = pool.get(&url).unwrap_err();
+            assert!(
+                matches!(&err, HttpError::BadResponse(m) if m.contains("head limit")),
+                "{err:?}"
+            );
+            assert!(start.elapsed() < Duration::from_secs(10), "{:?}", start.elapsed());
+        });
+        assert_eq!(pool.idle_count(), 0);
+    }
+
+    #[test]
     fn non_http_scheme_rejected() {
         let pool = ConnectionPool::default();
         let url = Url::parse("mem://doc").unwrap();

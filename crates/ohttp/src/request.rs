@@ -28,7 +28,7 @@ pub struct Request {
 /// Cap on a buffered-but-incomplete request head; a peer dribbling an
 /// endless header section loses the connection instead of pinning
 /// memory.
-const MAX_HEAD: usize = 64 * 1024;
+pub(crate) const MAX_HEAD: usize = 64 * 1024;
 
 /// Buffer compaction threshold (drained prefix tolerated before a
 /// shift), mirroring `openmeta_net`'s frame decoder.

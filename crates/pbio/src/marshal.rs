@@ -209,12 +209,10 @@ pub fn parse_header(wire: &[u8]) -> Result<WireHeader, PbioError> {
 /// possibly a different version or machine model), the record is converted
 /// to that; otherwise the sender's format is adopted as-is.
 pub fn decode(wire: &[u8], registry: &FormatRegistry) -> Result<RawRecord, PbioError> {
-    let header = parse_header(wire)?;
-    let sender = registry
-        .lookup_id(header.format_id)
-        .ok_or(PbioError::UnknownFormatId(header.format_id.0))?;
+    let _span = openmeta_obs::span!("marshal.decode");
+    let (sender, data) = sender_and_data(wire, registry)?;
     let target = registry.lookup_name(&sender.name).unwrap_or_else(|| sender.clone());
-    decode_with(wire, registry, &target)
+    extract_or_convert(data, registry, &sender, &target)
 }
 
 /// Decode into a caller-chosen target format.
@@ -229,18 +227,38 @@ pub fn decode_with(
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
     let _span = openmeta_obs::span!("marshal.decode");
+    let (sender, data) = sender_and_data(wire, registry)?;
+    extract_or_convert(data, registry, &sender, target)
+}
+
+/// The sender's descriptor, found in `registry` by the header's format
+/// id, and the wire's data section.
+fn sender_and_data<'a>(
+    wire: &'a [u8],
+    registry: &FormatRegistry,
+) -> Result<(Arc<FormatDescriptor>, &'a [u8]), PbioError> {
     let header = parse_header(wire)?;
     let sender = registry
         .lookup_id(header.format_id)
         .ok_or(PbioError::UnknownFormatId(header.format_id.0))?;
-    let data = &wire[HEADER_SIZE..HEADER_SIZE + header.data_size];
-    if Arc::ptr_eq(&sender, target) || header.format_id == target.id() {
-        // Fast path: formats identical; the fixed image is already right.
-        let plan = registry.encode_plan_keyed(&sender, header.format_id)?;
+    Ok((sender, &wire[HEADER_SIZE..HEADER_SIZE + header.data_size]))
+}
+
+/// The owned decode of a data section in `sender`'s format: extraction
+/// when the formats are identical (the fixed image is already right),
+/// conversion otherwise.
+fn extract_or_convert(
+    data: &[u8],
+    registry: &FormatRegistry,
+    sender: &Arc<FormatDescriptor>,
+    target: &Arc<FormatDescriptor>,
+) -> Result<RawRecord, PbioError> {
+    if Arc::ptr_eq(sender, target) || sender.id() == target.id() {
+        let plan = registry.encode_plan(sender)?;
         let (fixed, varlen) = crate::plan::execute_extract(&plan, data)?;
         return Ok(RawRecord::from_parts(target.clone(), fixed, varlen));
     }
-    let plan = registry.convert_plan(&sender, target)?;
+    let plan = registry.convert_plan(sender, target)?;
     crate::plan::execute_convert(&plan, data, target)
 }
 
@@ -274,7 +292,7 @@ impl Decoded<'_> {
 /// buffer when the sender's layout matches the receiver's.
 ///
 /// This is the allocation-free decode entry point: when the registry's
-/// cached (and, in debug/`verify-plans` builds, independently verified)
+/// cached (and, in every build, independently verified)
 /// [`crate::plan::ViewPlan`] certifies that the wire data section *is*
 /// the receiver's native image, the returned [`Decoded::View`] performs
 /// no copy and no allocation.  Otherwise this falls back to exactly what
@@ -285,21 +303,11 @@ pub fn decode_borrowed<'a>(
     target: &Arc<FormatDescriptor>,
 ) -> Result<Decoded<'a>, PbioError> {
     let _span = openmeta_obs::span!("marshal.decode");
-    let header = parse_header(wire)?;
-    let sender = registry
-        .lookup_id(header.format_id)
-        .ok_or(PbioError::UnknownFormatId(header.format_id.0))?;
-    let data = &wire[HEADER_SIZE..HEADER_SIZE + header.data_size];
+    let (sender, data) = sender_and_data(wire, registry)?;
     if let Some(plan) = registry.view_plan(&sender, target)? {
         return Ok(Decoded::View(crate::view::RecordView::new(data, plan)?));
     }
-    if Arc::ptr_eq(&sender, target) || header.format_id == target.id() {
-        let plan = registry.encode_plan_keyed(&sender, header.format_id)?;
-        let (fixed, varlen) = crate::plan::execute_extract(&plan, data)?;
-        return Ok(Decoded::Owned(RawRecord::from_parts(target.clone(), fixed, varlen)));
-    }
-    let plan = registry.convert_plan(&sender, target)?;
-    Ok(Decoded::Owned(crate::plan::execute_convert(&plan, data, target)?))
+    Ok(Decoded::Owned(extract_or_convert(data, registry, &sender, target)?))
 }
 
 /// Reference field-at-a-time decoder, kept for differential testing of the
@@ -310,11 +318,7 @@ pub fn decode_with_interpreted(
     registry: &FormatRegistry,
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
-    let header = parse_header(wire)?;
-    let sender = registry
-        .lookup_id(header.format_id)
-        .ok_or(PbioError::UnknownFormatId(header.format_id.0))?;
-    let data = &wire[HEADER_SIZE..HEADER_SIZE + header.data_size];
+    let (sender, data) = sender_and_data(wire, registry)?;
     let (fixed, varlen) = extract(data, &sender)?;
     if Arc::ptr_eq(&sender, target) || sender.id() == target.id() {
         // Fast path: formats identical; the fixed image is already right.

@@ -11,9 +11,7 @@
 //! * [`EncodePlan`] — one program per format.  Encoding becomes: append a
 //!   precomputed header template, memcpy the fixed image, patch pointer
 //!   slots from a flat slot table, append payloads.  The same slot table
-//!   drives extraction on decode, including a borrowed zero-copy variant
-//!   ([`EncodePlan::extract_borrowed`]) for the same-machine/same-format
-//!   fast path.
+//!   drives extraction on decode.
 //! * [`ConvertPlan`] — one program per (sender, receiver) descriptor pair.
 //!   Name matching, width/order classification, and type checking all
 //!   happen at compile time; execution is a tight loop over
@@ -343,24 +341,6 @@ impl EncodePlan {
         })
     }
 
-    /// Borrowed, validated view of an encoded data section: the fixed image
-    /// and every var-length payload, with nothing copied.
-    ///
-    /// Unlike the owned extraction used by [`crate::decode`], the fixed
-    /// slice still holds the wire's pointer-slot offsets (zeroing them
-    /// would require a copy); use the returned `vars` table instead of
-    /// chasing them.
-    pub fn extract_borrowed<'a>(&self, data: &'a [u8]) -> Result<ExtractedRecord<'a>, PbioError> {
-        check_record_size(data, self.record_size)?;
-        let mut vars = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            if let Some(v) = locate_payload(data, slot, self.order)? {
-                vars.push((slot.off, v));
-            }
-        }
-        Ok(ExtractedRecord { fixed: &data[..self.record_size], vars })
-    }
-
     /// The public projection of this plan, for static verification.
     pub fn program(&self) -> EncodeProgram {
         EncodeProgram {
@@ -372,18 +352,9 @@ impl EncodePlan {
     }
 }
 
-/// A zero-copy extraction: everything borrows from the wire buffer.
-#[derive(Debug)]
-pub struct ExtractedRecord<'a> {
-    /// The fixed image (pointer slots still hold wire offsets).
-    pub fixed: &'a [u8],
-    /// `(slot offset, payload)` for every present var-length field.
-    pub vars: Vec<(usize, VarSlice<'a>)>,
-}
-
 /// A borrowed var-length payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VarSlice<'a> {
+pub(crate) enum VarSlice<'a> {
     /// A validated UTF-8 string (terminator excluded).
     Str(&'a str),
     /// Raw dynamic-array elements in the sender's representation.
@@ -641,8 +612,8 @@ pub struct ViewProgram {
 /// A view plan only exists for a (sender, receiver) pair whose layouts
 /// are structurally identical ([`layouts_match`]); [`ViewPlan::compile`]
 /// returns `Ok(None)` otherwise and the caller falls back to the
-/// [`ConvertPlan`] path.  Before a view plan is cached, `crate::verify`
-/// re-derives the same-layout claim independently
+/// [`ConvertPlan`] path.  Before a view plan is cached, in every build,
+/// `crate::verify` re-derives the same-layout claim independently
 /// ([`crate::verify::verify_view_plan`]).
 #[derive(Debug)]
 pub struct ViewPlan {
@@ -1388,30 +1359,6 @@ mod tests {
         let (ifixed, ivarlen) = crate::convert::extract(data, rec.format()).unwrap();
         assert_eq!(fixed, ifixed);
         assert_eq!(varlen, ivarlen);
-    }
-
-    #[test]
-    fn borrowed_extract_sees_payloads_without_copying() {
-        let reg = FormatRegistry::new(MachineModel::native());
-        let rec = mixed_rec(mixed_fmt(&reg));
-        let wire = encode(&rec).unwrap();
-        let data = &wire[HEADER_SIZE..];
-        let plan = EncodePlan::compile(rec.format()).unwrap();
-        let view = plan.extract_borrowed(data).unwrap();
-        assert_eq!(view.fixed.len(), rec.format().record_size);
-        // Two present payloads: the string and the dynamic array.
-        assert_eq!(view.vars.len(), 2);
-        assert!(view.vars.iter().any(|(_, v)| matches!(v, VarSlice::Str(s) if *s == "vis5d")));
-        assert!(view.vars.iter().any(|(_, v)| matches!(v, VarSlice::Bytes(b) if b.len() == 16)));
-        // Borrowed data points into the wire buffer.
-        let wire_range = wire.as_ptr() as usize..wire.as_ptr() as usize + wire.len();
-        for (_, v) in &view.vars {
-            let p = match v {
-                VarSlice::Str(s) => s.as_ptr() as usize,
-                VarSlice::Bytes(b) => b.as_ptr() as usize,
-            };
-            assert!(wire_range.contains(&p));
-        }
     }
 
     #[test]

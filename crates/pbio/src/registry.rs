@@ -7,6 +7,7 @@
 //! [`FormatDescriptor`]s addressable by name or by [`FormatId`].
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use openmeta_obs::sync::{self, RwLock};
@@ -16,6 +17,7 @@ use crate::error::PbioError;
 use crate::format::{FormatDescriptor, FormatId, FormatSpec};
 use crate::machine::MachineModel;
 use crate::plan::{ConvertPlan, EncodePlan, ViewPlan};
+use crate::verify::{self, Verdict};
 
 /// A registry of formats resolved for one machine model.
 #[derive(Debug)]
@@ -24,8 +26,8 @@ pub struct FormatRegistry {
     inner: RwLock<Inner>,
     /// Compiled marshal/convert plans, keyed by format id (pairs of ids
     /// for conversion).  Read-mostly: steady-state messaging only takes
-    /// the read lock.
-    plans: RwLock<PlanCache>,
+    /// a read lock.
+    plans: PlanCache,
     /// Global-registry-backed counters (`openmeta_plan_cache_*_total`):
     /// this registry's exact numbers via [`FormatRegistry::plan_cache_stats`],
     /// process-wide sums via a `/metrics` scrape.
@@ -44,13 +46,16 @@ struct Inner {
 
 #[derive(Debug, Default)]
 struct PlanCache {
-    encode: HashMap<FormatId, Arc<EncodePlan>, IdHashState>,
-    convert: HashMap<(FormatId, FormatId), Arc<ConvertPlan>, IdHashState>,
+    encode: PlanTable<FormatId, Arc<EncodePlan>>,
+    convert: PlanTable<(FormatId, FormatId), Arc<ConvertPlan>>,
     /// Borrowed-decode plans.  `None` is a cached *negative*: the pair's
     /// layouts differ, so callers fall straight through to the convert
     /// path without re-running the structural comparison per message.
-    view: HashMap<(FormatId, FormatId), Option<Arc<ViewPlan>>, IdHashState>,
+    view: PlanTable<(FormatId, FormatId), Option<Arc<ViewPlan>>>,
 }
+
+/// One kind of plan, each kind under its own lock.
+type PlanTable<K, P> = RwLock<HashMap<K, P, IdHashState>>;
 
 /// [`FormatId`]s are already FNV-1a hashes of descriptor content, so
 /// running them through SipHash again only adds latency to the cache
@@ -104,7 +109,7 @@ impl FormatRegistry {
         FormatRegistry {
             machine,
             inner: RwLock::new(Inner::default()),
-            plans: RwLock::new(PlanCache::default()),
+            plans: PlanCache::default(),
             plan_hits: MetricsRegistry::global().counter("openmeta_plan_cache_hits_total"),
             plan_misses: MetricsRegistry::global().counter("openmeta_plan_cache_misses_total"),
         }
@@ -213,35 +218,11 @@ impl FormatRegistry {
 
     /// The compiled encode/extract plan for `desc`, cached by content id.
     pub fn encode_plan(&self, desc: &Arc<FormatDescriptor>) -> Result<Arc<EncodePlan>, PbioError> {
-        self.encode_plan_keyed(desc, desc.id())
-    }
-
-    /// Like [`Self::encode_plan`] with the id already known (decoders read
-    /// it from the wire header for free).
-    pub(crate) fn encode_plan_keyed(
-        &self,
-        desc: &Arc<FormatDescriptor>,
-        id: FormatId,
-    ) -> Result<Arc<EncodePlan>, PbioError> {
-        if let Some(plan) = sync::read(&self.plans).encode.get(&id) {
-            self.plan_hits.inc();
-            return Ok(plan.clone());
-        }
-        self.plan_misses.inc();
-        // Compile outside the write lock; double-checked insert keeps one
-        // shared plan if another thread raced us here.
-        let plan = Arc::new(EncodePlan::compile(desc)?);
-        #[cfg(any(debug_assertions, feature = "verify-plans"))]
-        {
-            let verdict = crate::verify::verify_encode_plan(desc, &plan);
-            if let Some(violation) = verdict.first_error() {
-                return Err(PbioError::PlanRejected {
-                    format: desc.name.clone(),
-                    violation: violation.to_string(),
-                });
-            }
-        }
-        Ok(sync::write(&self.plans).encode.entry(id).or_insert(plan).clone())
+        self.certified(&self.plans.encode, desc.id(), || {
+            let plan = EncodePlan::compile(desc)?;
+            let verdict = verify::verify_encode_plan(desc, &plan);
+            Ok((Arc::new(plan), verdict, desc.name.clone()))
+        })
     }
 
     /// The compiled conversion plan for a (sender, receiver) pair, cached
@@ -251,63 +232,61 @@ impl FormatRegistry {
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
     ) -> Result<Arc<ConvertPlan>, PbioError> {
-        let key = (sender.id(), target.id());
-        if let Some(plan) = sync::read(&self.plans).convert.get(&key) {
-            self.plan_hits.inc();
-            return Ok(plan.clone());
-        }
-        self.plan_misses.inc();
-        let plan = Arc::new(ConvertPlan::compile(sender, target)?);
-        #[cfg(any(debug_assertions, feature = "verify-plans"))]
-        {
-            let verdict = crate::verify::verify_convert_plan(sender, target, &plan);
-            if let Some(violation) = verdict.first_error() {
-                return Err(PbioError::PlanRejected {
-                    format: format!("{}\u{2192}{}", sender.name, target.name),
-                    violation: violation.to_string(),
-                });
-            }
-        }
-        Ok(sync::write(&self.plans).convert.entry(key).or_insert(plan).clone())
+        self.certified(&self.plans.convert, (sender.id(), target.id()), || {
+            let plan = ConvertPlan::compile(sender, target)?;
+            let verdict = verify::verify_convert_plan(sender, target, &plan);
+            Ok((Arc::new(plan), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
+        })
     }
 
     /// The borrowed-decode plan for a (sender, receiver) pair, or `None`
     /// when their layouts differ (also cached, so the structural check
     /// runs once per pair, not per message).
     ///
-    /// A compiled view plan passes through
-    /// [`crate::verify::verify_view_plan`] in debug/`verify-plans` builds
-    /// before it is cached: the same-layout claim is re-derived
-    /// independently of the plan compiler, since a wrong view silently
+    /// The same-layout claim is re-derived by
+    /// [`crate::verify::verify_view_plan`], independently of the plan
+    /// compiler, before the plan is cached: a wrong view silently
     /// misreads every field.
     pub fn view_plan(
         &self,
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
     ) -> Result<Option<Arc<ViewPlan>>, PbioError> {
-        let key = (sender.id(), target.id());
-        if let Some(cached) = sync::read(&self.plans).view.get(&key) {
+        self.certified(&self.plans.view, (sender.id(), target.id()), || {
+            let Some(plan) = ViewPlan::compile(sender, target)? else {
+                return Ok((None, Verdict::default(), String::new()));
+            };
+            let verdict = verify::verify_view_plan(sender, target, &plan);
+            Ok((Some(Arc::new(plan)), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
+        })
+    }
+
+    /// The one gate in front of every plan this registry hands out: a
+    /// cached plan, or one `compile`d now — returned with the verifier's
+    /// verdict on it and the name a rejection reports — and cached only
+    /// when the verdict has no error-severity violation.  Descriptors
+    /// arrive from peers, and a plan runs with no per-record layout
+    /// checks, so a plan built from a lying descriptor is
+    /// [`PbioError::PlanRejected`] here rather than an out-of-bounds
+    /// access later.
+    fn certified<K: Copy + Eq + Hash, P: Clone>(
+        &self,
+        table: &PlanTable<K, P>,
+        key: K,
+        compile: impl FnOnce() -> Result<(P, Verdict, String), PbioError>,
+    ) -> Result<P, PbioError> {
+        if let Some(plan) = sync::read(table).get(&key) {
             self.plan_hits.inc();
-            return Ok(cached.clone());
+            return Ok(plan.clone());
         }
         self.plan_misses.inc();
-        let entry = match ViewPlan::compile(sender, target)? {
-            Some(plan) => {
-                #[cfg(any(debug_assertions, feature = "verify-plans"))]
-                {
-                    let verdict = crate::verify::verify_view_plan(sender, target, &plan);
-                    if let Some(violation) = verdict.first_error() {
-                        return Err(PbioError::PlanRejected {
-                            format: format!("{}\u{2192}{}", sender.name, target.name),
-                            violation: violation.to_string(),
-                        });
-                    }
-                }
-                Some(Arc::new(plan))
-            }
-            None => None,
-        };
-        Ok(sync::write(&self.plans).view.entry(key).or_insert(entry).clone())
+        // Compile and certify outside the write lock; the double-checked
+        // insert keeps one shared plan if another thread raced us here.
+        let (plan, verdict, format) = compile()?;
+        if let Some(violation) = verdict.first_error() {
+            return Err(PbioError::PlanRejected { format, violation: violation.to_string() });
+        }
+        Ok(sync::write(table).entry(key).or_insert(plan).clone())
     }
 
     /// Cumulative plan-cache hit/miss counters.

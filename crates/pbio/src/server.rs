@@ -312,7 +312,6 @@ mod tests {
                 base_delay: Duration::from_millis(10),
                 max_delay: Duration::from_millis(50),
             },
-            ..TransportConfig::default()
         }
     }
 

@@ -17,9 +17,9 @@
 //! * A view is only constructed through a [`ViewPlan`], and a view plan
 //!   only compiles when [`layouts_match`](crate::plan::layouts_match)
 //!   holds — byte order, record size, alignment, and every field's
-//!   name/offset/size/kind agree between sender and receiver.  Under
-//!   debug/`verify-plans` builds, `crate::verify` re-derives that claim
-//!   independently before the plan enters the registry cache.
+//!   name/offset/size/kind agree between sender and receiver.  In every
+//!   build, `crate::verify` re-derives that claim independently before
+//!   the plan enters the registry cache.
 //! * Construction validates the buffer is at least `record_size` bytes;
 //!   scalar accessors therefore index within the fixed image.
 //! * Var-length accessors go through the same

@@ -21,11 +21,11 @@
 //! own same-named binding ([`classify`], built on
 //! [`evolution::diff_descriptors`](crate::evolution::diff_descriptors)),
 //! compiles the cross-version convert plan **once per (sender-id,
-//! receiver-id) pair**, certifies it with [`pbio::verify`] *before it
-//! ever runs* (in release builds too — the registry alone only verifies
-//! in debug / `verify-plans`), and answers ACCEPT with a
-//! [`PairVerdict`] per offer — or REJECT if any offer is incompatible,
-//! so a doomed connection dies at setup instead of mid-stream.
+//! receiver-id) pair** through the registry, which certifies it with
+//! [`pbio::verify`](openmeta_pbio::verify) *before it ever runs* (in
+//! every build), and answers ACCEPT with a [`PairVerdict`] per offer —
+//! or REJECT if any offer is incompatible, so a doomed connection dies
+//! at setup instead of mid-stream.
 //!
 //! Outcomes are cached in a [`NegotiationCache`] keyed by the id pair:
 //! reconnects and sibling connections between the same two versions
@@ -44,7 +44,6 @@ use std::sync::{Arc, OnceLock};
 use openmeta_obs::sync::{self, RwLock};
 use openmeta_obs::{Counter, MetricsRegistry};
 use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
-use openmeta_pbio::verify::verify_convert_plan;
 use openmeta_pbio::{FormatDescriptor, FormatId, FormatRegistry, PbioError};
 
 use crate::error::XmitError;
@@ -413,11 +412,11 @@ impl NegotiationCache {
 
     /// Decide (or replay) the verdict for one pair.  On first contact
     /// this diffs the descriptors, and — when a conversion is needed —
-    /// compiles the convert plan through `registry`'s cache and
-    /// certifies it with [`pbio::verify`] unconditionally (release
-    /// builds included).  `Err(XmitError::Negotiation)` means the pair
-    /// is refused: incompatible categories, or a plan that failed
-    /// certification.
+    /// compiles the convert plan through `registry`'s cache, which
+    /// certifies it with [`pbio::verify`](openmeta_pbio::verify) before
+    /// caching it.  `Err(XmitError::Negotiation)` means the pair is
+    /// refused: incompatible categories, or a plan that did not compile
+    /// or failed certification.
     pub fn negotiate_pair(
         &self,
         registry: &FormatRegistry,
@@ -438,23 +437,13 @@ impl NegotiationCache {
             Some(reject_reason(&sender.name, &report))
         } else if verdict != PairVerdict::Identical {
             // The cross-version plan is compiled once per pair, here, and
-            // certified before any record rides it.  The registry caches
-            // it under the same (sender, receiver) key, so the decode
-            // path's `convert_plan` lookup is a guaranteed cache hit.
-            match registry.convert_plan(sender, receiver) {
-                Ok(plan) => {
-                    verify_convert_plan(sender, receiver, &plan).first_error().map(|violation| {
-                        format!(
-                            "convert plan '{}' -> '{}' failed certification: {violation}",
-                            sender.name, receiver.name
-                        )
-                    })
-                }
-                Err(e) => Some(format!(
-                    "convert plan '{}' -> '{}' did not compile: {e}",
-                    sender.name, receiver.name
-                )),
-            }
+            // certified by the registry before any record rides it.  The
+            // registry caches it under the same (sender, receiver) key, so
+            // the decode path's `convert_plan` lookup is a guaranteed
+            // cache hit.
+            registry.convert_plan(sender, receiver).err().map(|e| {
+                format!("convert plan '{}' -> '{}' refused: {e}", sender.name, receiver.name)
+            })
         } else {
             None
         };

@@ -15,7 +15,8 @@
 //! event-loop module, a hand-rolled frame read loop — `.bytes_needed()`
 //! outside `crates/net`/`crates/analyzer`, a lock taken with a bare
 //! zero-argument `lock`/`read`/`write` call instead of through
-//! `openmeta_obs::sync`), on any curated clippy lint,
+//! `openmeta_obs::sync`, a [`BUILD_FORK`] cfg that makes debug and
+//! release builds different programs), on any curated clippy lint,
 //! on any error-severity `planlint` diagnostic over `fixtures/schemas/`,
 //! and on any `protolint` diagnostic: the sans-io explorer, lock-order
 //! graph, and wire-input taint lint must all pass on the real tree,
@@ -77,6 +78,13 @@ const UNSAFE_ALLOWED: &str = "crates/net/src/sys.rs";
 /// `openmeta_obs::sync` helpers, which every other site goes through so
 /// the lock-order analyzer sees it.
 const LOCK_HOME: &str = "crates/obs/src/sync.rs";
+
+/// The cfg predicate that makes debug and release builds different
+/// programs.  In Rust code the word only appears inside `#[cfg(..)]`,
+/// `#[cfg_attr(..)]` or `cfg!(..)`, so a word match catches predicates
+/// split over lines too; `debug_assert!` does not contain it.  Split so
+/// this file does not match its own lint.
+const BUILD_FORK: &str = concat!("debug_", "assertions");
 
 /// Curated clippy deny set layered on top of `-D warnings`.
 const CLIPPY_DENY: &[&str] =
@@ -455,6 +463,13 @@ fn lint_source(rel: &str, text: &str, opts: LintOpts) -> Vec<String> {
                  `sync::lock`/`sync::read`/`sync::write` so the lock-order analyzer sees it"
             ));
         }
+        if line.contains(BUILD_FORK) {
+            violations.push(format!(
+                "{rel}:{lineno}: `{BUILD_FORK}` cfg forks debug and release builds — a \
+                 check that guards input runs in every build; use `debug_assert!` for an \
+                 internal invariant"
+            ));
+        }
         if opts.event_loop_module {
             for pat in EVENT_LOOP_BLOCKING {
                 if line.contains(pat) {
@@ -662,6 +677,25 @@ mod tests {
         assert!(lint_source("lib.rs", ok, OPTS).is_empty());
         let shim = concat!("use parking", "_lot::RwLock;\n");
         assert_eq!(lint_source("lib.rs", shim, OPTS).len(), 1);
+    }
+
+    #[test]
+    fn debug_only_cfg_is_flagged_but_debug_assert_is_not() {
+        let fork = BUILD_FORK;
+        let src = format!(
+            "pub fn f(x: u8) {{\n    #[cfg({fork})]\n    check(x);\n    \
+             if cfg!({fork}) {{ g(); }}\n    debug_assert!(x > 0);\n}}\n\n\
+             #[cfg(any(\n    {fork},\n    feature = \"x\"\n))]\nfn h() {{}}\n\n\
+             #[cfg(test)]\nmod tests {{\n    #[cfg({fork})]\n    fn t() {{}}\n}}\n"
+        );
+        let v = lint_source("crates/demo/src/lib.rs", &src, OPTS);
+        let lines: Vec<&str> = v.iter().map(|m| m.split(": ").next().unwrap_or_default()).collect();
+        assert_eq!(
+            lines,
+            ["crates/demo/src/lib.rs:2", "crates/demo/src/lib.rs:4", "crates/demo/src/lib.rs:9"],
+            "{v:?}"
+        );
+        assert!(v.iter().all(|m| m.contains("forks debug and release")), "{v:?}");
     }
 
     #[test]

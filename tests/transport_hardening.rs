@@ -39,7 +39,6 @@ fn fast_transport() -> TransportConfig {
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(50),
         },
-        ..TransportConfig::default()
     }
 }
 
