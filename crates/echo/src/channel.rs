@@ -9,14 +9,25 @@
 //!
 //! ## The derived-channel publish path
 //!
-//! `publish` encodes the record **once** into the full-format wire
-//! image (that frame is both the identity group's payload and the
-//! conversion source).  Each projected group then executes its
-//! conversion sub-plan — `decode_with` through the group's registry,
-//! which compiles, certifies (via `pbio::verify`, in every build) and
-//! caches the plan — and encodes the projected record once.  Frames
-//! are `Arc`-shared across a group's seats, so encodes per event
-//! equals the number of active groups, not the number of subscribers.
+//! Every byte of an event is written once per group, straight into the
+//! frame that carries it:
+//!
+//! * `publish` reserves the 5-byte frame header in a pooled buffer,
+//!   encodes the record **once** behind it
+//!   ([`Encoder::encode_into`]) and patches the length.  That frame is
+//!   both the identity group's delivery and the conversion source.
+//! * Each projected group converts that wire image **wire-to-wire**
+//!   into its own pooled frame ([`convert_wire_into`]): the group's
+//!   certified convert plan writes the fixed image, the projected
+//!   format's certified encode plan places the converted payloads and
+//!   patches the pointer slots.  No projected record is built.  The
+//!   bytes are those of decoding into the projected format and
+//!   re-encoding; the registry compiles, certifies (via `pbio::verify`,
+//!   in every build) and caches both plans.
+//! * Frames are `Arc`-shared across a group's seats, so encodes per
+//!   event equal the number of active groups, not the number of
+//!   subscribers.  A subscriber reads each frame into one reused buffer
+//!   and decodes from there ([`crate::ChannelSubscriber::recv`]).
 //!
 //! Plans are additionally forced at *subscribe* time
 //! ([`FormatRegistry::convert_plan`]): a projection whose conversion
@@ -35,8 +46,8 @@ use openmeta_net::{read_frame_blocking, LengthFramer};
 use openmeta_obs::span;
 use openmeta_pbio::codec::encode_descriptor;
 use openmeta_pbio::{
-    decode_with, BufferPool, Encoder, FormatDescriptor, FormatId, FormatRegistry, MachineModel,
-    RawRecord,
+    convert_wire_into, BufferPool, Encoder, FormatDescriptor, FormatId, FormatRegistry,
+    MachineModel, RawRecord,
 };
 use openmeta_schema::{to_xml, ComplexType, SchemaDocument};
 use xmit::{project_type, NegotiationCache, NegotiationStats, Projection, Xmit, XmitError};
@@ -103,15 +114,6 @@ pub struct PublishReceipt {
     pub disconnected: usize,
 }
 
-/// A projected group's conversion + encode state.
-struct GroupCodec {
-    /// Knows the full descriptor (conversion source) and the projected
-    /// binding; `decode_with` compiles and caches the certified
-    /// sub-plan here.
-    registry: Arc<FormatRegistry>,
-    encoder: sync::Mutex<Encoder>,
-}
-
 /// Subscribers sharing one (normalized) projection — and therefore one
 /// encode per event.
 struct Group {
@@ -122,7 +124,10 @@ struct Group {
     /// Prebuilt FORMAT announcement frame, seeded into every new seat.
     format_frame: Frame,
     /// `None` for the identity group (frames are the full encode).
-    codec: Option<GroupCodec>,
+    /// Otherwise the registry that knows the full descriptor (conversion
+    /// source) and the group's format, and caches the certified plans
+    /// of the wire-to-wire conversion between them.
+    convert: Option<Arc<FormatRegistry>>,
     seats: sync::Mutex<Vec<Arc<Seat>>>,
 }
 
@@ -203,7 +208,7 @@ impl ChannelHost {
             key: String::new(),
             format: Arc::clone(&token.format),
             format_frame,
-            codec: None,
+            convert: None,
             seats: sync::Mutex::new(Vec::new()),
         });
         let inner = Arc::new(ChannelInner {
@@ -294,8 +299,9 @@ impl Channel {
     }
 
     /// Publish one event: one full encode (identity payload and
-    /// conversion source), one projected encode per active derived
-    /// group, `Arc`-shared frames onto every seat's bounded queue.
+    /// conversion source) and one wire-to-wire conversion per active
+    /// derived group, each written straight into its pooled frame, then
+    /// `Arc`-shared frames onto every seat's bounded queue.
     pub fn publish(&self, rec: &RawRecord) -> Result<PublishReceipt, EchoError> {
         let inner = &self.inner;
         if rec.format().id() != inner.format.id() {
@@ -310,12 +316,15 @@ impl Channel {
         let _publish_span = span!("channel.publish");
         inner.obs.events.inc();
 
-        // One full-format encode per event, into a pooled shared frame.
+        // One full-format encode per event, straight into a pooled
+        // shared frame.
         let full_frame = {
-            let mut enc = sync::lock(&inner.encoder);
-            let payload = enc.encode(rec)?;
             let mut buf = BufferPool::global().get();
-            wire::build_frame(&mut buf, FRAME_RECORD, &[payload])?;
+            let mut enc = sync::lock(&inner.encoder);
+            wire::write_frame_into(&mut buf, FRAME_RECORD, |out| {
+                enc.encode_into(rec, out)?;
+                Ok(())
+            })?;
             Arc::new(buf)
         };
         inner.obs.encodes.inc();
@@ -326,23 +335,21 @@ impl Channel {
             let _fanout_span = span!("channel.fanout");
             for group in &groups {
                 let seats: Vec<Arc<Seat>> = sync::lock(&group.seats).clone();
-                if group.codec.is_some() && seats.iter().all(|s| s.is_dead()) {
+                if group.convert.is_some() && seats.iter().all(|s| s.is_dead()) {
                     // No live subscriber wants this projection: skip
                     // its encode entirely.
                     continue;
                 }
-                let frame = match &group.codec {
+                let frame = match &group.convert {
                     None => Arc::clone(&full_frame),
-                    Some(codec) => {
-                        // Execute the certified sub-plan: full wire →
-                        // projected record → projected wire, once for
-                        // the whole group.
-                        let projected =
-                            decode_with(&full_frame[5..], &codec.registry, &group.format)?;
-                        let mut enc = sync::lock(&codec.encoder);
-                        let payload = enc.encode(&projected)?;
+                    Some(registry) => {
+                        // Full wire → projected wire, once for the
+                        // whole group.
                         let mut buf = BufferPool::global().get();
-                        wire::build_frame(&mut buf, FRAME_RECORD, &[payload])?;
+                        wire::write_frame_into(&mut buf, FRAME_RECORD, |out| {
+                            convert_wire_into(&full_frame[5..], registry, &group.format, out)?;
+                            Ok(())
+                        })?;
                         inner.obs.encodes.inc();
                         receipt.encodes += 1;
                         Arc::new(buf)
@@ -390,9 +397,9 @@ fn projection_key(p: &Projection) -> String {
 impl ChannelInner {
     /// Find or build the group for a projection spec.  Building binds
     /// the projected type, registers the full descriptor as conversion
-    /// source, and forces the conversion plan through the registry's
-    /// cache — where `pbio::verify` certifies it — before any subscriber
-    /// is accepted.
+    /// source, and forces the conversion plan and the projected format's
+    /// encode plan through the registry's cache — where `pbio::verify`
+    /// certifies them — before any subscriber is accepted.
     fn group_for(&self, projection: &Option<Projection>) -> Result<Arc<Group>, EchoError> {
         let Some(p) = projection else {
             return sync::lock(&self.groups)
@@ -410,14 +417,12 @@ impl ChannelInner {
         let token = xm.bind(&projected_ct.name)?;
         xm.registry().register_descriptor((*self.format).clone());
         xm.registry().convert_plan(&self.format, &token.format)?;
+        xm.registry().encode_plan(&token.format)?;
         let group = Arc::new(Group {
             key,
             format: Arc::clone(&token.format),
             format_frame: descriptor_frame(&token.format)?,
-            codec: Some(GroupCodec {
-                registry: Arc::clone(xm.registry()),
-                encoder: sync::Mutex::new(Encoder::new()),
-            }),
+            convert: Some(Arc::clone(xm.registry())),
             seats: sync::Mutex::new(Vec::new()),
         });
         let mut groups = sync::lock(&self.groups);
@@ -460,6 +465,9 @@ impl ChannelInner {
             XmitError::Negotiation(reason) => EchoError::Rejected(reason),
             other => other.into(),
         })?;
+        // The offer's encode plan places every converted payload, so it
+        // passes the gate here or the seat is refused.
+        registry.encode_plan(&dst).map_err(|e| EchoError::Rejected(e.to_string()))?;
         if let Some(found) = sync::lock(&self.groups).iter().find(|g| g.key == key) {
             return Ok(Arc::clone(found));
         }
@@ -467,7 +475,7 @@ impl ChannelInner {
             key,
             format: Arc::clone(&dst),
             format_frame: descriptor_frame(&dst)?,
-            codec: Some(GroupCodec { registry, encoder: sync::Mutex::new(Encoder::new()) }),
+            convert: Some(registry),
             seats: sync::Mutex::new(Vec::new()),
         });
         let mut groups = sync::lock(&self.groups);
@@ -540,7 +548,8 @@ fn subscribe(
     stream: &mut TcpStream,
 ) -> Result<(Arc<Group>, Arc<Instruments>), EchoError> {
     let mut framer = LengthFramer::with_kind_byte(wire::MAX_FRAME);
-    let (kind, payload) = read_frame_blocking(stream, &mut framer)
+    let mut payload = Vec::new();
+    let kind = read_frame_blocking(stream, &mut framer, &mut payload)
         .map_err(wire::read_error)?
         .ok_or(EchoError::Closed)?;
     let req = wire::subscribe_from_frame(kind, &payload)?;

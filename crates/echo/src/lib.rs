@@ -27,10 +27,12 @@
 //! * **Shared derived encodes** — subscribers submitting the *same*
 //!   projection join one *group*; each event is encoded **once per
 //!   group**, not once per subscriber.  1000 subscribers across 3
-//!   distinct projections cost 3 encodes per event.  Projected groups
-//!   execute a conversion sub-plan certified by `pbio::verify` (the
-//!   registry's plan cache verifies at insertion), and a rejected plan
-//!   refuses the subscription rather than shipping wrong bytes.
+//!   distinct projections cost 3 encodes per event.  Each encode is
+//!   written straight into the frame that carries it: projected groups
+//!   convert the full wire image wire-to-wire through plans certified by
+//!   `pbio::verify` (the registry's plan cache verifies at insertion),
+//!   and a rejected plan refuses the subscription rather than shipping
+//!   wrong bytes.
 //! * **Backpressure** — every subscriber owns a bounded frame queue;
 //!   the per-channel [`SlowPolicy`] decides whether a slow subscriber
 //!   blocks the publisher (default), drops the newest event, or is

@@ -29,6 +29,8 @@ pub struct ChannelSubscriber {
     stream: TcpStream,
     registry: Arc<FormatRegistry>,
     framer: LengthFramer,
+    /// The current frame's payload, reused across frames.
+    frame: Vec<u8>,
     delivered_format: FormatId,
 }
 
@@ -86,18 +88,20 @@ impl ChannelSubscriber {
         wire::build_frame(&mut frame, FRAME_SUBSCRIBE, &[&payload])?;
         stream.write_all(&frame)?;
 
-        // The reply is one frame; the framer that reads it stays with
-        // the subscription, so delivery frames pipelined behind SUB_OK
-        // are kept for `recv`.
+        // The reply is one frame, read exactly to its end: delivery
+        // frames pipelined behind SUB_OK stay on the socket for `recv`,
+        // which reuses this framer and payload buffer.
         let mut framer = LengthFramer::with_kind_byte(wire::MAX_FRAME);
-        let (kind, payload) = read_frame_blocking(&mut stream, &mut framer)
+        let mut frame = Vec::new();
+        let kind = read_frame_blocking(&mut stream, &mut framer, &mut frame)
             .map_err(wire::read_error)?
             .ok_or(EchoError::Closed)?;
-        match wire::reply_from_frame(kind, &payload)? {
+        match wire::reply_from_frame(kind, &frame)? {
             HandshakeReply::Accepted(delivered_format) => Ok(ChannelSubscriber {
                 stream,
                 registry: Arc::new(FormatRegistry::new(MachineModel::native())),
                 framer,
+                frame,
                 delivered_format,
             }),
             HandshakeReply::Rejected(reason) => Err(EchoError::Rejected(reason)),
@@ -116,18 +120,20 @@ impl ChannelSubscriber {
     }
 
     /// Receive the next event; `Ok(None)` when the host closed the
-    /// channel cleanly.
+    /// channel cleanly.  Each frame is read into the subscription's one
+    /// payload buffer and decoded from there, so framing allocates
+    /// nothing in steady state.
     pub fn recv(&mut self) -> Result<Option<RawRecord>, EchoError> {
         loop {
-            let frame = read_frame_blocking(&mut self.stream, &mut self.framer)
+            let kind = read_frame_blocking(&mut self.stream, &mut self.framer, &mut self.frame)
                 .map_err(wire::read_error)?;
-            let Some((kind, payload)) = frame else { return Ok(None) };
+            let Some(kind) = kind else { return Ok(None) };
             let _span = openmeta_obs::span!("transport.recv");
             match kind {
                 FRAME_FORMAT => {
-                    self.registry.register_descriptor(decode_descriptor(&payload)?);
+                    self.registry.register_descriptor(decode_descriptor(&self.frame)?);
                 }
-                FRAME_RECORD => return Ok(Some(decode(&payload, &self.registry)?)),
+                FRAME_RECORD => return Ok(Some(decode(&self.frame, &self.registry)?)),
                 other => {
                     return Err(EchoError::Bcm(PbioError::BadWireData(format!(
                         "unknown frame kind {other}"

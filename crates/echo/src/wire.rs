@@ -57,18 +57,32 @@ pub const FRAME_SUB_ERR: u8 = 5;
 /// Upper bound on any frame, matching `xmit::messaging`.
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 
-/// Build one contiguous frame (`len kind payload…`) into `out`.  The
-/// payload may arrive in parts (descriptor + record on an announcing
-/// send); contiguity is what lets one buffer be shared, via `Arc`,
-/// across every subscriber of a group.
+/// Build one contiguous frame (`len kind payload…`) into `out` from a
+/// payload that already exists.  Contiguity is what lets one buffer be
+/// shared, via `Arc`, across every subscriber of a group.
 pub(crate) fn build_frame(out: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) -> Result<(), EchoError> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    let header = frame_header(len, Some(kind), MAX_FRAME).map_err(PbioError::from)?;
-    out.reserve(header.len() + len);
-    out.extend_from_slice(&header);
-    for part in parts {
-        out.extend_from_slice(part);
-    }
+    write_frame_into(out, kind, |out| {
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        Ok(())
+    })
+}
+
+/// Build one frame into `out` whose payload `write` appends in place:
+/// the 5-byte header is reserved first and patched once the payload's
+/// length is known, so the payload is written once and never copied.
+pub(crate) fn write_frame_into(
+    out: &mut Vec<u8>,
+    kind: u8,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), EchoError>,
+) -> Result<(), EchoError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 5]);
+    write(out)?;
+    let header =
+        frame_header(out.len() - start - 5, Some(kind), MAX_FRAME).map_err(PbioError::from)?;
+    out[start..start + 5].copy_from_slice(&header);
     Ok(())
 }
 

@@ -64,6 +64,7 @@ pub mod error;
 pub mod field;
 pub mod file;
 pub mod format;
+mod kernels;
 pub mod layout;
 pub mod machine;
 pub mod marshal;
@@ -81,7 +82,9 @@ pub use error::PbioError;
 pub use field::IOField;
 pub use format::{FormatDescriptor, FormatId, FormatSpec};
 pub use machine::{ByteOrder, MachineModel};
-pub use marshal::{decode, decode_borrowed, decode_with, encode, encode_into, Decoded};
+pub use marshal::{
+    convert_wire_into, decode, decode_borrowed, decode_with, encode, encode_into, Decoded,
+};
 pub use plan::{layouts_match, ConvertPlan, EncodePlan, Encoder, MarshalStats, ViewPlan};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use record::RawRecord;

@@ -231,6 +231,32 @@ pub fn decode_with(
     extract_or_convert(data, registry, &sender, target)
 }
 
+/// Convert a wire image into `target`'s wire image, appended to `out`,
+/// without materializing a record: the bytes equal
+/// `encode(&decode_with(wire, registry, target)?)`, as do the errors.
+/// Returns the bytes appended.
+///
+/// This is receiver-makes-right run at the sender — an ECho derived
+/// channel converts each event once for all of a view's subscribers.
+/// It runs the pair's certified [`crate::plan::ConvertPlan`] with the
+/// target's certified [`crate::plan::EncodePlan`] placing the payloads,
+/// both from `registry`'s plan cache, so every output byte is written
+/// once, straight into `out`.  Growth of `out` is the caller's
+/// allocation and is not counted (see [`crate::plan::Encoder::encode_into`]).
+/// Timed as `marshal.decode`: it is the conversion half of a decode.
+pub fn convert_wire_into(
+    wire: &[u8],
+    registry: &FormatRegistry,
+    target: &Arc<FormatDescriptor>,
+    out: &mut Vec<u8>,
+) -> Result<usize, PbioError> {
+    let _span = openmeta_obs::span!("marshal.decode");
+    let (sender, data) = sender_and_data(wire, registry)?;
+    let plan = registry.convert_plan(&sender, target)?;
+    let placement = registry.encode_plan(target)?;
+    crate::plan::execute_convert_wire(&plan, &placement, data, out)
+}
+
 /// The sender's descriptor, found in `registry` by the header's format
 /// id, and the wire's data section.
 fn sender_and_data<'a>(

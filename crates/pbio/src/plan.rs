@@ -42,10 +42,11 @@ use std::sync::Arc;
 use crate::convert::scalar_category;
 use crate::error::PbioError;
 use crate::format::FormatDescriptor;
+use crate::kernels;
 use crate::layout::align_up;
 use crate::machine::ByteOrder;
 use crate::marshal::{HEADER_SIZE, MAGIC, VERSION};
-use crate::record::{read_float, read_int, read_uint, write_float, write_uint, RawRecord, VarData};
+use crate::record::{read_uint, write_uint, RawRecord, VarData};
 use crate::types::{BaseType, FieldKind};
 
 // ---------------------------------------------------------------------------
@@ -452,13 +453,7 @@ pub(crate) fn execute_encode(
                     None => 0,
                 };
                 if declared != have {
-                    return Err(PbioError::BadDimension {
-                        field: slot.name.clone(),
-                        reason: format!(
-                            "length field '{len_name}' says {declared} elements, \
-                             array holds {have}"
-                        ),
-                    });
+                    return Err(dimension_error(slot, len_name, declared, have));
                 }
                 (have * elem_size, (*elem_size).max(1))
             }
@@ -466,11 +461,7 @@ pub(crate) fn execute_encode(
                 unreachable!("string slots only ever hold VarData::Str")
             }
         };
-        let at = if len == 0 { 0 } else { align_up(data_size, align) };
-        if len != 0 {
-            data_size = at + len;
-        }
-        placements.push((at, len));
+        placements.push((place(&mut data_size, len, align), len));
     }
 
     // Pass 2: emit.
@@ -480,15 +471,9 @@ pub(crate) fn execute_encode(
     out[start + 12..start + 16].copy_from_slice(&(data_size as u32).to_be_bytes());
     let data_start = out.len();
     out.extend_from_slice(fixed);
-    for (slot, &(payload_at, len)) in plan.slots.iter().zip(placements.iter()) {
+    for (slot, &(payload_at, _)) in plan.slots.iter().zip(placements.iter()) {
         let slot_abs = data_start + slot.off;
-        let ptr = if len == 0 { 0u64 } else { payload_at as u64 };
-        out[slot_abs..slot_abs + slot.size].fill(0);
-        let (lo, hi) = match order {
-            ByteOrder::Big => (slot_abs + slot.size - 4, slot_abs + slot.size),
-            ByteOrder::Little => (slot_abs, slot_abs + 4),
-        };
-        write_uint(&mut out[lo..hi], order, ptr);
+        write_pointer(&mut out[slot_abs..slot_abs + slot.size], order, payload_at);
     }
     for (slot, &(payload_at, len)) in plan.slots.iter().zip(placements.iter()) {
         if len == 0 {
@@ -510,6 +495,38 @@ pub(crate) fn execute_encode(
     let written = out.len() - start;
     openmeta_obs::marshal_counters().bytes_copied_total.add(written as u64);
     Ok(written)
+}
+
+/// Where a payload of `len` bytes and alignment `align` lands in a data
+/// section currently `data_size` bytes long (which it then extends).  An
+/// empty payload takes no room and is placed at 0, the null pointer.
+fn place(data_size: &mut usize, len: usize, align: usize) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    let at = align_up(*data_size, align);
+    *data_size = at + len;
+    at
+}
+
+/// Fill a pointer slot: zeroed, with the data-section offset `at` in its
+/// numerically low 4 bytes (0, the null pointer, for an empty payload).
+fn write_pointer(slot: &mut [u8], order: ByteOrder, at: usize) {
+    slot.fill(0);
+    let n = slot.len();
+    let low = match order {
+        ByteOrder::Big => &mut slot[n - 4..],
+        ByteOrder::Little => &mut slot[..4],
+    };
+    write_uint(low, order, at as u64);
+}
+
+/// An array slot whose length field disagrees with its payload.
+fn dimension_error(slot: &SlotSpec, len_name: &str, declared: usize, have: usize) -> PbioError {
+    PbioError::BadDimension {
+        field: slot.name.clone(),
+        reason: format!("length field '{len_name}' says {declared} elements, array holds {have}"),
+    }
 }
 
 /// Owned extraction via a compiled plan: the same-format decode path.
@@ -998,43 +1015,7 @@ fn compile_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFix>
     }
 }
 
-/// Byte-reverse each `width`-byte element of `src` into `dst`.  The
-/// fixed-width integer round-trips compile to single `bswap`/`rev`
-/// instructions and auto-vectorize, which matters for the multi-hundred-KB
-/// float arrays of the Figure 7/8 workloads.
-fn swap_elems(src: &[u8], dst: &mut [u8], width: usize) {
-    debug_assert_eq!(src.len(), dst.len());
-    match width {
-        1 => dst.copy_from_slice(src),
-        2 => {
-            for (s, d) in src.chunks_exact(2).zip(dst.chunks_exact_mut(2)) {
-                let v = u16::from_ne_bytes([s[0], s[1]]).swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        4 => {
-            for (s, d) in src.chunks_exact(4).zip(dst.chunks_exact_mut(4)) {
-                let v = u32::from_ne_bytes([s[0], s[1], s[2], s[3]]).swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        8 => {
-            for (s, d) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
-                let v = u64::from_ne_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-                    .swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        w => {
-            for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
-                for j in 0..w {
-                    d[j] = s[w - 1 - j];
-                }
-            }
-        }
-    }
-}
-
+/// Convert the `src.len() / src_w` elements of `src` into `dst`.
 fn convert_elems(
     conv: ElemConv,
     src: &[u8],
@@ -1045,22 +1026,70 @@ fn convert_elems(
     dst_order: ByteOrder,
 ) {
     let count = src.len() / src_w;
+    let (src, dst) = (&src[..count * src_w], &mut dst[..count * dst_w]);
     match conv {
-        ElemConv::Copy => dst[..count * dst_w].copy_from_slice(&src[..count * src_w]),
-        ElemConv::Swap => swap_elems(&src[..count * src_w], &mut dst[..count * src_w], src_w),
+        ElemConv::Copy => dst.copy_from_slice(src),
+        ElemConv::Swap => kernels::swap_elems(src, dst, src_w),
         ElemConv::Int { signed } => {
-            for i in 0..count {
-                let s = &src[i * src_w..(i + 1) * src_w];
-                let v =
-                    if signed { read_int(s, src_order) as u64 } else { read_uint(s, src_order) };
-                write_uint(&mut dst[i * dst_w..(i + 1) * dst_w], dst_order, v);
-            }
+            kernels::convert_ints(src, src_w, src_order, signed, dst, dst_w, dst_order)
         }
-        ElemConv::Float => {
-            for i in 0..count {
-                let v = read_float(&src[i * src_w..(i + 1) * src_w], src_order);
-                write_float(&mut dst[i * dst_w..(i + 1) * dst_w], dst_order, v);
-            }
+        ElemConv::Float => kernels::convert_floats(src, src_w, src_order, dst, dst_w, dst_order),
+    }
+}
+
+impl ConvertPlan {
+    /// Locate and validate every sender payload of `data` (borrowed),
+    /// exactly as the interpreted extract does.
+    fn locate_all<'a>(&self, data: &'a [u8]) -> Result<Vec<Option<VarSlice<'a>>>, PbioError> {
+        check_record_size(data, self.src_record_size)?;
+        let mut vars = Vec::with_capacity(self.src_slots.len());
+        for slot in &self.src_slots {
+            vars.push(locate_payload(data, slot, self.src_order)?);
+        }
+        Ok(vars)
+    }
+
+    /// Run the fixed-image ops from the sender image `data` into the
+    /// zeroed receiver image `fixed`.
+    fn run_fixed_ops(&self, data: &[u8], fixed: &mut [u8]) {
+        for op in &self.ops {
+            let (conv, src, dst, sw, dw, n) = match *op {
+                FixedOp::Copy { src, dst, len } => (ElemConv::Copy, src, dst, 1, 1, len),
+                FixedOp::Swap { src, dst, width, count } => {
+                    (ElemConv::Swap, src, dst, width, width, count)
+                }
+                FixedOp::Int { src, dst, src_w, dst_w, signed, count } => {
+                    (ElemConv::Int { signed }, src, dst, src_w, dst_w, count)
+                }
+                FixedOp::Float { src, dst, src_w, dst_w, count } => {
+                    (ElemConv::Float, src, dst, src_w, dst_w, count)
+                }
+            };
+            let (src, dst, sw, dw, n) =
+                (src as usize, dst as usize, sw as usize, dw as usize, n as usize);
+            convert_elems(
+                conv,
+                &data[src..src + n * sw],
+                sw,
+                self.src_order,
+                &mut fixed[dst..dst + n * dw],
+                dw,
+                self.dst_order,
+            );
+        }
+    }
+
+    /// Make each destination length field agree with the payload
+    /// present: `payload_len(arr_off)` is the byte length of the array
+    /// converted into the slot at `arr_off`.
+    fn fix_lengths(&self, fixed: &mut [u8], payload_len: impl Fn(usize) -> usize) {
+        for lf in &self.len_fixes {
+            let count = payload_len(lf.arr_off) / lf.elem_size;
+            write_uint(
+                &mut fixed[lf.len_off..lf.len_off + lf.len_size],
+                self.dst_order,
+                count as u64,
+            );
         }
     }
 }
@@ -1074,52 +1103,11 @@ pub(crate) fn execute_convert(
     data: &[u8],
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
-    check_record_size(data, plan.src_record_size)?;
-
-    // Pass 1: locate and validate every sender payload (borrowed).
-    let mut vars: Vec<Option<VarSlice<'_>>> = Vec::with_capacity(plan.src_slots.len());
-    for slot in &plan.src_slots {
-        vars.push(locate_payload(data, slot, plan.src_order)?);
-    }
-
-    // Pass 2: fixed image.
+    let vars = plan.locate_all(data)?;
     let mut fixed = vec![0u8; plan.dst_record_size];
-    for op in &plan.ops {
-        match *op {
-            FixedOp::Copy { src, dst, len } => {
-                let (src, dst, len) = (src as usize, dst as usize, len as usize);
-                fixed[dst..dst + len].copy_from_slice(&data[src..src + len]);
-            }
-            FixedOp::Swap { src, dst, width, count } => {
-                let (src, dst, w) = (src as usize, dst as usize, width as usize);
-                let n = count as usize * w;
-                swap_elems(&data[src..src + n], &mut fixed[dst..dst + n], w);
-            }
-            FixedOp::Int { src, dst, src_w, dst_w, signed, count } => {
-                let (src, dst) = (src as usize, dst as usize);
-                let (sw, dw) = (src_w as usize, dst_w as usize);
-                for i in 0..count as usize {
-                    let s = &data[src + i * sw..src + (i + 1) * sw];
-                    let v = if signed {
-                        read_int(s, plan.src_order) as u64
-                    } else {
-                        read_uint(s, plan.src_order)
-                    };
-                    write_uint(&mut fixed[dst + i * dw..dst + (i + 1) * dw], plan.dst_order, v);
-                }
-            }
-            FixedOp::Float { src, dst, src_w, dst_w, count } => {
-                let (src, dst) = (src as usize, dst as usize);
-                let (sw, dw) = (src_w as usize, dst_w as usize);
-                for i in 0..count as usize {
-                    let v = read_float(&data[src + i * sw..src + (i + 1) * sw], plan.src_order);
-                    write_float(&mut fixed[dst + i * dw..dst + (i + 1) * dw], plan.dst_order, v);
-                }
-            }
-        }
-    }
+    plan.run_fixed_ops(data, &mut fixed);
 
-    // Pass 3: var-length payloads, borrowed source → converted destination.
+    // Var-length payloads, borrowed source → converted destination.
     let mut allocs = 1u64; // the destination fixed image
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
@@ -1137,8 +1125,7 @@ pub(crate) fn execute_convert(
                 varlen.insert(vo.dst_off, VarData::Bytes(b.to_vec()));
             }
             (VarConv::Elem { conv, src_w, dst_w }, Some(VarSlice::Bytes(b))) => {
-                let count = b.len() / src_w;
-                let mut out = vec![0u8; count * dst_w];
+                let mut out = vec![0u8; b.len() / src_w * dst_w];
                 convert_elems(conv, b, src_w, plan.src_order, &mut out, dst_w, plan.dst_order);
                 allocs += 1;
                 copied += out.len() as u64;
@@ -1153,16 +1140,104 @@ pub(crate) fn execute_convert(
     counters.alloc_total.add(allocs);
     counters.bytes_copied_total.add(copied);
 
-    // Pass 4: length fields agree with the payloads actually present.
-    for lf in &plan.len_fixes {
-        let count = match varlen.get(&lf.arr_off) {
-            Some(VarData::Bytes(b)) => b.len() / lf.elem_size,
-            _ => 0,
+    plan.fix_lengths(&mut fixed, |off| match varlen.get(&off) {
+        Some(VarData::Bytes(b)) => b.len(),
+        _ => 0,
+    });
+    Ok(RawRecord::from_parts(target.clone(), fixed, varlen))
+}
+
+/// Run a conversion plan from one wire data section straight into the
+/// target's wire image, appended to `out`: the receiver-makes-right
+/// conversion run at the sender, with no intermediate record.
+///
+/// `target` is the target format's encode plan; its slot table places
+/// the converted payloads and patches the pointer slots exactly as
+/// [`execute_encode`] would for the record [`execute_convert`] returns,
+/// and the same dimension check applies, so the output is byte-identical
+/// to `encode(decode_with(..))` and so are the errors.  Every byte is
+/// written once, straight into `out`.  Returns the bytes appended.
+pub(crate) fn execute_convert_wire(
+    plan: &ConvertPlan,
+    target: &EncodePlan,
+    data: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<usize, PbioError> {
+    debug_assert_eq!(plan.dst_record_size, target.record_size, "plans for different formats");
+    let vars = plan.locate_all(data)?;
+
+    // Pass 1: each target slot's source payload, converted length and
+    // placement — the same placement rule as `execute_encode`.
+    let mut placed = Vec::with_capacity(target.slots.len());
+    let mut data_size = target.record_size;
+    for slot in &target.slots {
+        let src = plan
+            .var_ops
+            .iter()
+            .find(|vo| vo.dst_off == slot.off)
+            .and_then(|vo| vars[vo.src_idx].map(|v| (vo.conv, v)));
+        let (len, align) = match (&slot.payload, src) {
+            (PayloadKind::Str, Some((_, VarSlice::Str(s)))) => (s.len() + 1, 1),
+            (PayloadKind::Arr { elem_size, .. }, Some((conv, VarSlice::Bytes(b)))) => {
+                let len = match conv {
+                    VarConv::Move => b.len(),
+                    VarConv::Elem { src_w, dst_w, .. } => b.len() / src_w * dst_w,
+                };
+                (len, (*elem_size).max(1))
+            }
+            (_, None) => (0, 1),
+            (_, Some(_)) => unreachable!("var ops only pair strings with strings"),
         };
-        write_uint(&mut fixed[lf.len_off..lf.len_off + lf.len_size], plan.dst_order, count as u64);
+        placed.push((src, place(&mut data_size, len, align), len));
     }
 
-    Ok(RawRecord::from_parts(target.clone(), fixed, varlen))
+    // Pass 2: header and fixed image, converted in place.
+    let order = target.order;
+    let start = out.len();
+    out.reserve(HEADER_SIZE + data_size);
+    out.extend_from_slice(&target.header);
+    out[start + 12..start + 16].copy_from_slice(&(data_size as u32).to_be_bytes());
+    let data_start = out.len();
+    out.resize(data_start + target.record_size, 0);
+    let fixed = &mut out[data_start..];
+    plan.run_fixed_ops(data, fixed);
+    plan.fix_lengths(fixed, |off| {
+        target.slots.iter().zip(&placed).find(|(s, _)| s.off == off).map_or(0, |(_, p)| p.2)
+    });
+    for (slot, &(_, at, len)) in target.slots.iter().zip(&placed) {
+        if let PayloadKind::Arr { elem_size, len_off, len_size, len_name } = &slot.payload {
+            let declared = read_uint(&fixed[*len_off..*len_off + *len_size], order) as usize;
+            let have = len / elem_size;
+            if declared != have {
+                out.truncate(start);
+                return Err(dimension_error(slot, len_name, declared, have));
+            }
+        }
+        write_pointer(&mut fixed[slot.off..slot.off + slot.size], order, at);
+    }
+
+    // Pass 3: payloads, each converted straight into its placement.
+    for &(src, at, len) in &placed {
+        let Some((conv, payload)) = src.filter(|_| len != 0) else { continue };
+        out.resize(data_start + at, 0);
+        match (conv, payload) {
+            (_, VarSlice::Str(s)) => {
+                out.extend_from_slice(s.as_bytes());
+                out.push(0);
+            }
+            (VarConv::Move, VarSlice::Bytes(b)) => out.extend_from_slice(b),
+            (VarConv::Elem { conv, src_w, dst_w }, VarSlice::Bytes(b)) => {
+                let from = out.len();
+                out.resize(from + len, 0);
+                let dst = &mut out[from..];
+                convert_elems(conv, b, src_w, plan.src_order, dst, dst_w, plan.dst_order);
+            }
+        }
+    }
+    debug_assert_eq!(out.len() - data_start, data_size);
+    let written = out.len() - start;
+    openmeta_obs::marshal_counters().bytes_copied_total.add(written as u64);
+    Ok(written)
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,14 +1324,15 @@ impl Encoder {
         Ok(plan)
     }
 
-    /// Record one encode's cost against the instance stats, and bump the
-    /// global allocation counter if `cap_before` shows the buffer grew.
-    fn account(&mut self, cap_before: usize, cap_after: usize, written: usize) {
-        if cap_after > cap_before {
-            self.stats.allocs += 1;
-            openmeta_obs::marshal_counters().alloc_total.inc();
-        }
+    /// Record one encode's cost against the instance stats; `true` when
+    /// `cap_before` shows the output buffer grew.
+    fn account(&mut self, cap_before: usize, cap_after: usize, written: usize) -> bool {
         self.stats.bytes_copied += written as u64;
+        let grew = cap_after > cap_before;
+        if grew {
+            self.stats.allocs += 1;
+        }
+        grew
     }
 
     /// Shrink the internal buffer once per window if it has ballooned
@@ -1282,12 +1358,22 @@ impl Encoder {
         self.buf.clear();
         let cap_before = self.buf.capacity();
         let n = execute_encode(&plan, rec, &mut self.buf, &mut self.placements)?;
-        self.account(cap_before, self.buf.capacity(), n);
+        if self.account(cap_before, self.buf.capacity(), n) {
+            openmeta_obs::marshal_counters().alloc_total.inc();
+        }
         self.maybe_trim(n);
         Ok(&self.buf)
     }
 
     /// Encode appending to a caller buffer; returns the bytes written.
+    ///
+    /// Growth of `out` counts in this encoder's [`MarshalStats`] but not
+    /// in the process-wide `openmeta_marshal_alloc_total`: `out` is the
+    /// caller's, and when it comes from a [`BufferPool`] its capacity
+    /// depends on which buffer the pool handed out, so the global count
+    /// would not repeat from run to run.
+    ///
+    /// [`BufferPool`]: crate::pool::BufferPool
     pub fn encode_into(&mut self, rec: &RawRecord, out: &mut Vec<u8>) -> Result<usize, PbioError> {
         let _span = openmeta_obs::span!("marshal.encode");
         let plan = self.plan_for(rec.format())?;

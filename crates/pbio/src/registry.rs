@@ -6,7 +6,7 @@
 //! the paper's orthogonality argument) and come out as shared, immutable
 //! [`FormatDescriptor`]s addressable by name or by [`FormatId`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -55,7 +55,28 @@ struct PlanCache {
 }
 
 /// One kind of plan, each kind under its own lock.
-type PlanTable<K, P> = RwLock<HashMap<K, P, IdHashState>>;
+type PlanTable<K, P> = RwLock<Verdicts<K, P>>;
+
+/// Rejections each plan table keeps; past this the oldest is forgotten.
+const MAX_REJECTIONS: usize = 256;
+
+/// The gate's answers for one kind of plan: every certified plan, and
+/// the [`PbioError::PlanRejected`] of the last [`MAX_REJECTIONS`] keys
+/// that failed certification — so a peer replaying records under a
+/// lying descriptor pays one compile and verify, not one per record,
+/// and a flood of fresh lying ids holds a bounded amount.
+#[derive(Debug)]
+struct Verdicts<K, P> {
+    by_key: HashMap<K, Result<P, PbioError>, IdHashState>,
+    /// Keys of the cached rejections, oldest first.
+    rejected: VecDeque<K>,
+}
+
+impl<K, P> Default for Verdicts<K, P> {
+    fn default() -> Self {
+        Verdicts { by_key: HashMap::default(), rejected: VecDeque::new() }
+    }
+}
 
 /// [`FormatId`]s are already FNV-1a hashes of descriptor content, so
 /// running them through SipHash again only adds latency to the cache
@@ -262,31 +283,43 @@ impl FormatRegistry {
     }
 
     /// The one gate in front of every plan this registry hands out: a
-    /// cached plan, or one `compile`d now — returned with the verifier's
-    /// verdict on it and the name a rejection reports — and cached only
-    /// when the verdict has no error-severity violation.  Descriptors
-    /// arrive from peers, and a plan runs with no per-record layout
-    /// checks, so a plan built from a lying descriptor is
-    /// [`PbioError::PlanRejected`] here rather than an out-of-bounds
-    /// access later.
+    /// cached verdict, or one reached now by `compile` — which returns
+    /// the plan, the verifier's verdict on it and the name a rejection
+    /// reports.  A plan with no error-severity violation is cached and
+    /// returned; otherwise the key's [`PbioError::PlanRejected`] is
+    /// cached (see [`Verdicts`]) and returned.  Descriptors arrive from
+    /// peers, and a plan runs with no per-record layout checks, so a
+    /// plan built from a lying descriptor is refused here rather than
+    /// an out-of-bounds access later.
     fn certified<K: Copy + Eq + Hash, P: Clone>(
         &self,
         table: &PlanTable<K, P>,
         key: K,
         compile: impl FnOnce() -> Result<(P, Verdict, String), PbioError>,
     ) -> Result<P, PbioError> {
-        if let Some(plan) = sync::read(table).get(&key) {
+        if let Some(verdict) = sync::read(table).by_key.get(&key) {
             self.plan_hits.inc();
-            return Ok(plan.clone());
+            return verdict.clone();
         }
         self.plan_misses.inc();
         // Compile and certify outside the write lock; the double-checked
-        // insert keeps one shared plan if another thread raced us here.
+        // insert keeps one shared verdict if another thread raced us here.
         let (plan, verdict, format) = compile()?;
-        if let Some(violation) = verdict.first_error() {
-            return Err(PbioError::PlanRejected { format, violation: violation.to_string() });
+        let verdict = match verdict.first_error() {
+            Some(violation) => {
+                Err(PbioError::PlanRejected { format, violation: violation.to_string() })
+            }
+            None => Ok(plan),
+        };
+        let mut table = sync::write(table);
+        if verdict.is_err() && !table.by_key.contains_key(&key) {
+            if table.rejected.len() == MAX_REJECTIONS {
+                let oldest = table.rejected.pop_front().expect("the queue is full");
+                table.by_key.remove(&oldest);
+            }
+            table.rejected.push_back(key);
         }
-        Ok(sync::write(table).entry(key).or_insert(plan).clone())
+        table.by_key.entry(key).or_insert(verdict).clone()
     }
 
     /// Cumulative plan-cache hit/miss counters.
@@ -381,6 +414,43 @@ mod tests {
         r.register(FormatSpec::new("B", vec![IOField::auto("x", "integer", 4)])).unwrap();
         r.register(FormatSpec::new("A", vec![IOField::auto("x", "integer", 4)])).unwrap();
         assert_eq!(r.names(), vec!["A".to_string(), "B".to_string()]);
+    }
+
+    /// A descriptor whose one string slot is 2 bytes wide: its plans
+    /// never pass the gate.
+    fn lying(name: &str) -> Arc<FormatDescriptor> {
+        let honest = reg()
+            .register(FormatSpec::new(name, vec![IOField::auto("label", "string", 0)]))
+            .unwrap();
+        let mut d = (*honest).clone();
+        d.fields[0].size = 2;
+        Arc::new(crate::codec::decode_descriptor(&crate::codec::encode_descriptor(&d)).unwrap())
+    }
+
+    #[test]
+    fn rejections_are_cached_up_to_a_fixed_cap() {
+        let r = reg();
+        for i in 0..MAX_REJECTIONS + 50 {
+            let err = r.encode_plan(&lying(&format!("L{i}"))).unwrap_err();
+            assert!(matches!(err, PbioError::PlanRejected { .. }), "{err}");
+        }
+        let table = sync::read(&r.plans.encode);
+        assert_eq!(table.rejected.len(), MAX_REJECTIONS);
+        assert_eq!(table.by_key.len(), MAX_REJECTIONS);
+        // The oldest were evicted, the newest kept.
+        assert!(!table.by_key.contains_key(&lying("L0").id()));
+        assert!(table.by_key.contains_key(&lying(&format!("L{}", MAX_REJECTIONS + 49)).id()));
+        drop(table);
+
+        // Certified plans are never evicted by rejections.
+        let good = r.register(point_spec()).unwrap();
+        r.encode_plan(&good).unwrap();
+        for i in 0..MAX_REJECTIONS {
+            let _ = r.encode_plan(&lying(&format!("M{i}")));
+        }
+        let misses = r.plan_cache_stats().misses;
+        r.encode_plan(&good).unwrap();
+        assert_eq!(r.plan_cache_stats().misses, misses);
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub(crate) fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), 
 /// bytes actually arrive.  A clean EOF before any byte means the peer
 /// hung up — for a client mid-request that is an error.
 pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, PbioError> {
-    let mut framer = LengthFramer::new(MAX_FRAME);
-    match read_frame_blocking(stream, &mut framer) {
-        Ok(Some((_, payload))) => Ok(payload),
+    let mut payload = Vec::new();
+    match read_frame_blocking(stream, &mut LengthFramer::new(MAX_FRAME), &mut payload) {
+        Ok(Some(_)) => Ok(payload),
         Ok(None) => Err(PbioError::Io("connection closed by format server".to_string())),
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
             Err(PbioError::Server(e.to_string()))

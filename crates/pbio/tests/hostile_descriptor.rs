@@ -7,7 +7,8 @@
 //! `{x: integer, label: string}`, damages the `label` slot, round-trips
 //! the descriptor through `codec` (so it carries its own content id, as
 //! a FORMAT frame would), and feeds a record under that id to each
-//! decode entry point.
+//! decode entry point.  A refusal is cached like a plan, so a peer
+//! replaying records under the lie pays for one compile, not one each.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -113,5 +114,22 @@ fn hostile_descriptor_is_refused_by_an_xmit_receiver() {
         let err = rx.recv().expect_err(what);
         assert!(matches!(err, XmitError::Bcm(PbioError::PlanRejected { .. })), "{what}: {err}");
         peer.join().unwrap();
+    }
+}
+
+#[test]
+fn a_rejected_plan_is_cached_not_recompiled_per_record() {
+    let sender = FormatRegistry::new(MachineModel::native());
+    let good = labelled(&sender);
+    for (what, hostile) in hostile_descriptors(&good) {
+        let receiver = FormatRegistry::new(MachineModel::native());
+        let hostile = receiver.register_descriptor(hostile);
+        let wire = record_under(&good, hostile.id());
+        let errors: Vec<PbioError> =
+            (0..1000).map(|_| decode(&wire, &receiver).expect_err(what)).collect();
+        assert!(matches!(errors[0], PbioError::PlanRejected { .. }), "{what}: {}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{what}: errors differ");
+        let stats = receiver.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 999), "{what}");
     }
 }

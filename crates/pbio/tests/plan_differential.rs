@@ -11,7 +11,9 @@
 //! * compiled cross-machine/cross-width conversion equals the interpreted
 //!   converter, in both directions.
 //!
-//! One test per sender byte order, 256 cases each.  Floats are generated
+//! One test per sender byte order, 256 cases each.  A third test checks
+//! wire-to-wire conversion against `encode(decode_with(..))` across all
+//! four machine models.  Floats are generated
 //! finite: the one documented divergence between the paths is same-width
 //! `f32` signaling-NaN bit patterns, which the compiled path preserves and
 //! the interpreted `f32 → f64 → f32` round-trip may quieten.
@@ -22,6 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use openmeta_pbio::convert_wire_into;
 use openmeta_pbio::marshal::{decode_with_interpreted, encode_into_interpreted};
 use openmeta_pbio::prelude::*;
 
@@ -177,8 +180,15 @@ fn mutate_fields(rng: &mut StdRng, sender: &[FSpec]) -> Vec<FSpec> {
 
 /// Fill every sender field with random values, recursing into nested
 /// records via dotted paths.  Length fields are skipped: the array
-/// setters maintain them.
-fn fill(rng: &mut StdRng, rec: &mut RawRecord, desc: &FormatDescriptor, prefix: &str) {
+/// setters maintain them.  With `absent_strings`, about a third of the
+/// strings are left unset (a null pointer on the wire).
+fn fill(
+    rng: &mut StdRng,
+    rec: &mut RawRecord,
+    desc: &FormatDescriptor,
+    prefix: &str,
+    absent_strings: bool,
+) {
     let len_names: Vec<String> = desc
         .fields
         .iter()
@@ -209,6 +219,9 @@ fn fill(rng: &mut StdRng, rec: &mut RawRecord, desc: &FormatDescriptor, prefix: 
                 rec.set_i64(&path, int_val(rng, f.size)).unwrap();
             }
             FieldKind::String => {
+                if absent_strings && rng.random_bool(0.3) {
+                    continue;
+                }
                 let n = rng.random_range(0usize..12);
                 let s: String =
                     (0..n).map(|_| (b'a' + rng.random_range(0u8..26)) as char).collect();
@@ -236,7 +249,7 @@ fn fill(rng: &mut StdRng, rec: &mut RawRecord, desc: &FormatDescriptor, prefix: 
             }
             FieldKind::Nested(sub) => {
                 let sub = sub.clone();
-                fill(rng, rec, &sub, &format!("{path}."));
+                fill(rng, rec, &sub, &format!("{path}."), absent_strings);
             }
         }
     }
@@ -261,7 +274,7 @@ fn run_case(seed: u64, sender_machine: MachineModel, receiver_machine: MachineMo
     let rfmt = register(&rreg, &rx_inner, &rx_outer);
 
     let mut rec = RawRecord::new(sfmt.clone());
-    fill(&mut rng, &mut rec, &sfmt, "");
+    fill(&mut rng, &mut rec, &sfmt, "", false);
 
     // Encode: compiled output must be byte-identical to interpreted.
     let mut interp = Vec::new();
@@ -292,8 +305,56 @@ fn run_case(seed: u64, sender_machine: MachineModel, receiver_machine: MachineMo
     assert_eq!(back_c, back_i, "seed {seed}: reverse conversion differs");
 }
 
+const MACHINES: [MachineModel; 4] =
+    [MachineModel::SPARC32, MachineModel::X86, MachineModel::X86_64, MachineModel::SPARC64];
+
+/// Wire-to-wire conversion against its definition: converting a wire
+/// image straight into the receiver's wire image must give exactly the
+/// bytes of `encode(decode_with(..))`, for a sender and a receiver drawn
+/// from all four machine models (so every byte-order and pointer-width
+/// pairing), with dropped fields, re-rolled scalar and array widths,
+/// empty arrays, empty and absent strings.  Each direction is checked,
+/// and so is the same-format conversion.
+fn run_wire_case(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (sm, rm) = (pick(&mut rng, &MACHINES), pick(&mut rng, &MACHINES));
+    let inner = gen_fields(&mut rng, None);
+    let outer = gen_fields(&mut rng, Some("Inner"));
+    let rx_inner = mutate_fields(&mut rng, &inner);
+    let rx_outer = mutate_fields(&mut rng, &outer);
+    let sreg = FormatRegistry::new(sm);
+    let rreg = FormatRegistry::new(rm);
+    let sfmt = register(&sreg, &inner, &outer);
+    let rfmt = register(&rreg, &rx_inner, &rx_outer);
+    rreg.register_descriptor((*sfmt).clone());
+    sreg.register_descriptor((*rfmt).clone());
+
+    let mut rec = RawRecord::new(sfmt.clone());
+    fill(&mut rng, &mut rec, &sfmt, "", true);
+    let wire = encode(&rec).unwrap();
+    for (wire, reg, target) in [(&wire, &rreg, &rfmt), (&wire, &sreg, &sfmt)] {
+        let want = encode(&decode_with(wire, reg, target).unwrap()).unwrap();
+        // Appending behind existing bytes, as a frame header sits in front.
+        let mut got = vec![0xEE; 5];
+        let n = convert_wire_into(wire, reg, target, &mut got).unwrap();
+        assert_eq!(n, want.len(), "seed {seed}: {sm:?} -> {:?} length", target.machine);
+        assert_eq!(&got[5..], &want[..], "seed {seed}: {sm:?} -> {:?}", target.machine);
+    }
+    // And back: the receiver's wire image into the sender's format.
+    let back = encode(&decode_with(&wire, &rreg, &rfmt).unwrap()).unwrap();
+    let want = encode(&decode_with(&back, &sreg, &sfmt).unwrap()).unwrap();
+    let mut got = Vec::new();
+    convert_wire_into(&back, &sreg, &sfmt, &mut got).unwrap();
+    assert_eq!(got, want, "seed {seed}: {rm:?} -> {sm:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn wire_convert_matches_decode_then_encode(seed in any::<u64>()) {
+        run_wire_case(seed);
+    }
 
     #[test]
     fn compiled_matches_interpreted_big_endian_sender(seed in any::<u64>()) {

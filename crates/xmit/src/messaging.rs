@@ -147,9 +147,10 @@ impl XmitSender {
 
         // The answer is one frame; read exactly that much.
         let mut framer = LengthFramer::with_kind_byte(MAX_FRAME);
+        let mut payload = Vec::new();
         let closed = || XmitError::Negotiation("connection closed during handshake".to_string());
-        let (kind, payload) = match read_frame_blocking(&mut self.stream, &mut framer) {
-            Ok(Some(frame)) => frame,
+        let kind = match read_frame_blocking(&mut self.stream, &mut framer, &mut payload) {
+            Ok(Some(kind)) => kind,
             Ok(None) => return Err(closed()),
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(closed()),
             Err(e) => return Err(frame_error(e)),
@@ -172,6 +173,8 @@ pub struct XmitReceiver {
     stream: TcpStream,
     registry: Arc<FormatRegistry>,
     framer: LengthFramer,
+    /// The current frame's payload, reused across frames.
+    frame: Vec<u8>,
     negotiation: Arc<NegotiationCache>,
 }
 
@@ -185,6 +188,7 @@ impl XmitReceiver {
             stream,
             registry,
             framer: LengthFramer::with_kind_byte(MAX_FRAME),
+            frame: Vec::new(),
             negotiation: NegotiationCache::global().clone(),
         }
     }
@@ -212,36 +216,37 @@ impl XmitReceiver {
         &self.registry
     }
 
-    /// Read one frame through the sans-io [`LengthFramer`] — the same
-    /// decoder the servers' event loop feeds as bytes arrive.
-    /// The untrusted-length discipline carries over: the framer only
-    /// buffers bytes that actually arrived, and an oversized length
+    /// Read one frame's payload into `self.frame` and return its kind.
+    /// The untrusted-length discipline of [`read_frame_blocking`] holds:
+    /// the buffer only grows as bytes arrive, and an oversized length
     /// prefix is rejected as soon as the header is complete.
-    fn read_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, XmitError> {
-        read_frame_blocking(&mut self.stream, &mut self.framer).map_err(frame_error)
+    fn read_frame(&mut self) -> Result<Option<u8>, XmitError> {
+        read_frame_blocking(&mut self.stream, &mut self.framer, &mut self.frame)
+            .map_err(frame_error)
     }
 
     /// Receive the next record; `Ok(None)` when the sender hung up
     /// cleanly.
     pub fn recv(&mut self) -> Result<Option<RawRecord>, XmitError> {
         loop {
-            let Some((kind, payload)) = self.read_frame()? else { return Ok(None) };
+            let Some(kind) = self.read_frame()? else { return Ok(None) };
+            let payload = &self.frame;
             // Scoped to frame *processing*: the blocking wait for the
             // peer's next frame would otherwise dominate the histogram.
             let _span = openmeta_obs::span!("transport.recv");
             match kind {
                 FRAME_FORMAT => {
-                    let desc = decode_descriptor(&payload)?;
+                    let desc = decode_descriptor(payload)?;
                     self.registry.register_descriptor(desc);
                 }
-                FRAME_RECORD => return Ok(Some(decode(&payload, &self.registry)?)),
+                FRAME_RECORD => return Ok(Some(decode(payload, &self.registry)?)),
                 FRAME_HELLO => {
                     // A negotiating sender: classify its offers against
                     // our registry, answer ACCEPT (and keep receiving)
                     // or REJECT (and fail the connection here, before
                     // any record rides an incompatible version).
                     let _span = openmeta_obs::span!("negotiate.respond");
-                    let hello = Hello::decode(&payload)?;
+                    let hello = Hello::decode(payload)?;
                     match self.negotiation.respond(&hello, &self.registry) {
                         Ok(accept) => {
                             write_frame(&mut self.stream, FRAME_ACCEPT, &accept.encode())?;
