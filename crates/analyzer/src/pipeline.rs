@@ -53,10 +53,10 @@ fn analyze_descriptor(report: &mut Report, desc: &FormatDescriptor, machines: &s
     match EncodePlan::compile(desc) {
         Ok(plan) => {
             report.encode_plans_checked += 1;
-            // verify_encode_plan re-runs the layout pass internally; keep
+            // verify_encode_program re-runs the layout pass internally; keep
             // only the plan-specific findings to avoid duplicates.
             let layout = verify::verify_layout(desc);
-            let verdict = verify::verify_encode_plan(desc, &plan);
+            let verdict = verify::verify_encode_program(desc, plan.program());
             let fresh: Vec<_> = verdict
                 .into_violations()
                 .into_iter()
@@ -90,7 +90,7 @@ fn analyze_pair(
             report.convert_plans_checked += 1;
             let mut layout = verify::verify_layout(from);
             layout.merge(verify::verify_layout(to));
-            let verdict = verify::verify_convert_plan(from, to, &plan);
+            let verdict = verify::verify_convert_program(from, to, plan.program());
             let fresh: Vec<_> = verdict
                 .into_violations()
                 .into_iter()

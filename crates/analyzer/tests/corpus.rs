@@ -60,13 +60,13 @@ fn raw_plans_from_compiled_specs_are_clean() {
         }
         for d in &descs {
             let plan = EncodePlan::compile(d).expect("corpus compiles");
-            let verdict = verify::verify_encode_plan(d, &plan);
+            let verdict = verify::verify_encode_program(d, plan.program());
             assert!(verdict.is_clean(), "{}: {:#?}", case.name, verdict.violations());
         }
         for from in &descs {
             for to in &descs {
                 let plan = ConvertPlan::compile(from, to).expect("corpus converts");
-                let verdict = verify::verify_convert_plan(from, to, &plan);
+                let verdict = verify::verify_convert_program(from, to, plan.program());
                 assert!(verdict.is_clean(), "{}: {:#?}", case.name, verdict.violations());
             }
         }

@@ -4,10 +4,14 @@
 //! together they pin the verifier between false positives and false
 //! negatives.
 
-use openmeta_analyzer::verify::{verify_convert_program, verify_encode_program};
+use openmeta_analyzer::verify::{
+    verify_convert_program, verify_encode_program, verify_view_program,
+};
 use openmeta_bench::workloads::{figure3_cases, figure6_cases};
-use openmeta_pbio::plan::{ConvertProgram, EncodeProgram, PlanOp};
-use openmeta_pbio::{ConvertPlan, EncodePlan, FormatDescriptor, FormatRegistry, MachineModel};
+use openmeta_pbio::plan::{ConvertProgram, EncodeProgram, PlanOp, ViewProgram};
+use openmeta_pbio::{
+    ByteOrder, ConvertPlan, EncodePlan, FormatDescriptor, FormatRegistry, MachineModel, ViewPlan,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -188,7 +192,7 @@ proptest! {
     fn convert_mutants_rejected(case_idx in 0usize..7, selector in 0u8..250, i in 0usize..64, delta in 1u32..16) {
         let pairs = corpus_pairs();
         let (from, to) = &pairs[case_idx % pairs.len()];
-        let clean = ConvertPlan::compile(from, to).expect("corpus compiles").program();
+        let clean = ConvertPlan::compile(from, to).expect("corpus compiles").program().clone();
         let mut prog = clean.clone();
         let m = mutation_from(selector, i, delta);
         if apply_convert(&mut prog, m) {
@@ -253,7 +257,7 @@ proptest! {
     fn encode_mutants_rejected(case_idx in 0usize..7, selector in 0u8..4, i in 0usize..64, delta in 1usize..16) {
         let pairs = corpus_pairs();
         let (desc, _) = &pairs[case_idx % pairs.len()];
-        let clean = EncodePlan::compile(desc).expect("corpus compiles").program();
+        let clean = EncodePlan::compile(desc).expect("corpus compiles").program().clone();
         let mut prog = clean.clone();
         let m = match selector {
             0 => EncodeMutation::FlipHeaderByte(i),
@@ -276,7 +280,7 @@ proptest! {
 fn exhaustive_per_op_mutants_rejected() {
     let mut mutants = 0usize;
     for (from, to) in corpus_pairs() {
-        let clean = ConvertPlan::compile(&from, &to).expect("corpus compiles").program();
+        let clean = ConvertPlan::compile(&from, &to).expect("corpus compiles").program().clone();
         let op_mutations = |i: usize| {
             [
                 ConvertMutation::ShiftDst(i, 1),
@@ -328,4 +332,59 @@ fn exhaustive_per_op_mutants_rejected() {
     // Coalescing keeps corpus programs short; the corpus still yields
     // dozens of distinct single mutations, every one of which must die.
     assert!(mutants >= 50, "corpus produced only {mutants} mutants");
+}
+
+/// View-program mutations: slot-table damage and lies about the image.
+#[derive(Debug, Clone, Copy)]
+enum ViewMutation {
+    DropSlot(usize),
+    ShiftSlot(usize),
+    ShrinkRecord,
+    FlipOrder,
+}
+
+fn apply_view(prog: &mut ViewProgram, m: ViewMutation) {
+    match m {
+        ViewMutation::DropSlot(i) => {
+            prog.slots.remove(i);
+        }
+        ViewMutation::ShiftSlot(i) => prog.slots[i].off += 1,
+        ViewMutation::ShrinkRecord => prog.record_size -= 1,
+        ViewMutation::FlipOrder => {
+            prog.order = match prog.order {
+                ByteOrder::Big => ByteOrder::Little,
+                ByteOrder::Little => ByteOrder::Big,
+            }
+        }
+    }
+}
+
+/// A deterministic sweep over the same-machine corpus pairs, the only
+/// pairs a view plan compiles for: every slot dropped, every slot
+/// shifted, the record shrunk and the byte order flipped — each mutant
+/// is rejected.
+#[test]
+fn view_mutants_rejected() {
+    let mut mutants = 0usize;
+    for desc in corpus_pairs().into_iter().flat_map(|(a, b)| [a, b]) {
+        let plan = ViewPlan::compile(&desc, &desc)
+            .expect("corpus compiles")
+            .expect("a layout views itself");
+        let clean = plan.program();
+        let per_slot = (0..clean.slots.len())
+            .flat_map(|i| [ViewMutation::DropSlot(i), ViewMutation::ShiftSlot(i)]);
+        for m in per_slot.chain([ViewMutation::ShrinkRecord, ViewMutation::FlipOrder]) {
+            let mut prog = clean.clone();
+            apply_view(&mut prog, m);
+            assert!(prog != *clean, "mutation {m:?} must change the program");
+            assert!(
+                verify_view_program(&desc, &desc, &prog).has_errors(),
+                "mutant survived: {m:?} on {}",
+                desc.name
+            );
+            mutants += 1;
+        }
+    }
+    // 14 descriptors give 28 whole-program mutants; the rest are slots.
+    assert!(mutants >= 50, "corpus produced only {mutants} view mutants");
 }

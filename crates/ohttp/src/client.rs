@@ -6,8 +6,9 @@
 //! and reports whether the connection may be reused for another request.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use openmeta_net::TransportConfig;
 
 use crate::error::HttpError;
 use crate::request::MAX_HEAD;
@@ -63,33 +64,6 @@ pub struct RawResponse {
     /// the body was delimited (Content-Length, chunked, or bodiless) and
     /// neither side demanded `Connection: close`.
     pub reusable: bool,
-}
-
-/// Resolve `host:port` and connect with a per-address timeout.
-///
-/// Unlike `TcpStream::connect`, a black-holed host fails after `timeout`
-/// rather than the OS default (which can be minutes).  Every resolved
-/// address is tried in order; the last error is returned if all fail.
-pub fn connect_with_timeout(
-    host: &str,
-    port: u16,
-    timeout: Duration,
-) -> Result<TcpStream, HttpError> {
-    let addrs: Vec<SocketAddr> = (host, port)
-        .to_socket_addrs()
-        .map_err(|e| HttpError::Io(format!("resolving {host}:{port}: {e}")))?
-        .collect();
-    let mut last: Option<std::io::Error> = None;
-    for addr in addrs {
-        match TcpStream::connect_timeout(&addr, timeout) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(match last {
-        Some(e) => HttpError::Io(e.to_string()),
-        None => HttpError::Io(format!("{host}:{port} resolved to no addresses")),
-    })
 }
 
 /// Write a GET request.  `conditional` adds `If-None-Match`; `keep_alive`
@@ -227,14 +201,23 @@ pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default read/write timeout.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The deadlines of one client connection: `connect` to reach the
+/// server, `io` for each read and write.
+pub(crate) fn transport(connect: Duration, io: Duration) -> TransportConfig {
+    TransportConfig {
+        connect_timeout: connect,
+        read_timeout: Some(io),
+        write_timeout: Some(io),
+        ..TransportConfig::default()
+    }
+}
+
 fn one_shot(url: &Url, etag: Option<&str>) -> Result<Fetch, HttpError> {
     if url.scheme != "http" {
         return Err(HttpError::UnsupportedScheme(url.scheme.clone()));
     }
-    let stream = connect_with_timeout(&url.host, url.port, CONNECT_TIMEOUT)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let cfg = transport(CONNECT_TIMEOUT, IO_TIMEOUT);
+    let stream = openmeta_net::connect_with_deadline((url.host.as_str(), url.port), &cfg)?;
     let mut writer = stream.try_clone()?;
     write_get_request(&mut writer, url, etag, false)?;
     let mut reader = BufReader::new(stream);

@@ -22,8 +22,8 @@ use openmeta_net::nio::{read_ready, ReadOutcome};
 use openmeta_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::client::{
-    connect_with_timeout, interpret, read_response, write_get_request, Fetch, Response,
-    CONNECT_TIMEOUT, IO_TIMEOUT,
+    interpret, read_response, transport, write_get_request, Fetch, Response, CONNECT_TIMEOUT,
+    IO_TIMEOUT,
 };
 use crate::error::HttpError;
 use crate::url::Url;
@@ -193,13 +193,12 @@ impl ConnectionPool {
             }
         }
 
-        let stream = connect_with_timeout(&url.host, url.port, self.cfg.connect_timeout)?;
+        // The connection gets the pool's deadlines and no Nagle: requests
+        // are single small writes that Nagle would queue behind the
+        // previous exchange's delayed ACK on a reused connection.
+        let cfg = transport(self.cfg.connect_timeout, self.cfg.io_timeout);
+        let stream = openmeta_net::connect_with_deadline((url.host.as_str(), url.port), &cfg)?;
         self.connects.inc();
-        stream.set_read_timeout(Some(self.cfg.io_timeout))?;
-        stream.set_write_timeout(Some(self.cfg.io_timeout))?;
-        // Requests are single small writes; Nagle would queue them behind
-        // the previous exchange's delayed ACK on a reused connection.
-        stream.set_nodelay(true)?;
         self.request_on(stream, url, etag)
     }
 

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use crate::error::PbioError;
 use crate::format::FormatDescriptor;
 use crate::machine::ByteOrder;
+use crate::plan::scalar_category;
 use crate::record::{read_float, read_int, read_uint, write_float, write_uint, RawRecord, VarData};
 use crate::types::{BaseType, FieldKind};
 
@@ -198,18 +199,6 @@ fn convert_fields(
         }
     }
     Ok(())
-}
-
-/// Scalar conversion categories: anything integer-like interconverts.
-pub(crate) fn scalar_category(b: BaseType) -> u8 {
-    match b {
-        BaseType::Float => 1,
-        BaseType::Integer
-        | BaseType::Unsigned
-        | BaseType::Boolean
-        | BaseType::Enumeration
-        | BaseType::Char => 0,
-    }
 }
 
 /// Convert one scalar across byte order / width / signedness.

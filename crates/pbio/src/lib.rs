@@ -25,8 +25,10 @@
 //! | [`registry`] | thread-safe format registration / lookup / deduplication |
 //! | [`record`] | `RawRecord`: a native-layout byte buffer with typed field accessors |
 //! | [`value`] | dynamic `Value` tree and conversions to/from records |
-//! | [`marshal`] | encode to / decode from the wire format |
-//! | [`convert`] | cross-machine and cross-version field conversion |
+//! | [`marshal`] | encode to / decode from the wire format; decode runs compiled plans |
+//! | [`plan`] | compiled encode/convert/view programs and the executors that run them |
+//! | [`verify`] | static proof of layouts and plan programs before a plan is cached |
+//! | [`convert`] | field-at-a-time interpreter: the differential oracle for the compiled plans |
 //! | [`codec`] | binary (de)serialization of format descriptors themselves |
 //! | [`server`] | TCP format server: register/fetch descriptors by id |
 //! | [`file`](mod@crate::file) | self-describing PBIO data files (descriptors interleaved with records) |

@@ -24,8 +24,10 @@
 //! sender can read fields **in place**: [`decode_borrowed`] returns a
 //! [`crate::view::RecordView`] over the wire bytes — the
 //! "receiver-makes-right with nothing to make right" fast path.  Otherwise
-//! [`decode`] converts to the receiver's native format via
-//! [`crate::convert`].
+//! [`decode`] converts to the receiver's native format by running the
+//! registry's compiled [`crate::plan::ConvertPlan`]; the field-at-a-time
+//! [`crate::convert`] interpreter is only the differential oracle behind
+//! `decode_with_interpreted`.
 
 use std::sync::Arc;
 

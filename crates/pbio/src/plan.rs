@@ -39,7 +39,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use crate::convert::scalar_category;
 use crate::error::PbioError;
 use crate::format::FormatDescriptor;
 use crate::kernels;
@@ -50,72 +49,17 @@ use crate::record::{read_uint, write_uint, RawRecord, VarData};
 use crate::types::{BaseType, FieldKind};
 
 // ---------------------------------------------------------------------------
-// Shared slot table.
-// ---------------------------------------------------------------------------
-
-/// What a var-length pointer slot points at.
-#[derive(Debug, Clone)]
-pub(crate) enum PayloadKind {
-    /// NUL-terminated string, align 1.
-    Str,
-    /// Dynamic-array run governed by a sibling length field.
-    Arr { elem_size: usize, len_off: usize, len_size: usize, len_name: String },
-}
-
-/// One var-length pointer slot, with every name lookup already resolved.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotSpec {
-    /// Field name (for error messages only).
-    pub(crate) name: String,
-    /// Absolute offset of the pointer slot in the fixed image.
-    pub(crate) off: usize,
-    /// Pointer-slot size in bytes.
-    pub(crate) size: usize,
-    pub(crate) payload: PayloadKind,
-}
-
-/// Flatten a descriptor's var-length slots, resolving length fields once.
-pub(crate) fn compile_slots(desc: &FormatDescriptor) -> Result<Vec<SlotSpec>, PbioError> {
-    let mut out = Vec::new();
-    for s in desc.varlen_slots() {
-        let payload = match &s.field.kind {
-            FieldKind::String => PayloadKind::Str,
-            FieldKind::DynamicArray { elem_size, length_field, .. } => {
-                let lf = s.record.field(length_field).ok_or_else(|| PbioError::BadDimension {
-                    field: s.field.name.clone(),
-                    reason: format!("length field '{length_field}' missing"),
-                })?;
-                PayloadKind::Arr {
-                    elem_size: *elem_size,
-                    len_off: s.record_base + lf.offset,
-                    len_size: lf.size,
-                    len_name: length_field.clone(),
-                }
-            }
-            other => unreachable!("varlen_slots only yields varlen kinds, got {other:?}"),
-        };
-        out.push(SlotSpec {
-            name: s.field.name.clone(),
-            off: s.slot_offset,
-            size: s.field.size,
-            payload,
-        });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Public plan introspection (the analyzer/planlint IR).
+// Plan programs.
 // ---------------------------------------------------------------------------
 //
-// Compiled plans are opaque on the hot path, but static verification
-// (`crate::verify`, `openmeta-analyzer`, the `planlint` tool) needs to see
-// the instruction programs without executing them — and mutation tests
-// need to corrupt copies of them.  These mirror types are the public,
-// owned projection of a plan's internals; `EncodePlan::program` and
-// `ConvertPlan::program` produce them.
+// Each compiled plan holds exactly one program, and the executors below
+// run it.  The program types are public so static verification
+// (`crate::verify`, `openmeta-analyzer`, the `planlint` tool) reads the
+// very instructions that run, and mutation tests can corrupt clones of
+// them; a plan itself is only ever built by its `compile`.
 
-/// Public mirror of one fixed-image instruction (see `FixedOp`).
+/// One fixed-image instruction.  Offsets and lengths are `u32` to keep
+/// programs compact; record sizes comfortably fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Bitwise copy of `len` bytes.
@@ -168,7 +112,7 @@ pub enum PlanOp {
     },
 }
 
-/// Public mirror of a var-length slot's payload kind.
+/// What a var-length pointer slot points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlotPayloadProgram {
     /// NUL-terminated string, align 1.
@@ -186,7 +130,7 @@ pub enum SlotPayloadProgram {
     },
 }
 
-/// Public mirror of one var-length pointer slot.
+/// One var-length pointer slot, with every name lookup already resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotProgram {
     /// Field name (diagnostics).
@@ -199,7 +143,7 @@ pub struct SlotProgram {
     pub payload: SlotPayloadProgram,
 }
 
-/// Public mirror of a per-element conversion kind.
+/// Per-element conversion kind, shared by fixed and var-length arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemKind {
     /// Representation-identical copy.
@@ -215,7 +159,7 @@ pub enum ElemKind {
     Float,
 }
 
-/// Public mirror of how a var-length payload crosses a format pair.
+/// How a var-length payload crosses a format pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarConvProgram {
     /// Representation matches: payload cloned as-is.
@@ -231,10 +175,11 @@ pub enum VarConvProgram {
     },
 }
 
-/// Public mirror of one var-length move/convert instruction.
+/// Move/convert one var-length payload from a source slot to a
+/// destination slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarOpProgram {
-    /// Index into the source slot table.
+    /// Index into the source slot table (and the located-payload vector).
     pub src_idx: usize,
     /// Destination slot offset (the receiver-side `varlen` key).
     pub dst_off: usize,
@@ -242,7 +187,8 @@ pub struct VarOpProgram {
     pub conv: VarConvProgram,
 }
 
-/// Public mirror of a destination length-field fix-up.
+/// Post-pass: make a destination dynamic-array length field agree with
+/// the payload actually present (as `convert::fix_dynamic_lengths` does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LenFixProgram {
     /// Absolute offset of the length field in the destination image.
@@ -255,11 +201,12 @@ pub struct LenFixProgram {
     pub elem_size: usize,
 }
 
-/// The complete public projection of an [`EncodePlan`].
+/// The program an [`EncodePlan`] runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodeProgram {
-    /// Header template (`HEADER_SIZE` bytes, data-size word zero).
-    pub header: Vec<u8>,
+    /// Complete wire header with the data-size word left zero; patched
+    /// per record.
+    pub header: [u8; HEADER_SIZE],
     /// Fixed-image size the plan was compiled for.
     pub record_size: usize,
     /// Byte order of the format's machine model.
@@ -268,7 +215,7 @@ pub struct EncodeProgram {
     pub slots: Vec<SlotProgram>,
 }
 
-/// The complete public projection of a [`ConvertPlan`].
+/// The program a [`ConvertPlan`] runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvertProgram {
     /// Sender byte order.
@@ -279,7 +226,8 @@ pub struct ConvertProgram {
     pub src_record_size: usize,
     /// Receiver fixed-image size.
     pub dst_record_size: usize,
-    /// Sender slot table (every slot, even receiver-ignored ones).
+    /// Sender slot table: every slot is located and validated, even ones
+    /// the receiver ignores, matching interpreted extract semantics.
     pub src_slots: Vec<SlotProgram>,
     /// Fixed-image instructions.
     pub ops: Vec<PlanOp>,
@@ -289,23 +237,45 @@ pub struct ConvertProgram {
     pub len_fixes: Vec<LenFixProgram>,
 }
 
-fn slot_program(s: &SlotSpec) -> SlotProgram {
-    SlotProgram {
-        name: s.name.clone(),
-        off: s.off,
-        size: s.size,
-        payload: match &s.payload {
-            PayloadKind::Str => SlotPayloadProgram::Str,
-            PayloadKind::Arr { elem_size, len_off, len_size, len_name } => {
+/// The program a [`ViewPlan`] runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewProgram {
+    /// Fixed-image size the plan was compiled for.
+    pub record_size: usize,
+    /// Byte order of the (shared) machine model.
+    pub order: ByteOrder,
+    /// Var-length slot table, in placement order.
+    pub slots: Vec<SlotProgram>,
+}
+
+/// Flatten a descriptor's var-length slots, resolving length fields once.
+fn compile_slots(desc: &FormatDescriptor) -> Result<Vec<SlotProgram>, PbioError> {
+    let mut out = Vec::new();
+    for s in desc.varlen_slots() {
+        let payload = match &s.field.kind {
+            FieldKind::String => SlotPayloadProgram::Str,
+            FieldKind::DynamicArray { elem_size, length_field, .. } => {
+                let lf = s.record.field(length_field).ok_or_else(|| PbioError::BadDimension {
+                    field: s.field.name.clone(),
+                    reason: format!("length field '{length_field}' missing"),
+                })?;
                 SlotPayloadProgram::Array {
                     elem_size: *elem_size,
-                    len_off: *len_off,
-                    len_size: *len_size,
-                    len_name: len_name.clone(),
+                    len_off: s.record_base + lf.offset,
+                    len_size: lf.size,
+                    len_name: length_field.clone(),
                 }
             }
-        },
+            other => unreachable!("varlen_slots only yields varlen kinds, got {other:?}"),
+        };
+        out.push(SlotProgram {
+            name: s.field.name.clone(),
+            off: s.slot_offset,
+            size: s.field.size,
+            payload,
+        });
     }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,12 +285,7 @@ fn slot_program(s: &SlotSpec) -> SlotProgram {
 /// Compiled encode/extract program for one format.
 #[derive(Debug)]
 pub struct EncodePlan {
-    /// Complete wire header with the data-size word left zero; patched per
-    /// record.
-    header: [u8; HEADER_SIZE],
-    record_size: usize,
-    order: ByteOrder,
-    slots: Vec<SlotSpec>,
+    program: EncodeProgram,
 }
 
 impl EncodePlan {
@@ -335,21 +300,18 @@ impl EncodePlan {
         };
         header[4..12].copy_from_slice(&desc.id().0.to_be_bytes());
         Ok(EncodePlan {
-            header,
-            record_size: desc.record_size,
-            order: desc.machine.byte_order,
-            slots: compile_slots(desc)?,
+            program: EncodeProgram {
+                header,
+                record_size: desc.record_size,
+                order: desc.machine.byte_order,
+                slots: compile_slots(desc)?,
+            },
         })
     }
 
-    /// The public projection of this plan, for static verification.
-    pub fn program(&self) -> EncodeProgram {
-        EncodeProgram {
-            header: self.header.to_vec(),
-            record_size: self.record_size,
-            order: self.order,
-            slots: self.slots.iter().map(slot_program).collect(),
-        }
+    /// The program this plan runs, for static verification.
+    pub fn program(&self) -> &EncodeProgram {
+        &self.program
     }
 }
 
@@ -377,7 +339,7 @@ pub(crate) fn check_record_size(data: &[u8], record_size: usize) -> Result<(), P
 /// does.  `None` means the payload is absent (null pointer).
 pub(crate) fn locate_payload<'a>(
     data: &'a [u8],
-    slot: &SlotSpec,
+    slot: &SlotProgram,
     order: ByteOrder,
 ) -> Result<Option<VarSlice<'a>>, PbioError> {
     let raw = &data[slot.off..slot.off + slot.size];
@@ -397,7 +359,7 @@ pub(crate) fn locate_payload<'a>(
         )));
     }
     match &slot.payload {
-        PayloadKind::Str => {
+        SlotPayloadProgram::Str => {
             let tail = &data[at..];
             let end = tail.iter().position(|&b| b == 0).ok_or_else(|| {
                 PbioError::BadWireData(format!("field '{}': unterminated string", slot.name))
@@ -407,7 +369,7 @@ pub(crate) fn locate_payload<'a>(
             })?;
             Ok(Some(VarSlice::Str(text)))
         }
-        PayloadKind::Arr { elem_size, len_off, len_size, .. } => {
+        SlotPayloadProgram::Array { elem_size, len_off, len_size, .. } => {
             let count = read_uint(&data[*len_off..*len_off + *len_size], order) as usize;
             let bytes_len = count.checked_mul(*elem_size).ok_or_else(|| {
                 PbioError::BadWireData(format!("field '{}': array length overflows", slot.name))
@@ -432,18 +394,19 @@ pub(crate) fn execute_encode(
     out: &mut Vec<u8>,
     placements: &mut Vec<(usize, usize)>,
 ) -> Result<usize, PbioError> {
+    let prog = &plan.program;
     let fixed = rec.fixed_bytes();
-    debug_assert_eq!(fixed.len(), plan.record_size, "plan compiled for a different format");
-    let order = plan.order;
+    debug_assert_eq!(fixed.len(), prog.record_size, "plan compiled for a different format");
+    let order = prog.order;
 
     // Pass 1: place payloads within the data section.
     placements.clear();
-    let mut data_size = plan.record_size;
-    for slot in &plan.slots {
+    let mut data_size = prog.record_size;
+    for slot in &prog.slots {
         let (len, align) = match (&slot.payload, rec.varlen.get(&slot.off)) {
-            (PayloadKind::Str, Some(VarData::Str(v))) => (v.len() + 1, 1),
-            (PayloadKind::Str, None) => (0, 1),
-            (PayloadKind::Arr { elem_size, len_off, len_size, len_name }, payload) => {
+            (SlotPayloadProgram::Str, Some(VarData::Str(v))) => (v.len() + 1, 1),
+            (SlotPayloadProgram::Str, None) => (0, 1),
+            (SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name }, payload) => {
                 let declared = read_uint(&fixed[*len_off..*len_off + *len_size], order) as usize;
                 let have = match payload {
                     Some(VarData::Bytes(b)) => b.len() / elem_size,
@@ -457,7 +420,7 @@ pub(crate) fn execute_encode(
                 }
                 (have * elem_size, (*elem_size).max(1))
             }
-            (PayloadKind::Str, Some(VarData::Bytes(_))) => {
+            (SlotPayloadProgram::Str, Some(VarData::Bytes(_))) => {
                 unreachable!("string slots only ever hold VarData::Str")
             }
         };
@@ -467,15 +430,15 @@ pub(crate) fn execute_encode(
     // Pass 2: emit.
     let start = out.len();
     out.reserve(HEADER_SIZE + data_size);
-    out.extend_from_slice(&plan.header);
+    out.extend_from_slice(&prog.header);
     out[start + 12..start + 16].copy_from_slice(&(data_size as u32).to_be_bytes());
     let data_start = out.len();
     out.extend_from_slice(fixed);
-    for (slot, &(payload_at, _)) in plan.slots.iter().zip(placements.iter()) {
+    for (slot, &(payload_at, _)) in prog.slots.iter().zip(placements.iter()) {
         let slot_abs = data_start + slot.off;
         write_pointer(&mut out[slot_abs..slot_abs + slot.size], order, payload_at);
     }
-    for (slot, &(payload_at, len)) in plan.slots.iter().zip(placements.iter()) {
+    for (slot, &(payload_at, len)) in prog.slots.iter().zip(placements.iter()) {
         if len == 0 {
             continue;
         }
@@ -522,7 +485,7 @@ fn write_pointer(slot: &mut [u8], order: ByteOrder, at: usize) {
 }
 
 /// An array slot whose length field disagrees with its payload.
-fn dimension_error(slot: &SlotSpec, len_name: &str, declared: usize, have: usize) -> PbioError {
+fn dimension_error(slot: &SlotProgram, len_name: &str, declared: usize, have: usize) -> PbioError {
     PbioError::BadDimension {
         field: slot.name.clone(),
         reason: format!("length field '{len_name}' says {declared} elements, array holds {have}"),
@@ -536,13 +499,14 @@ pub(crate) fn execute_extract(
     plan: &EncodePlan,
     data: &[u8],
 ) -> Result<(Vec<u8>, BTreeMap<usize, VarData>), PbioError> {
-    check_record_size(data, plan.record_size)?;
-    let mut fixed = data[..plan.record_size].to_vec();
+    let prog = &plan.program;
+    check_record_size(data, prog.record_size)?;
+    let mut fixed = data[..prog.record_size].to_vec();
     let mut allocs = 1u64; // the fixed image itself
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
-    for slot in &plan.slots {
-        let payload = locate_payload(data, slot, plan.order)?;
+    for slot in &prog.slots {
+        let payload = locate_payload(data, slot, prog.order)?;
         fixed[slot.off..slot.off + slot.size].fill(0);
         match payload {
             Some(VarSlice::Str(s)) => {
@@ -611,17 +575,6 @@ fn kinds_match(a: &FieldKind, b: &FieldKind) -> bool {
     }
 }
 
-/// The complete public projection of a [`ViewPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewProgram {
-    /// Fixed-image size the plan was compiled for.
-    pub record_size: usize,
-    /// Byte order of the (shared) machine model.
-    pub order: ByteOrder,
-    /// Var-length slot table, in placement order.
-    pub slots: Vec<SlotProgram>,
-}
-
 /// Compiled program for the borrowed same-layout decode path: enough to
 /// validate a wire data section and chase its var-length slots without
 /// materializing anything.
@@ -631,12 +584,10 @@ pub struct ViewProgram {
 /// returns `Ok(None)` otherwise and the caller falls back to the
 /// [`ConvertPlan`] path.  Before a view plan is cached, in every build,
 /// `crate::verify` re-derives the same-layout claim independently
-/// ([`crate::verify::verify_view_plan`]).
+/// ([`crate::verify::verify_view_program`]).
 #[derive(Debug)]
 pub struct ViewPlan {
-    record_size: usize,
-    order: ByteOrder,
-    slots: Vec<SlotSpec>,
+    program: ViewProgram,
     target: Arc<FormatDescriptor>,
 }
 
@@ -651,9 +602,11 @@ impl ViewPlan {
             return Ok(None);
         }
         Ok(Some(ViewPlan {
-            record_size: target.record_size,
-            order: target.machine.byte_order,
-            slots: compile_slots(target)?,
+            program: ViewProgram {
+                record_size: target.record_size,
+                order: target.machine.byte_order,
+                slots: compile_slots(target)?,
+            },
             target: target.clone(),
         }))
     }
@@ -663,25 +616,9 @@ impl ViewPlan {
         &self.target
     }
 
-    pub(crate) fn record_size(&self) -> usize {
-        self.record_size
-    }
-
-    pub(crate) fn order(&self) -> ByteOrder {
-        self.order
-    }
-
-    pub(crate) fn slots(&self) -> &[SlotSpec] {
-        &self.slots
-    }
-
-    /// The public projection of this plan, for static verification.
-    pub fn program(&self) -> ViewProgram {
-        ViewProgram {
-            record_size: self.record_size,
-            order: self.order,
-            slots: self.slots.iter().map(slot_program).collect(),
-        }
+    /// The program this plan runs, for static verification.
+    pub fn program(&self) -> &ViewProgram {
+        &self.program
     }
 }
 
@@ -689,72 +626,22 @@ impl ViewPlan {
 // Convert plans.
 // ---------------------------------------------------------------------------
 
-/// One instruction over the fixed images.  Offsets/lengths are `u32` to
-/// keep programs compact; record sizes comfortably fit.
-#[derive(Debug, Clone, Copy)]
-enum FixedOp {
-    /// Bitwise copy of `len` bytes.
-    Copy { src: u32, dst: u32, len: u32 },
-    /// Per-element byte reversal: same width, opposite byte order.
-    Swap { src: u32, dst: u32, width: u8, count: u32 },
-    /// Integer width change (sign-extending iff the source is signed).
-    Int { src: u32, dst: u32, src_w: u8, dst_w: u8, signed: bool, count: u32 },
-    /// Float width change via f64.
-    Float { src: u32, dst: u32, src_w: u8, dst_w: u8, count: u32 },
-}
-
-/// Per-element conversion kind, shared by fixed and var-length arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ElemConv {
-    Copy,
-    Swap,
-    Int { signed: bool },
-    Float,
-}
-
-/// How a var-length payload crosses the format pair.
-#[derive(Debug, Clone, Copy)]
-enum VarConv {
-    /// Representation matches: clone the payload as-is.
-    Move,
-    /// Per-element conversion.
-    Elem { conv: ElemConv, src_w: usize, dst_w: usize },
-}
-
-/// Move/convert one var-length payload from a source slot to a destination
-/// slot.
-#[derive(Debug, Clone, Copy)]
-struct VarOp {
-    /// Index into the source slot table (and the located-payload vector).
-    src_idx: usize,
-    /// Destination slot offset (the `varlen` key).
-    dst_off: usize,
-    conv: VarConv,
-}
-
-/// Post-pass: make a destination dynamic-array length field agree with the
-/// payload actually present (mirrors `convert::fix_dynamic_lengths`).
-#[derive(Debug, Clone, Copy)]
-struct LenFix {
-    len_off: usize,
-    len_size: usize,
-    arr_off: usize,
-    elem_size: usize,
-}
-
 /// Compiled conversion program for one (sender, receiver) descriptor pair.
 #[derive(Debug)]
 pub struct ConvertPlan {
-    src_order: ByteOrder,
-    dst_order: ByteOrder,
-    src_record_size: usize,
-    dst_record_size: usize,
-    /// The sender's slot table: every slot is located and validated, even
-    /// ones the receiver ignores, matching interpreted extract semantics.
-    src_slots: Vec<SlotSpec>,
-    ops: Vec<FixedOp>,
-    var_ops: Vec<VarOp>,
-    len_fixes: Vec<LenFix>,
+    program: ConvertProgram,
+}
+
+/// Scalar conversion categories: anything integer-like interconverts.
+pub(crate) fn scalar_category(b: BaseType) -> u8 {
+    match b {
+        BaseType::Float => 1,
+        BaseType::Integer
+        | BaseType::Unsigned
+        | BaseType::Boolean
+        | BaseType::Enumeration
+        | BaseType::Char => 0,
+    }
 }
 
 /// Decide how one scalar crosses the pair.  `None` is a category mismatch.
@@ -765,38 +652,38 @@ fn classify(
     tb: BaseType,
     tw: usize,
     to: ByteOrder,
-) -> Option<ElemConv> {
+) -> Option<ElemKind> {
     if scalar_category(sb) != scalar_category(tb) {
         return None;
     }
     if sw == tw && (so == to || sw == 1) {
-        return Some(ElemConv::Copy);
+        return Some(ElemKind::Copy);
     }
     if sw == tw {
-        return Some(ElemConv::Swap);
+        return Some(ElemKind::Swap);
     }
     if scalar_category(sb) == 1 {
-        return Some(ElemConv::Float);
+        return Some(ElemKind::Float);
     }
-    Some(ElemConv::Int { signed: matches!(sb, BaseType::Integer) })
+    Some(ElemKind::Int { signed: matches!(sb, BaseType::Integer) })
 }
 
 /// Append a fixed op, coalescing with the previous one when both source and
 /// destination ranges are exactly adjacent and the kinds agree.  Adjacency
 /// never spans padding, so coalesced programs write the same bytes the
 /// field-at-a-time interpreter would.
-fn push_coalesced(ops: &mut Vec<FixedOp>, op: FixedOp) {
+fn push_coalesced(ops: &mut Vec<PlanOp>, op: PlanOp) {
     if let Some(last) = ops.last_mut() {
         match (last, op) {
-            (FixedOp::Copy { src, dst, len }, FixedOp::Copy { src: s2, dst: d2, len: l2 })
+            (PlanOp::Copy { src, dst, len }, PlanOp::Copy { src: s2, dst: d2, len: l2 })
                 if *src + *len == s2 && *dst + *len == d2 =>
             {
                 *len += l2;
                 return;
             }
             (
-                FixedOp::Swap { src, dst, width, count },
-                FixedOp::Swap { src: s2, dst: d2, width: w2, count: c2 },
+                PlanOp::Swap { src, dst, width, count },
+                PlanOp::Swap { src: s2, dst: d2, width: w2, count: c2 },
             ) if *width == w2
                 && *src + u32::from(*width) * *count == s2
                 && *dst + u32::from(*width) * *count == d2 =>
@@ -805,8 +692,8 @@ fn push_coalesced(ops: &mut Vec<FixedOp>, op: FixedOp) {
                 return;
             }
             (
-                FixedOp::Int { src, dst, src_w, dst_w, signed, count },
-                FixedOp::Int { src: s2, dst: d2, src_w: sw2, dst_w: dw2, signed: sg2, count: c2 },
+                PlanOp::Int { src, dst, src_w, dst_w, signed, count },
+                PlanOp::Int { src: s2, dst: d2, src_w: sw2, dst_w: dw2, signed: sg2, count: c2 },
             ) if *src_w == sw2
                 && *dst_w == dw2
                 && *signed == sg2
@@ -817,8 +704,8 @@ fn push_coalesced(ops: &mut Vec<FixedOp>, op: FixedOp) {
                 return;
             }
             (
-                FixedOp::Float { src, dst, src_w, dst_w, count },
-                FixedOp::Float { src: s2, dst: d2, src_w: sw2, dst_w: dw2, count: c2 },
+                PlanOp::Float { src, dst, src_w, dst_w, count },
+                PlanOp::Float { src: s2, dst: d2, src_w: sw2, dst_w: dw2, count: c2 },
             ) if *src_w == sw2
                 && *dst_w == dw2
                 && *src + u32::from(*src_w) * *count == s2
@@ -833,15 +720,15 @@ fn push_coalesced(ops: &mut Vec<FixedOp>, op: FixedOp) {
     ops.push(op);
 }
 
-fn elem_op(conv: ElemConv, src: usize, dst: usize, sw: usize, tw: usize, n: usize) -> FixedOp {
+fn elem_op(conv: ElemKind, src: usize, dst: usize, sw: usize, tw: usize, n: usize) -> PlanOp {
     let (src, dst, n) = (src as u32, dst as u32, n as u32);
     match conv {
-        ElemConv::Copy => FixedOp::Copy { src, dst, len: sw as u32 * n },
-        ElemConv::Swap => FixedOp::Swap { src, dst, width: sw as u8, count: n },
-        ElemConv::Int { signed } => {
-            FixedOp::Int { src, dst, src_w: sw as u8, dst_w: tw as u8, signed, count: n }
+        ElemKind::Copy => PlanOp::Copy { src, dst, len: sw as u32 * n },
+        ElemKind::Swap => PlanOp::Swap { src, dst, width: sw as u8, count: n },
+        ElemKind::Int { signed } => {
+            PlanOp::Int { src, dst, src_w: sw as u8, dst_w: tw as u8, signed, count: n }
         }
-        ElemConv::Float => FixedOp::Float { src, dst, src_w: sw as u8, dst_w: tw as u8, count: n },
+        ElemKind::Float => PlanOp::Float { src, dst, src_w: sw as u8, dst_w: tw as u8, count: n },
     }
 }
 
@@ -861,73 +748,22 @@ impl ConvertPlan {
         let mut len_fixes = Vec::new();
         compile_len_fixes(to, 0, &mut len_fixes);
         Ok(ConvertPlan {
-            src_order: from.machine.byte_order,
-            dst_order: to.machine.byte_order,
-            src_record_size: from.record_size,
-            dst_record_size: to.record_size,
-            src_slots,
-            ops,
-            var_ops,
-            len_fixes,
+            program: ConvertProgram {
+                src_order: from.machine.byte_order,
+                dst_order: to.machine.byte_order,
+                src_record_size: from.record_size,
+                dst_record_size: to.record_size,
+                src_slots,
+                ops,
+                var_ops,
+                len_fixes,
+            },
         })
     }
 
-    /// The public projection of this plan, for static verification.
-    pub fn program(&self) -> ConvertProgram {
-        ConvertProgram {
-            src_order: self.src_order,
-            dst_order: self.dst_order,
-            src_record_size: self.src_record_size,
-            dst_record_size: self.dst_record_size,
-            src_slots: self.src_slots.iter().map(slot_program).collect(),
-            ops: self
-                .ops
-                .iter()
-                .map(|op| match *op {
-                    FixedOp::Copy { src, dst, len } => PlanOp::Copy { src, dst, len },
-                    FixedOp::Swap { src, dst, width, count } => {
-                        PlanOp::Swap { src, dst, width, count }
-                    }
-                    FixedOp::Int { src, dst, src_w, dst_w, signed, count } => {
-                        PlanOp::Int { src, dst, src_w, dst_w, signed, count }
-                    }
-                    FixedOp::Float { src, dst, src_w, dst_w, count } => {
-                        PlanOp::Float { src, dst, src_w, dst_w, count }
-                    }
-                })
-                .collect(),
-            var_ops: self
-                .var_ops
-                .iter()
-                .map(|vo| VarOpProgram {
-                    src_idx: vo.src_idx,
-                    dst_off: vo.dst_off,
-                    conv: match vo.conv {
-                        VarConv::Move => VarConvProgram::Move,
-                        VarConv::Elem { conv, src_w, dst_w } => VarConvProgram::Elem {
-                            conv: match conv {
-                                ElemConv::Copy => ElemKind::Copy,
-                                ElemConv::Swap => ElemKind::Swap,
-                                ElemConv::Int { signed } => ElemKind::Int { signed },
-                                ElemConv::Float => ElemKind::Float,
-                            },
-                            src_w,
-                            dst_w,
-                        },
-                    },
-                })
-                .collect(),
-            len_fixes: self
-                .len_fixes
-                .iter()
-                .map(|lf| LenFixProgram {
-                    len_off: lf.len_off,
-                    len_size: lf.len_size,
-                    arr_off: lf.arr_off,
-                    elem_size: lf.elem_size,
-                })
-                .collect(),
-        }
+    /// The program this plan runs, for static verification.
+    pub fn program(&self) -> &ConvertProgram {
+        &self.program
     }
 }
 
@@ -938,8 +774,8 @@ fn compile_fields(
     to: &FormatDescriptor,
     to_base: usize,
     slot_index: &HashMap<usize, usize>,
-    ops: &mut Vec<FixedOp>,
-    var_ops: &mut Vec<VarOp>,
+    ops: &mut Vec<PlanOp>,
+    var_ops: &mut Vec<VarOpProgram>,
 ) -> Result<(), PbioError> {
     let so = from.machine.byte_order;
     let to_order = to.machine.byte_order;
@@ -962,7 +798,7 @@ fn compile_fields(
             }
             (FieldKind::String, FieldKind::String) => {
                 let src_idx = slot_index[&s_off];
-                var_ops.push(VarOp { src_idx, dst_off: t_off, conv: VarConv::Move });
+                var_ops.push(VarOpProgram { src_idx, dst_off: t_off, conv: VarConvProgram::Move });
             }
             (
                 FieldKind::DynamicArray { elem: te, elem_size: tes, .. },
@@ -970,12 +806,12 @@ fn compile_fields(
             ) => {
                 let conv = classify(*se, *ses, so, *te, *tes, to_order).ok_or_else(mismatch)?;
                 let src_idx = slot_index[&s_off];
-                let conv = if conv == ElemConv::Copy {
-                    VarConv::Move
+                let conv = if conv == ElemKind::Copy {
+                    VarConvProgram::Move
                 } else {
-                    VarConv::Elem { conv, src_w: *ses, dst_w: *tes }
+                    VarConvProgram::Elem { conv, src_w: *ses, dst_w: *tes }
                 };
-                var_ops.push(VarOp { src_idx, dst_off: t_off, conv });
+                var_ops.push(VarOpProgram { src_idx, dst_off: t_off, conv });
             }
             (
                 FieldKind::StaticArray { elem: te, elem_size: tes, count: tc },
@@ -996,12 +832,12 @@ fn compile_fields(
     Ok(())
 }
 
-fn compile_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFix>) {
+fn compile_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFixProgram>) {
     for f in &desc.fields {
         match &f.kind {
             FieldKind::DynamicArray { elem_size, length_field, .. } => {
                 if let Some(lf) = desc.field(length_field) {
-                    out.push(LenFix {
+                    out.push(LenFixProgram {
                         len_off: base + lf.offset,
                         len_size: lf.size,
                         arr_off: base + f.offset,
@@ -1017,7 +853,7 @@ fn compile_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFix>
 
 /// Convert the `src.len() / src_w` elements of `src` into `dst`.
 fn convert_elems(
-    conv: ElemConv,
+    conv: ElemKind,
     src: &[u8],
     src_w: usize,
     src_order: ByteOrder,
@@ -1028,12 +864,12 @@ fn convert_elems(
     let count = src.len() / src_w;
     let (src, dst) = (&src[..count * src_w], &mut dst[..count * dst_w]);
     match conv {
-        ElemConv::Copy => dst.copy_from_slice(src),
-        ElemConv::Swap => kernels::swap_elems(src, dst, src_w),
-        ElemConv::Int { signed } => {
+        ElemKind::Copy => dst.copy_from_slice(src),
+        ElemKind::Swap => kernels::swap_elems(src, dst, src_w),
+        ElemKind::Int { signed } => {
             kernels::convert_ints(src, src_w, src_order, signed, dst, dst_w, dst_order)
         }
-        ElemConv::Float => kernels::convert_floats(src, src_w, src_order, dst, dst_w, dst_order),
+        ElemKind::Float => kernels::convert_floats(src, src_w, src_order, dst, dst_w, dst_order),
     }
 }
 
@@ -1041,10 +877,11 @@ impl ConvertPlan {
     /// Locate and validate every sender payload of `data` (borrowed),
     /// exactly as the interpreted extract does.
     fn locate_all<'a>(&self, data: &'a [u8]) -> Result<Vec<Option<VarSlice<'a>>>, PbioError> {
-        check_record_size(data, self.src_record_size)?;
-        let mut vars = Vec::with_capacity(self.src_slots.len());
-        for slot in &self.src_slots {
-            vars.push(locate_payload(data, slot, self.src_order)?);
+        let prog = &self.program;
+        check_record_size(data, prog.src_record_size)?;
+        let mut vars = Vec::with_capacity(prog.src_slots.len());
+        for slot in &prog.src_slots {
+            vars.push(locate_payload(data, slot, prog.src_order)?);
         }
         Ok(vars)
     }
@@ -1052,17 +889,18 @@ impl ConvertPlan {
     /// Run the fixed-image ops from the sender image `data` into the
     /// zeroed receiver image `fixed`.
     fn run_fixed_ops(&self, data: &[u8], fixed: &mut [u8]) {
-        for op in &self.ops {
+        let prog = &self.program;
+        for op in &prog.ops {
             let (conv, src, dst, sw, dw, n) = match *op {
-                FixedOp::Copy { src, dst, len } => (ElemConv::Copy, src, dst, 1, 1, len),
-                FixedOp::Swap { src, dst, width, count } => {
-                    (ElemConv::Swap, src, dst, width, width, count)
+                PlanOp::Copy { src, dst, len } => (ElemKind::Copy, src, dst, 1, 1, len),
+                PlanOp::Swap { src, dst, width, count } => {
+                    (ElemKind::Swap, src, dst, width, width, count)
                 }
-                FixedOp::Int { src, dst, src_w, dst_w, signed, count } => {
-                    (ElemConv::Int { signed }, src, dst, src_w, dst_w, count)
+                PlanOp::Int { src, dst, src_w, dst_w, signed, count } => {
+                    (ElemKind::Int { signed }, src, dst, src_w, dst_w, count)
                 }
-                FixedOp::Float { src, dst, src_w, dst_w, count } => {
-                    (ElemConv::Float, src, dst, src_w, dst_w, count)
+                PlanOp::Float { src, dst, src_w, dst_w, count } => {
+                    (ElemKind::Float, src, dst, src_w, dst_w, count)
                 }
             };
             let (src, dst, sw, dw, n) =
@@ -1071,10 +909,10 @@ impl ConvertPlan {
                 conv,
                 &data[src..src + n * sw],
                 sw,
-                self.src_order,
+                prog.src_order,
                 &mut fixed[dst..dst + n * dw],
                 dw,
-                self.dst_order,
+                prog.dst_order,
             );
         }
     }
@@ -1083,11 +921,11 @@ impl ConvertPlan {
     /// present: `payload_len(arr_off)` is the byte length of the array
     /// converted into the slot at `arr_off`.
     fn fix_lengths(&self, fixed: &mut [u8], payload_len: impl Fn(usize) -> usize) {
-        for lf in &self.len_fixes {
+        for lf in &self.program.len_fixes {
             let count = payload_len(lf.arr_off) / lf.elem_size;
             write_uint(
                 &mut fixed[lf.len_off..lf.len_off + lf.len_size],
-                self.dst_order,
+                self.program.dst_order,
                 count as u64,
             );
         }
@@ -1103,35 +941,36 @@ pub(crate) fn execute_convert(
     data: &[u8],
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
+    let prog = &plan.program;
     let vars = plan.locate_all(data)?;
-    let mut fixed = vec![0u8; plan.dst_record_size];
+    let mut fixed = vec![0u8; prog.dst_record_size];
     plan.run_fixed_ops(data, &mut fixed);
 
     // Var-length payloads, borrowed source → converted destination.
     let mut allocs = 1u64; // the destination fixed image
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
-    for vo in &plan.var_ops {
+    for vo in &prog.var_ops {
         match (vo.conv, vars[vo.src_idx]) {
             (_, None) => {}
-            (VarConv::Move, Some(VarSlice::Str(s))) => {
+            (VarConvProgram::Move, Some(VarSlice::Str(s))) => {
                 allocs += 1;
                 copied += s.len() as u64;
                 varlen.insert(vo.dst_off, VarData::Str(s.to_string()));
             }
-            (VarConv::Move, Some(VarSlice::Bytes(b))) => {
+            (VarConvProgram::Move, Some(VarSlice::Bytes(b))) => {
                 allocs += 1;
                 copied += b.len() as u64;
                 varlen.insert(vo.dst_off, VarData::Bytes(b.to_vec()));
             }
-            (VarConv::Elem { conv, src_w, dst_w }, Some(VarSlice::Bytes(b))) => {
+            (VarConvProgram::Elem { conv, src_w, dst_w }, Some(VarSlice::Bytes(b))) => {
                 let mut out = vec![0u8; b.len() / src_w * dst_w];
-                convert_elems(conv, b, src_w, plan.src_order, &mut out, dst_w, plan.dst_order);
+                convert_elems(conv, b, src_w, prog.src_order, &mut out, dst_w, prog.dst_order);
                 allocs += 1;
                 copied += out.len() as u64;
                 varlen.insert(vo.dst_off, VarData::Bytes(out));
             }
-            (VarConv::Elem { .. }, Some(VarSlice::Str(_))) => {
+            (VarConvProgram::Elem { .. }, Some(VarSlice::Str(_))) => {
                 unreachable!("element conversion only compiles for array slots")
             }
         }
@@ -1163,25 +1002,26 @@ pub(crate) fn execute_convert_wire(
     data: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<usize, PbioError> {
-    debug_assert_eq!(plan.dst_record_size, target.record_size, "plans for different formats");
+    let (prog, tgt) = (&plan.program, &target.program);
+    debug_assert_eq!(prog.dst_record_size, tgt.record_size, "plans for different formats");
     let vars = plan.locate_all(data)?;
 
     // Pass 1: each target slot's source payload, converted length and
     // placement — the same placement rule as `execute_encode`.
-    let mut placed = Vec::with_capacity(target.slots.len());
-    let mut data_size = target.record_size;
-    for slot in &target.slots {
-        let src = plan
+    let mut placed = Vec::with_capacity(tgt.slots.len());
+    let mut data_size = tgt.record_size;
+    for slot in &tgt.slots {
+        let src = prog
             .var_ops
             .iter()
             .find(|vo| vo.dst_off == slot.off)
             .and_then(|vo| vars[vo.src_idx].map(|v| (vo.conv, v)));
         let (len, align) = match (&slot.payload, src) {
-            (PayloadKind::Str, Some((_, VarSlice::Str(s)))) => (s.len() + 1, 1),
-            (PayloadKind::Arr { elem_size, .. }, Some((conv, VarSlice::Bytes(b)))) => {
+            (SlotPayloadProgram::Str, Some((_, VarSlice::Str(s)))) => (s.len() + 1, 1),
+            (SlotPayloadProgram::Array { elem_size, .. }, Some((conv, VarSlice::Bytes(b)))) => {
                 let len = match conv {
-                    VarConv::Move => b.len(),
-                    VarConv::Elem { src_w, dst_w, .. } => b.len() / src_w * dst_w,
+                    VarConvProgram::Move => b.len(),
+                    VarConvProgram::Elem { src_w, dst_w, .. } => b.len() / src_w * dst_w,
                 };
                 (len, (*elem_size).max(1))
             }
@@ -1192,20 +1032,21 @@ pub(crate) fn execute_convert_wire(
     }
 
     // Pass 2: header and fixed image, converted in place.
-    let order = target.order;
+    let order = tgt.order;
     let start = out.len();
     out.reserve(HEADER_SIZE + data_size);
-    out.extend_from_slice(&target.header);
+    out.extend_from_slice(&tgt.header);
     out[start + 12..start + 16].copy_from_slice(&(data_size as u32).to_be_bytes());
     let data_start = out.len();
-    out.resize(data_start + target.record_size, 0);
+    out.resize(data_start + tgt.record_size, 0);
     let fixed = &mut out[data_start..];
     plan.run_fixed_ops(data, fixed);
     plan.fix_lengths(fixed, |off| {
-        target.slots.iter().zip(&placed).find(|(s, _)| s.off == off).map_or(0, |(_, p)| p.2)
+        tgt.slots.iter().zip(&placed).find(|(s, _)| s.off == off).map_or(0, |(_, p)| p.2)
     });
-    for (slot, &(_, at, len)) in target.slots.iter().zip(&placed) {
-        if let PayloadKind::Arr { elem_size, len_off, len_size, len_name } = &slot.payload {
+    for (slot, &(_, at, len)) in tgt.slots.iter().zip(&placed) {
+        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name } = &slot.payload
+        {
             let declared = read_uint(&fixed[*len_off..*len_off + *len_size], order) as usize;
             let have = len / elem_size;
             if declared != have {
@@ -1225,12 +1066,12 @@ pub(crate) fn execute_convert_wire(
                 out.extend_from_slice(s.as_bytes());
                 out.push(0);
             }
-            (VarConv::Move, VarSlice::Bytes(b)) => out.extend_from_slice(b),
-            (VarConv::Elem { conv, src_w, dst_w }, VarSlice::Bytes(b)) => {
+            (VarConvProgram::Move, VarSlice::Bytes(b)) => out.extend_from_slice(b),
+            (VarConvProgram::Elem { conv, src_w, dst_w }, VarSlice::Bytes(b)) => {
                 let from = out.len();
                 out.resize(from + len, 0);
                 let dst = &mut out[from..];
-                convert_elems(conv, b, src_w, plan.src_order, dst, dst_w, plan.dst_order);
+                convert_elems(conv, b, src_w, prog.src_order, dst, dst_w, prog.dst_order);
             }
         }
     }
@@ -1522,11 +1363,11 @@ mod tests {
         let bfmt = be.register(spec.clone()).unwrap();
         let lfmt = le.register(spec.clone()).unwrap();
         let cross = ConvertPlan::compile(&bfmt, &lfmt).unwrap();
-        assert_eq!(cross.ops.len(), 1);
-        assert!(matches!(cross.ops[0], FixedOp::Swap { count: 4, width: 4, .. }));
+        assert_eq!(cross.program().ops.len(), 1);
+        assert!(matches!(cross.program().ops[0], PlanOp::Swap { count: 4, width: 4, .. }));
         let same = ConvertPlan::compile(&bfmt, &bfmt).unwrap();
-        assert_eq!(same.ops.len(), 1);
-        assert!(matches!(same.ops[0], FixedOp::Copy { len: 16, .. }));
+        assert_eq!(same.program().ops.len(), 1);
+        assert!(matches!(same.program().ops[0], PlanOp::Copy { len: 16, .. }));
     }
 
     #[test]

@@ -111,11 +111,24 @@ pub(crate) enum VarData {
 }
 
 /// A record laid out for one format.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RawRecord {
     format: Arc<FormatDescriptor>,
     fixed: Vec<u8>,
     pub(crate) varlen: BTreeMap<usize, VarData>,
+}
+
+/// Equality follows the wire image: an empty dynamic array and an absent
+/// one both encode as a null pointer, so they compare equal.  An empty
+/// string encodes a terminator and an absent one a null pointer, so
+/// those stay distinct.
+impl PartialEq for RawRecord {
+    fn eq(&self, other: &RawRecord) -> bool {
+        fn present(r: &RawRecord) -> impl Iterator<Item = (&usize, &VarData)> {
+            r.varlen.iter().filter(|(_, v)| !matches!(v, VarData::Bytes(b) if b.is_empty()))
+        }
+        self.format == other.format && self.fixed == other.fixed && present(self).eq(present(other))
+    }
 }
 
 impl RawRecord {
@@ -535,6 +548,17 @@ mod tests {
             ))
             .unwrap();
         RawRecord::new(f)
+    }
+
+    #[test]
+    fn equality_follows_the_wire_image() {
+        let absent = mixed_record();
+        let mut empty_array = absent.clone();
+        empty_array.set_f64_array("xs", &[]).unwrap();
+        assert_eq!(empty_array, absent);
+        let mut empty_string = absent.clone();
+        empty_string.set_string("name", "").unwrap();
+        assert_ne!(empty_string, absent);
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl FormatRegistry {
     pub fn encode_plan(&self, desc: &Arc<FormatDescriptor>) -> Result<Arc<EncodePlan>, PbioError> {
         self.certified(&self.plans.encode, desc.id(), || {
             let plan = EncodePlan::compile(desc)?;
-            let verdict = verify::verify_encode_plan(desc, &plan);
+            let verdict = verify::verify_encode_program(desc, plan.program());
             Ok((Arc::new(plan), verdict, desc.name.clone()))
         })
     }
@@ -255,7 +255,7 @@ impl FormatRegistry {
     ) -> Result<Arc<ConvertPlan>, PbioError> {
         self.certified(&self.plans.convert, (sender.id(), target.id()), || {
             let plan = ConvertPlan::compile(sender, target)?;
-            let verdict = verify::verify_convert_plan(sender, target, &plan);
+            let verdict = verify::verify_convert_program(sender, target, plan.program());
             Ok((Arc::new(plan), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
         })
     }
@@ -265,7 +265,7 @@ impl FormatRegistry {
     /// runs once per pair, not per message).
     ///
     /// The same-layout claim is re-derived by
-    /// [`crate::verify::verify_view_plan`], independently of the plan
+    /// [`crate::verify::verify_view_program`], independently of the plan
     /// compiler, before the plan is cached: a wrong view silently
     /// misreads every field.
     pub fn view_plan(
@@ -277,7 +277,7 @@ impl FormatRegistry {
             let Some(plan) = ViewPlan::compile(sender, target)? else {
                 return Ok((None, Verdict::default(), String::new()));
             };
-            let verdict = verify::verify_view_plan(sender, target, &plan);
+            let verdict = verify::verify_view_program(sender, target, plan.program());
             Ok((Some(Arc::new(plan)), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
         })
     }

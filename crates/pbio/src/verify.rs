@@ -47,10 +47,10 @@ use std::fmt;
 use crate::format::FormatDescriptor;
 use crate::layout::align_up;
 use crate::machine::ByteOrder;
-use crate::marshal::{HEADER_SIZE, MAGIC, VERSION};
+use crate::marshal::{MAGIC, VERSION};
 use crate::plan::{
-    ConvertPlan, ConvertProgram, ElemKind, EncodePlan, EncodeProgram, PlanOp, SlotPayloadProgram,
-    SlotProgram, VarConvProgram, ViewPlan, ViewProgram,
+    ConvertProgram, ElemKind, EncodeProgram, LenFixProgram, PlanOp, SlotPayloadProgram,
+    SlotProgram, VarConvProgram, ViewProgram,
 };
 use crate::types::{BaseType, FieldKind};
 
@@ -501,45 +501,33 @@ pub fn verify_encode_program(desc: &FormatDescriptor, prog: &EncodeProgram) -> V
         v.error("byte-order", "plan byte order disagrees with the machine model".to_string());
     }
 
-    if prog.header.len() != HEADER_SIZE {
+    if prog.header[0..2] != MAGIC {
+        v.error("header", "header template magic is not 'PB'".to_string());
+    }
+    if prog.header[2] != VERSION {
+        v.error("header", format!("header template version {} != {VERSION}", prog.header[2]));
+    }
+    let want_flag = match desc.machine.byte_order {
+        ByteOrder::Big => 1,
+        ByteOrder::Little => 0,
+    };
+    if prog.header[3] != want_flag {
+        v.error("header", "header order flag disagrees with the machine model".to_string());
+    }
+    if prog.header[4..12] != desc.id().0.to_be_bytes() {
+        v.error("header", "header format id disagrees with the descriptor id".to_string());
+    }
+    if prog.header[12..].iter().any(|&b| b != 0) {
         v.error(
             "header",
-            format!("header template is {} bytes, wire header is {HEADER_SIZE}", prog.header.len()),
+            "header data-size word and padding must be zero in the template".to_string(),
         );
-    } else {
-        if prog.header[0..2] != MAGIC {
-            v.error("header", "header template magic is not 'PB'".to_string());
-        }
-        if prog.header[2] != VERSION {
-            v.error("header", format!("header template version {} != {VERSION}", prog.header[2]));
-        }
-        let want_flag = match desc.machine.byte_order {
-            ByteOrder::Big => 1,
-            ByteOrder::Little => 0,
-        };
-        if prog.header[3] != want_flag {
-            v.error("header", "header order flag disagrees with the machine model".to_string());
-        }
-        if prog.header[4..12] != desc.id().0.to_be_bytes() {
-            v.error("header", "header format id disagrees with the descriptor id".to_string());
-        }
-        if prog.header[12..].iter().any(|&b| b != 0) {
-            v.error(
-                "header",
-                "header data-size word and padding must be zero in the template".to_string(),
-            );
-        }
     }
 
     let want = expected_slots(desc, &mut v);
     compare_slot_tables(&prog.slots, &want, "encode", &mut v);
     check_slot_table(&prog.slots, prog.record_size, &mut v);
     v
-}
-
-/// [`verify_encode_program`] on a plan's own projection.
-pub fn verify_encode_plan(desc: &FormatDescriptor, plan: &EncodePlan) -> Verdict {
-    verify_encode_program(desc, &plan.program())
 }
 
 // ---------------------------------------------------------------------------
@@ -875,16 +863,12 @@ fn expand_ops(
 }
 
 /// Independently derive the length-fix table the conversion spec requires.
-fn expected_len_fixes(
-    desc: &FormatDescriptor,
-    base: usize,
-    out: &mut Vec<crate::plan::LenFixProgram>,
-) {
+fn expected_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFixProgram>) {
     for f in &desc.fields {
         match &f.kind {
             FieldKind::DynamicArray { elem_size, length_field, .. } => {
                 if let Some(lf) = desc.field(length_field) {
-                    out.push(crate::plan::LenFixProgram {
+                    out.push(LenFixProgram {
                         len_off: base + lf.offset,
                         len_size: lf.size,
                         arr_off: base + f.offset,
@@ -1080,15 +1064,6 @@ pub fn verify_convert_program(
     v
 }
 
-/// [`verify_convert_program`] on a plan's own projection.
-pub fn verify_convert_plan(
-    from: &FormatDescriptor,
-    to: &FormatDescriptor,
-    plan: &ConvertPlan,
-) -> Verdict {
-    verify_convert_program(from, to, &plan.program())
-}
-
 // ---------------------------------------------------------------------------
 // View-program verification.
 // ---------------------------------------------------------------------------
@@ -1216,21 +1191,13 @@ pub fn verify_view_program(
     v
 }
 
-/// [`verify_view_program`] on a plan's own projection.
-pub fn verify_view_plan(
-    sender: &FormatDescriptor,
-    target: &FormatDescriptor,
-    plan: &ViewPlan,
-) -> Verdict {
-    verify_view_program(sender, target, &plan.program())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::IOField;
     use crate::format::FormatSpec;
     use crate::machine::MachineModel;
+    use crate::plan::{ConvertPlan, EncodePlan};
     use crate::registry::FormatRegistry;
     use std::sync::Arc;
 
@@ -1256,7 +1223,7 @@ mod tests {
         for machine in [MachineModel::SPARC32, MachineModel::X86_64] {
             let (_, d) = mixed_reg(machine);
             let plan = EncodePlan::compile(&d).unwrap();
-            let verdict = verify_encode_plan(&d, &plan);
+            let verdict = verify_encode_program(&d, plan.program());
             assert!(verdict.is_clean(), "{:?}", verdict.violations());
         }
     }
@@ -1266,7 +1233,7 @@ mod tests {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
         let plan = ConvertPlan::compile(&src, &dst).unwrap();
-        let verdict = verify_convert_plan(&src, &dst, &plan);
+        let verdict = verify_convert_program(&src, &dst, plan.program());
         assert!(verdict.is_clean(), "{:?}", verdict.violations());
     }
 
@@ -1274,7 +1241,7 @@ mod tests {
     fn shifted_op_offset_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         if let Some(PlanOp::Swap { dst: d, .. } | PlanOp::Int { dst: d, .. }) = prog.ops.first_mut()
         {
             *d += 1;
@@ -1291,7 +1258,7 @@ mod tests {
     fn dropped_op_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         prog.ops.pop();
         let verdict = verify_convert_program(&src, &dst, &prog);
         assert!(verdict.has_errors());
@@ -1301,7 +1268,7 @@ mod tests {
     fn bad_swap_width_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         for op in &mut prog.ops {
             if let PlanOp::Swap { width, .. } = op {
                 *width = 3;
@@ -1316,7 +1283,7 @@ mod tests {
     fn out_of_bounds_op_rejected_without_expansion() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         prog.ops.push(PlanOp::Copy { src: 0, dst: 0, len: u32::MAX });
         let verdict = verify_convert_program(&src, &dst, &prog);
         assert!(verdict.violations().iter().any(|x| x.check == "op-bounds"));
@@ -1326,7 +1293,7 @@ mod tests {
     fn dropped_len_fix_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         prog.len_fixes.clear();
         let verdict = verify_convert_program(&src, &dst, &prog);
         assert!(verdict.violations().iter().any(|x| x.check == "len-fixes"));
@@ -1336,7 +1303,7 @@ mod tests {
     fn retargeted_var_op_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
-        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program();
+        let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
         if let Some(vo) = prog.var_ops.first_mut() {
             vo.dst_off += 4;
         }
@@ -1347,7 +1314,7 @@ mod tests {
     #[test]
     fn corrupted_header_rejected() {
         let (_, d) = mixed_reg(MachineModel::SPARC32);
-        let mut prog = EncodePlan::compile(&d).unwrap().program();
+        let mut prog = EncodePlan::compile(&d).unwrap().program().clone();
         prog.header[4] ^= 0xff;
         let verdict = verify_encode_program(&d, &prog);
         assert!(verdict.violations().iter().any(|x| x.check == "header"));

@@ -37,7 +37,9 @@ use crate::error::PbioError;
 use crate::format::FormatDescriptor;
 use crate::layout::FieldLayout;
 use crate::machine::ByteOrder;
-use crate::plan::{check_record_size, locate_payload, SlotSpec, VarSlice, ViewPlan};
+use crate::plan::{
+    check_record_size, locate_payload, SlotProgram, VarSlice, ViewPlan, ViewProgram,
+};
 use crate::record::{read_float, read_int, read_uint, RawRecord};
 use crate::types::{BaseType, FieldKind};
 
@@ -60,7 +62,7 @@ impl<'a> RecordView<'a> {
     /// [`RecordView::validate`]).  The view's lifetime ties to the wire
     /// buffer alone; the plan handle is shared.
     pub fn new(data: &'a [u8], plan: Arc<ViewPlan>) -> Result<RecordView<'a>, PbioError> {
-        check_record_size(data, plan.record_size())?;
+        check_record_size(data, plan.program().record_size)?;
         Ok(RecordView { data, plan })
     }
 
@@ -72,21 +74,25 @@ impl<'a> RecordView<'a> {
     /// The fixed image (pointer slots still hold wire offsets; use the
     /// typed accessors rather than reading them).
     pub fn fixed_bytes(&self) -> &'a [u8] {
-        &self.data[..self.plan.record_size()]
+        &self.data[..self.prog().record_size]
     }
 
     /// Eagerly chase and validate every var-length slot, exactly as the
     /// owned extract would.  After `Ok`, no accessor can fail on wire
     /// corruption (only on bad field names/types).
     pub fn validate(&self) -> Result<(), PbioError> {
-        for slot in self.plan.slots() {
+        for slot in &self.prog().slots {
             locate_payload(self.data, slot, self.order())?;
         }
         Ok(())
     }
 
+    fn prog(&self) -> &ViewProgram {
+        self.plan.program()
+    }
+
     fn order(&self) -> ByteOrder {
-        self.plan.order()
+        self.prog().order
     }
 
     fn resolve(&self, path: &str) -> Result<(usize, &FieldLayout), PbioError> {
@@ -109,9 +115,9 @@ impl<'a> RecordView<'a> {
     /// The slot spec for the var-length pointer slot at `off`.  Slot
     /// tables are tiny (one entry per string/dynamic array), so a linear
     /// scan beats any index structure.
-    fn slot_at(&self, off: usize) -> &SlotSpec {
-        self.plan
-            .slots()
+    fn slot_at(&self, off: usize) -> &SlotProgram {
+        self.prog()
+            .slots
             .iter()
             .find(|s| s.off == off)
             .expect("resolved var-length field must have a compiled slot")
@@ -312,7 +318,7 @@ impl<'a> RecordView<'a> {
     pub fn to_owned(&self) -> Result<RawRecord, PbioError> {
         let mut fixed = self.fixed_bytes().to_vec();
         let mut varlen = std::collections::BTreeMap::new();
-        for slot in self.plan.slots() {
+        for slot in &self.prog().slots {
             let payload = locate_payload(self.data, slot, self.order())?;
             fixed[slot.off..slot.off + slot.size].fill(0);
             match payload {
@@ -335,7 +341,7 @@ impl<'a> RecordView<'a> {
             .ok()
             .map(|(off, f)| {
                 matches!(f.kind, FieldKind::String | FieldKind::DynamicArray { .. })
-                    && self.plan.slots().iter().any(|s| s.off == off)
+                    && self.prog().slots.iter().any(|s| s.off == off)
             })
             .unwrap_or(false)
     }

@@ -3,7 +3,8 @@
 //! Invariants exercised:
 //! * layout: offsets are aligned, non-overlapping, and the record size
 //!   covers every slot;
-//! * marshal: encode → decode is an identity on the same machine;
+//! * marshal: encode → decode is an identity on the same machine, down to
+//!   record equality (an empty dynamic array decodes as an absent one);
 //! * convert: encode on machine A → decode on machine B preserves every
 //!   field value, for all pairs of supported machine models;
 //! * descriptor codec: encode → decode is an identity;
@@ -207,6 +208,7 @@ proptest! {
         let wire = encode(&rec).unwrap();
         let back = decode(&wire, &reg).unwrap();
         check(&back, &rec, &fields, false);
+        prop_assert_eq!(back, rec);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! cargo xtask analyze   # source lints + curated clippy + planlint over fixtures
 //! cargo xtask loom      # model tests: RUSTFLAGS="--cfg loom" pool/registry suites
 //! cargo xtask miri      # Miri over the pbio codec/plan unit tests (skips if unavailable)
+//! cargo xtask loc       # production Rust lines per crate and in total
 //! ```
 //!
 //! `analyze` is the CI entry point: it fails on any repo-local lint
@@ -115,8 +116,9 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(),
         Some("loom") => loom(),
         Some("miri") => miri(),
+        Some("loc") => loc(),
         _ => {
-            eprintln!("usage: cargo xtask <analyze|loom|miri>");
+            eprintln!("usage: cargo xtask <analyze|loom|miri|loc>");
             ExitCode::from(2)
         }
     }
@@ -550,9 +552,57 @@ fn miri() -> ExitCode {
     }
 }
 
+// -------------------------------------------------------------------- loc
+
+/// Print production Rust lines for each crate under `crates/` and
+/// `vendor/`, then the total.  A production line is a non-blank line of
+/// a `src/` file before its first `#[cfg(test)]` module.
+fn loc() -> ExitCode {
+    let root = repo_root();
+    let mut rows = Vec::new();
+    for top in ["crates", "vendor"] {
+        let Ok(entries) = std::fs::read_dir(root.join(top)) else { continue };
+        for dir in entries.filter_map(|e| e.ok().map(|e| e.path())).filter(|p| p.is_dir()) {
+            let mut files = Vec::new();
+            collect_rs(&dir.join("src"), &mut files);
+            let lines = files
+                .iter()
+                .filter_map(|f| std::fs::read_to_string(f).ok())
+                .map(|text| production_lines(&text))
+                .sum::<usize>();
+            rows.push((dir.strip_prefix(&root).unwrap_or(&dir).display().to_string(), lines));
+        }
+    }
+    rows.sort();
+    for (name, lines) in &rows {
+        println!("{lines:>7}  {name}");
+    }
+    println!("{:>7}  total", rows.iter().map(|(_, n)| n).sum::<usize>());
+    ExitCode::SUCCESS
+}
+
+/// Non-blank lines before the first `#[cfg(test)]` that opens a `mod`.
+fn production_lines(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let end = lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].split_whitespace().any(|t| t == "mod"))
+        .unwrap_or(lines.len());
+    lines[..end].iter().filter(|l| !l.is_empty()).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn production_lines_stop_at_the_first_test_module() {
+        let src = "//! doc\n\nfn f() {}\n#[cfg(test)]\nfn helper() {}\n\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(production_lines(src), 4);
+        assert_eq!(production_lines("fn f() {}\n\n#[cfg(test)]\npub(crate) mod fixtures;\n"), 1);
+        assert_eq!(production_lines("fn f() {}\n"), 1);
+    }
 
     const OPTS: LintOpts = LintOpts {
         allow_unwrap: false,
