@@ -22,8 +22,8 @@
 //!   format's certified encode plan places the converted payloads and
 //!   patches the pointer slots.  No projected record is built.  The
 //!   bytes are those of decoding into the projected format and
-//!   re-encoding; the registry compiles, certifies (via `pbio::verify`,
-//!   in every build) and caches both plans.
+//!   re-encoding; both plans are certified (via `pbio::verify`, in
+//!   every build) before the group takes a subscriber.
 //! * Frames are `Arc`-shared across a group's seats, so encodes per
 //!   event equal the number of active groups, not the number of
 //!   subscribers.  A subscriber reads each frame into one reused buffer
@@ -398,8 +398,8 @@ impl ChannelInner {
     /// Find or build the group for a projection spec.  Building binds
     /// the projected type, registers the full descriptor as conversion
     /// source, and forces the conversion plan and the projected format's
-    /// encode plan through the registry's cache — where `pbio::verify`
-    /// certifies them — before any subscriber is accepted.
+    /// encode plan through the gate that certifies the very plans
+    /// `publish` runs, before any subscriber is accepted.
     fn group_for(&self, projection: &Option<Projection>) -> Result<Arc<Group>, EchoError> {
         let Some(p) = projection else {
             return sync::lock(&self.groups)
@@ -465,8 +465,8 @@ impl ChannelInner {
             XmitError::Negotiation(reason) => EchoError::Rejected(reason),
             other => other.into(),
         })?;
-        // The offer's encode plan places every converted payload, so it
-        // passes the gate here or the seat is refused.
+        // The offer's encode plan (the very one `publish` runs) places every
+        // converted payload, so it passes the gate here or the seat is refused.
         registry.encode_plan(&dst).map_err(|e| EchoError::Rejected(e.to_string()))?;
         if let Some(found) = sync::lock(&self.groups).iter().find(|g| g.key == key) {
             return Ok(Arc::clone(found));

@@ -171,6 +171,7 @@ fn read_descriptor(cur: &mut Cur<'_>, depth: usize) -> Result<FormatDescriptor, 
         record_size,
         align,
         id: crate::format::FormatId(0),
+        plan: Default::default(),
     };
     d.id = d.computed_id();
     Ok(d)

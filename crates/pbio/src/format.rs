@@ -9,12 +9,13 @@
 //! caption).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::PbioError;
 use crate::field::{parse_type_string, IOField, ParsedType};
 use crate::layout::{layout_record, FieldLayout};
 use crate::machine::MachineModel;
+use crate::plan::EncodePlan;
 use crate::types::{BaseType, FieldKind};
 
 /// An unresolved format: a name plus field declarations.
@@ -64,7 +65,27 @@ pub struct FormatDescriptor {
     /// paths compare ids per message; recomputing the FNV hash over the
     /// serialized descriptor each time would dominate small-record decodes.
     pub(crate) id: FormatId,
+    /// See [`FormatDescriptor::encode_plan`].
+    pub(crate) plan: PlanCell,
 }
+
+/// The encode-plan verdict, a function of content: clones start empty; `==` ignores it.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCell(OnceLock<Result<EncodePlan, PbioError>>);
+
+impl Clone for PlanCell {
+    fn clone(&self) -> Self {
+        PlanCell::default()
+    }
+}
+
+impl PartialEq for PlanCell {
+    fn eq(&self, _: &PlanCell) -> bool {
+        true
+    }
+}
+
+impl Eq for PlanCell {}
 
 /// A var-length slot discovered by [`FormatDescriptor::varlen_slots`]:
 /// absolute offset of the pointer slot, the field, and the absolute offset
@@ -139,6 +160,7 @@ impl FormatDescriptor {
             record_size: layout.record_size,
             align: layout.align,
             id: FormatId(0),
+            plan: PlanCell::default(),
         };
         descriptor.validate_dimensions()?;
         descriptor.id = descriptor.computed_id();
@@ -239,6 +261,21 @@ impl FormatDescriptor {
     /// Content-addressed identifier of this descriptor.
     pub fn id(&self) -> FormatId {
         self.id
+    }
+
+    /// The one encode/extract plan records of this format run, compiled
+    /// and certified by `pbio::verify` on first use and kept, a rejection
+    /// included: a lying layout is a [`PbioError::PlanRejected`], never an
+    /// out-of-bounds access.  `true` when this call filled the cell.
+    pub(crate) fn encode_plan(&self) -> (Result<&EncodePlan, PbioError>, bool) {
+        let mut filled = false;
+        let verdict = self.plan.0.get_or_init(|| {
+            filled = true;
+            let plan = EncodePlan::compile(self)?;
+            let verdict = crate::verify::verify_encode_program(self, plan.program());
+            verdict.certify(|| self.name.clone()).map(|()| plan)
+        });
+        (verdict.as_ref().map_err(PbioError::clone), filled)
     }
 
     /// Hash the serialized descriptor into its content-addressed id.

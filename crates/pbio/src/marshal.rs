@@ -48,13 +48,11 @@ pub(crate) const VERSION: u8 = 1;
 /// Encode a record, appending to `out`.  Returns the number of bytes
 /// written.
 ///
-/// This compiles a transient [`crate::plan::EncodePlan`] per call; hot
-/// paths that encode the same format repeatedly should hold a
-/// [`crate::plan::Encoder`], which caches plans and reuses buffers.
+/// This runs the certified plan the record's descriptor holds; a
+/// [`crate::plan::Encoder`] also reuses its buffers.
 pub fn encode_into(rec: &RawRecord, out: &mut Vec<u8>) -> Result<usize, PbioError> {
-    let plan = crate::plan::EncodePlan::compile(rec.format())?;
-    let mut placements = Vec::new();
-    crate::plan::execute_encode(&plan, rec, out, &mut placements)
+    let plan = crate::plan::encoder_plan(rec.format())?;
+    crate::plan::execute_encode(plan, rec, out, &mut Vec::new())
 }
 
 /// Reference field-at-a-time encoder, kept for differential testing of the
@@ -241,10 +239,10 @@ pub fn decode_with(
 /// This is receiver-makes-right run at the sender — an ECho derived
 /// channel converts each event once for all of a view's subscribers.
 /// It runs the pair's certified [`crate::plan::ConvertPlan`] with the
-/// target's certified [`crate::plan::EncodePlan`] placing the payloads,
-/// both from `registry`'s plan cache, so every output byte is written
-/// once, straight into `out`.  Growth of `out` is the caller's
-/// allocation and is not counted (see [`crate::plan::Encoder::encode_into`]).
+/// target descriptor's certified [`crate::plan::EncodePlan`] placing the
+/// payloads, so every output byte is written once, straight into `out`.
+/// Growth of `out` is the caller's allocation and is not counted (see
+/// [`crate::plan::Encoder::encode_into`]).
 /// Timed as `marshal.decode`: it is the conversion half of a decode.
 pub fn convert_wire_into(
     wire: &[u8],
@@ -255,8 +253,7 @@ pub fn convert_wire_into(
     let _span = openmeta_obs::span!("marshal.decode");
     let (sender, data) = sender_and_data(wire, registry)?;
     let plan = registry.convert_plan(&sender, target)?;
-    let placement = registry.encode_plan(target)?;
-    crate::plan::execute_convert_wire(&plan, &placement, data, out)
+    crate::plan::execute_convert_wire(&plan, registry.encode_plan(target)?, data, out)
 }
 
 /// The sender's descriptor, found in `registry` by the header's format
@@ -282,8 +279,9 @@ fn extract_or_convert(
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
     if Arc::ptr_eq(sender, target) || sender.id() == target.id() {
-        let plan = registry.encode_plan(sender)?;
-        let (fixed, varlen) = crate::plan::execute_extract(&plan, data)?;
+        let prog = registry.encode_plan(sender)?.program();
+        let (fixed, varlen) =
+            crate::plan::extract(data, &prog.slots, prog.order, prog.record_size)?;
         return Ok(RawRecord::from_parts(target.clone(), fixed, varlen));
     }
     let plan = registry.convert_plan(sender, target)?;
@@ -302,11 +300,6 @@ pub enum Decoded<'a> {
 }
 
 impl Decoded<'_> {
-    /// Did the zero-copy path apply?
-    pub fn is_view(&self) -> bool {
-        matches!(self, Decoded::View(_))
-    }
-
     /// Materialize an owned record either way (copies iff `View`).
     pub fn into_owned(self) -> Result<RawRecord, PbioError> {
         match self {

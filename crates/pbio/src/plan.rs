@@ -19,9 +19,9 @@
 //!   var-length moves.  Adjacent compatible ops are coalesced so runs of
 //!   like fields become single memcpys or single swap loops.
 //!
-//! Plans are cached at the [`crate::registry::FormatRegistry`] level keyed
-//! by [`FormatId`](crate::format::FormatId) (pairs of ids for conversion),
-//! so steady-state messaging pays compilation once per format pair.
+//! Each descriptor holds its one certified encode plan; convert and view
+//! plans are cached in the [`crate::registry::FormatRegistry`] keyed by
+//! the pair of [`FormatId`](crate::format::FormatId)s.
 //!
 //! Fidelity notes (vs. the interpreted reference paths, which are kept for
 //! differential testing):
@@ -37,7 +37,9 @@
 //!   the interpreted path would have tripped over the corruption first.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use openmeta_obs::{Counter, MetricsRegistry};
 
 use crate::error::PbioError;
 use crate::format::FormatDescriptor;
@@ -282,7 +284,7 @@ fn compile_slots(desc: &FormatDescriptor) -> Result<Vec<SlotProgram>, PbioError>
 // Encode plans (also the extract program for same-format decode).
 // ---------------------------------------------------------------------------
 
-/// Compiled encode/extract program for one format.
+/// Compiled encode/extract program for one format; each descriptor holds its certified one.
 #[derive(Debug)]
 pub struct EncodePlan {
     program: EncodeProgram,
@@ -492,21 +494,23 @@ fn dimension_error(slot: &SlotProgram, len_name: &str, declared: usize, have: us
     }
 }
 
-/// Owned extraction via a compiled plan: the same-format decode path.
-/// Pointer slots in the returned fixed image are zeroed, exactly like the
+/// Owned extraction: the same-format decode path and
+/// [`RecordView::to_owned`](crate::view::RecordView::to_owned).  Pointer
+/// slots in the returned fixed image are zeroed, exactly like the
 /// interpreted [`crate::convert`] extract.
-pub(crate) fn execute_extract(
-    plan: &EncodePlan,
+pub(crate) fn extract(
     data: &[u8],
+    slots: &[SlotProgram],
+    order: ByteOrder,
+    record_size: usize,
 ) -> Result<(Vec<u8>, BTreeMap<usize, VarData>), PbioError> {
-    let prog = &plan.program;
-    check_record_size(data, prog.record_size)?;
-    let mut fixed = data[..prog.record_size].to_vec();
+    check_record_size(data, record_size)?;
+    let mut fixed = data[..record_size].to_vec();
     let mut allocs = 1u64; // the fixed image itself
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
-    for slot in &prog.slots {
-        let payload = locate_payload(data, slot, prog.order)?;
+    for slot in slots {
+        let payload = locate_payload(data, slot, order)?;
         fixed[slot.off..slot.off + slot.size].fill(0);
         match payload {
             Some(VarSlice::Str(s)) => {
@@ -1085,6 +1089,18 @@ pub(crate) fn execute_convert_wire(
 // Encoder: plan + buffer reuse for hot send paths.
 // ---------------------------------------------------------------------------
 
+/// The certified plan `desc` holds.  Encoders belong to no registry, so a
+/// fill here counts only in the process-wide plan-cache misses.
+pub(crate) fn encoder_plan(desc: &FormatDescriptor) -> Result<&EncodePlan, PbioError> {
+    static MISSES: OnceLock<Arc<Counter>> = OnceLock::new();
+    let (plan, filled) = desc.encode_plan();
+    if filled {
+        let global = || MetricsRegistry::global().counter("openmeta_plan_cache_misses_total");
+        MISSES.get_or_init(global).inc();
+    }
+    plan
+}
+
 /// Per-encoder marshal statistics, exact and race-free (unlike the
 /// process-global `openmeta_marshal_*` counters, which sum every
 /// encoder/decoder in the process).  The fig7 `alloc_per_op` column and
@@ -1104,9 +1120,9 @@ const TRIM_WINDOW: u32 = 64;
 /// Never shrink the output buffer below this capacity.
 const TRIM_MIN_CAPACITY: usize = 4 * 1024;
 
-/// A reusable encode handle: caches compiled [`EncodePlan`]s per descriptor
-/// (by pointer identity) and keeps a pooled output buffer, so a
-/// steady-state sender does zero per-message heap allocations.
+/// A reusable encode handle: runs the certified plan each record's
+/// descriptor holds into a pooled output buffer, so a steady-state
+/// sender does zero per-message heap allocations.
 ///
 /// The output buffer comes from a [`BufferPool`](crate::pool::BufferPool)
 /// (the global one by default) and returns to it when the encoder drops.
@@ -1116,7 +1132,6 @@ const TRIM_MIN_CAPACITY: usize = 4 * 1024;
 /// when capacity has grown to more than 4× the window's peak message.
 #[derive(Debug)]
 pub struct Encoder {
-    plans: Vec<(Arc<FormatDescriptor>, Arc<EncodePlan>)>,
     placements: Vec<(usize, usize)>,
     buf: crate::pool::PooledBuf,
     stats: MarshalStats,
@@ -1131,18 +1146,12 @@ impl Default for Encoder {
 }
 
 impl Encoder {
-    /// A fresh encoder with no cached plans, drawing its output buffer
-    /// from the global [`BufferPool`](crate::pool::BufferPool).
+    /// A fresh encoder drawing its output buffer from the global
+    /// [`BufferPool`](crate::pool::BufferPool).
     pub fn new() -> Self {
-        Encoder::with_pool(crate::pool::BufferPool::global())
-    }
-
-    /// A fresh encoder drawing its output buffer from `pool`.
-    pub fn with_pool(pool: &Arc<crate::pool::BufferPool>) -> Self {
         Encoder {
-            plans: Vec::new(),
             placements: Vec::new(),
-            buf: pool.get(),
+            buf: crate::pool::BufferPool::global().get(),
             stats: MarshalStats::default(),
             window_peak: 0,
             window_len: 0,
@@ -1152,17 +1161,6 @@ impl Encoder {
     /// Cumulative allocation/copy counters for this encoder instance.
     pub fn marshal_stats(&self) -> MarshalStats {
         self.stats
-    }
-
-    fn plan_for(&mut self, desc: &Arc<FormatDescriptor>) -> Result<Arc<EncodePlan>, PbioError> {
-        // Senders use a handful of formats; a pointer-identity scan beats
-        // hashing the descriptor.
-        if let Some((_, plan)) = self.plans.iter().find(|(d, _)| Arc::ptr_eq(d, desc)) {
-            return Ok(plan.clone());
-        }
-        let plan = Arc::new(EncodePlan::compile(desc)?);
-        self.plans.push((desc.clone(), plan.clone()));
-        Ok(plan)
     }
 
     /// Record one encode's cost against the instance stats; `true` when
@@ -1195,10 +1193,10 @@ impl Encoder {
     /// result.
     pub fn encode(&mut self, rec: &RawRecord) -> Result<&[u8], PbioError> {
         let _span = openmeta_obs::span!("marshal.encode");
-        let plan = self.plan_for(rec.format())?;
+        let plan = encoder_plan(rec.format())?;
         self.buf.clear();
         let cap_before = self.buf.capacity();
-        let n = execute_encode(&plan, rec, &mut self.buf, &mut self.placements)?;
+        let n = execute_encode(plan, rec, &mut self.buf, &mut self.placements)?;
         if self.account(cap_before, self.buf.capacity(), n) {
             openmeta_obs::marshal_counters().alloc_total.inc();
         }
@@ -1217,9 +1215,9 @@ impl Encoder {
     /// [`BufferPool`]: crate::pool::BufferPool
     pub fn encode_into(&mut self, rec: &RawRecord, out: &mut Vec<u8>) -> Result<usize, PbioError> {
         let _span = openmeta_obs::span!("marshal.encode");
-        let plan = self.plan_for(rec.format())?;
+        let plan = encoder_plan(rec.format())?;
         let cap_before = out.capacity();
-        let n = execute_encode(&plan, rec, out, &mut self.placements)?;
+        let n = execute_encode(plan, rec, out, &mut self.placements)?;
         self.account(cap_before, out.capacity(), n);
         Ok(n)
     }
@@ -1282,7 +1280,8 @@ mod tests {
         let wire = encode(&rec).unwrap();
         let data = &wire[HEADER_SIZE..];
         let plan = EncodePlan::compile(rec.format()).unwrap();
-        let (fixed, varlen) = execute_extract(&plan, data).unwrap();
+        let prog = plan.program();
+        let (fixed, varlen) = extract(data, &prog.slots, prog.order, prog.record_size).unwrap();
         let (ifixed, ivarlen) = crate::convert::extract(data, rec.format()).unwrap();
         assert_eq!(fixed, ifixed);
         assert_eq!(varlen, ivarlen);
@@ -1381,7 +1380,8 @@ mod tests {
             let wire = enc.encode(&rec).unwrap();
             assert_eq!(wire, &reference[..]);
         }
-        assert_eq!(enc.plans.len(), 1, "one plan per distinct descriptor");
+        let (_, compiled) = fmt.encode_plan();
+        assert!(!compiled, "the encoder ran the plan the descriptor holds");
         let mut out = Vec::new();
         let n = enc.encode_into(&rec, &mut out).unwrap();
         assert_eq!(n, reference.len());
@@ -1401,7 +1401,8 @@ mod tests {
         }
         let data = &wire[HEADER_SIZE..];
         let plan = EncodePlan::compile(&fmt).unwrap();
-        let compiled_err = execute_extract(&plan, data).unwrap_err();
+        let prog = plan.program();
+        let compiled_err = extract(data, &prog.slots, prog.order, prog.record_size).unwrap_err();
         let interp_err = crate::convert::extract(data, &fmt).unwrap_err();
         assert_eq!(format!("{compiled_err}"), format!("{interp_err}"));
     }

@@ -7,7 +7,6 @@
 //! [`FormatDescriptor`]s addressable by name or by [`FormatId`].
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::Arc;
 
 use openmeta_obs::sync::{self, RwLock};
@@ -24,9 +23,10 @@ use crate::verify::{self, Verdict};
 pub struct FormatRegistry {
     machine: MachineModel,
     inner: RwLock<Inner>,
-    /// Compiled marshal/convert plans, keyed by format id (pairs of ids
-    /// for conversion).  Read-mostly: steady-state messaging only takes
-    /// a read lock.
+    /// Compiled convert and view plans, keyed by the pair of format ids
+    /// they join.  Encode plans are not here: each descriptor holds its
+    /// own (see [`FormatDescriptor::encode_plan`]).  Read-mostly:
+    /// steady-state messaging only takes a read lock.
     plans: PlanCache,
     /// Global-registry-backed counters (`openmeta_plan_cache_*_total`):
     /// this registry's exact numbers via [`FormatRegistry::plan_cache_stats`],
@@ -46,16 +46,15 @@ struct Inner {
 
 #[derive(Debug, Default)]
 struct PlanCache {
-    encode: PlanTable<FormatId, Arc<EncodePlan>>,
-    convert: PlanTable<(FormatId, FormatId), Arc<ConvertPlan>>,
+    convert: PlanTable<Arc<ConvertPlan>>,
     /// Borrowed-decode plans.  `None` is a cached *negative*: the pair's
     /// layouts differ, so callers fall straight through to the convert
     /// path without re-running the structural comparison per message.
-    view: PlanTable<(FormatId, FormatId), Option<Arc<ViewPlan>>>,
+    view: PlanTable<Option<Arc<ViewPlan>>>,
 }
 
-/// One kind of plan, each kind under its own lock.
-type PlanTable<K, P> = RwLock<Verdicts<K, P>>;
+/// One kind of (sender, receiver) plan, each kind under its own lock.
+type PlanTable<P> = RwLock<Verdicts<P>>;
 
 /// Rejections each plan table keeps; past this the oldest is forgotten.
 const MAX_REJECTIONS: usize = 256;
@@ -66,13 +65,13 @@ const MAX_REJECTIONS: usize = 256;
 /// lying descriptor pays one compile and verify, not one per record,
 /// and a flood of fresh lying ids holds a bounded amount.
 #[derive(Debug)]
-struct Verdicts<K, P> {
-    by_key: HashMap<K, Result<P, PbioError>, IdHashState>,
+struct Verdicts<P> {
+    by_key: HashMap<(FormatId, FormatId), Result<P, PbioError>, IdHashState>,
     /// Keys of the cached rejections, oldest first.
-    rejected: VecDeque<K>,
+    rejected: VecDeque<(FormatId, FormatId)>,
 }
 
-impl<K, P> Default for Verdicts<K, P> {
+impl<P> Default for Verdicts<P> {
     fn default() -> Self {
         Verdicts { by_key: HashMap::default(), rejected: VecDeque::new() }
     }
@@ -237,13 +236,12 @@ impl FormatRegistry {
         v
     }
 
-    /// The compiled encode/extract plan for `desc`, cached by content id.
-    pub fn encode_plan(&self, desc: &Arc<FormatDescriptor>) -> Result<Arc<EncodePlan>, PbioError> {
-        self.certified(&self.plans.encode, desc.id(), || {
-            let plan = EncodePlan::compile(desc)?;
-            let verdict = verify::verify_encode_program(desc, plan.program());
-            Ok((Arc::new(plan), verdict, desc.name.clone()))
-        })
+    /// The certified encode/extract plan `desc` holds, counted as a miss
+    /// when this call compiled it and as a hit otherwise.
+    pub fn encode_plan<'d>(&self, desc: &'d FormatDescriptor) -> Result<&'d EncodePlan, PbioError> {
+        let (verdict, compiled) = desc.encode_plan();
+        (if compiled { &self.plan_misses } else { &self.plan_hits }).inc();
+        verdict
     }
 
     /// The compiled conversion plan for a (sender, receiver) pair, cached
@@ -253,10 +251,9 @@ impl FormatRegistry {
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
     ) -> Result<Arc<ConvertPlan>, PbioError> {
-        self.certified(&self.plans.convert, (sender.id(), target.id()), || {
+        self.certified(&self.plans.convert, sender, target, || {
             let plan = ConvertPlan::compile(sender, target)?;
-            let verdict = verify::verify_convert_program(sender, target, plan.program());
-            Ok((Arc::new(plan), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
+            Ok((verify::verify_convert_program(sender, target, plan.program()), Arc::new(plan)))
         })
     }
 
@@ -273,30 +270,28 @@ impl FormatRegistry {
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
     ) -> Result<Option<Arc<ViewPlan>>, PbioError> {
-        self.certified(&self.plans.view, (sender.id(), target.id()), || {
+        self.certified(&self.plans.view, sender, target, || {
             let Some(plan) = ViewPlan::compile(sender, target)? else {
-                return Ok((None, Verdict::default(), String::new()));
+                return Ok((Verdict::default(), None));
             };
-            let verdict = verify::verify_view_program(sender, target, plan.program());
-            Ok((Some(Arc::new(plan)), verdict, format!("{}\u{2192}{}", sender.name, target.name)))
+            Ok((verify::verify_view_program(sender, target, plan.program()), Some(Arc::new(plan))))
         })
     }
 
-    /// The one gate in front of every plan this registry hands out: a
-    /// cached verdict, or one reached now by `compile` — which returns
-    /// the plan, the verifier's verdict on it and the name a rejection
-    /// reports.  A plan with no error-severity violation is cached and
-    /// returned; otherwise the key's [`PbioError::PlanRejected`] is
-    /// cached (see [`Verdicts`]) and returned.  Descriptors arrive from
-    /// peers, and a plan runs with no per-record layout checks, so a
-    /// plan built from a lying descriptor is refused here rather than
-    /// an out-of-bounds access later.
-    fn certified<K: Copy + Eq + Hash, P: Clone>(
+    /// The gate in front of every pair plan this registry caches: the
+    /// pair's cached verdict, or one reached now from the verifier's
+    /// verdict and the plan `compile` returns; a rejection is cached too
+    /// (see [`Verdicts`]).  Descriptors arrive from peers and a plan runs
+    /// with no per-record layout checks, so a lying descriptor's plan is
+    /// refused here, never an out-of-bounds access later.
+    fn certified<P: Clone>(
         &self,
-        table: &PlanTable<K, P>,
-        key: K,
-        compile: impl FnOnce() -> Result<(P, Verdict, String), PbioError>,
+        table: &PlanTable<P>,
+        sender: &FormatDescriptor,
+        target: &FormatDescriptor,
+        compile: impl FnOnce() -> Result<(Verdict, P), PbioError>,
     ) -> Result<P, PbioError> {
+        let key = (sender.id(), target.id());
         if let Some(verdict) = sync::read(table).by_key.get(&key) {
             self.plan_hits.inc();
             return verdict.clone();
@@ -304,13 +299,9 @@ impl FormatRegistry {
         self.plan_misses.inc();
         // Compile and certify outside the write lock; the double-checked
         // insert keeps one shared verdict if another thread raced us here.
-        let (plan, verdict, format) = compile()?;
-        let verdict = match verdict.first_error() {
-            Some(violation) => {
-                Err(PbioError::PlanRejected { format, violation: violation.to_string() })
-            }
-            None => Ok(plan),
-        };
+        let (verdict, plan) = compile()?;
+        let verdict =
+            verdict.certify(|| format!("{}\u{2192}{}", sender.name, target.name)).map(|()| plan);
         let mut table = sync::write(table);
         if verdict.is_err() && !table.by_key.contains_key(&key) {
             if table.rejected.len() == MAX_REJECTIONS {
@@ -430,26 +421,30 @@ mod tests {
     #[test]
     fn rejections_are_cached_up_to_a_fixed_cap() {
         let r = reg();
+        let honest = r
+            .register(FormatSpec::new("Honest", vec![IOField::auto("label", "string", 0)]))
+            .unwrap();
+        let key = |name: &str| (lying(name).id(), honest.id());
         for i in 0..MAX_REJECTIONS + 50 {
-            let err = r.encode_plan(&lying(&format!("L{i}"))).unwrap_err();
+            let err = r.convert_plan(&lying(&format!("L{i}")), &honest).unwrap_err();
             assert!(matches!(err, PbioError::PlanRejected { .. }), "{err}");
         }
-        let table = sync::read(&r.plans.encode);
+        let table = sync::read(&r.plans.convert);
         assert_eq!(table.rejected.len(), MAX_REJECTIONS);
         assert_eq!(table.by_key.len(), MAX_REJECTIONS);
         // The oldest were evicted, the newest kept.
-        assert!(!table.by_key.contains_key(&lying("L0").id()));
-        assert!(table.by_key.contains_key(&lying(&format!("L{}", MAX_REJECTIONS + 49)).id()));
+        assert!(!table.by_key.contains_key(&key("L0")));
+        assert!(table.by_key.contains_key(&key(&format!("L{}", MAX_REJECTIONS + 49))));
         drop(table);
 
         // Certified plans are never evicted by rejections.
         let good = r.register(point_spec()).unwrap();
-        r.encode_plan(&good).unwrap();
+        r.convert_plan(&good, &good).unwrap();
         for i in 0..MAX_REJECTIONS {
-            let _ = r.encode_plan(&lying(&format!("M{i}")));
+            let _ = r.convert_plan(&lying(&format!("M{i}")), &honest);
         }
         let misses = r.plan_cache_stats().misses;
-        r.encode_plan(&good).unwrap();
+        r.convert_plan(&good, &good).unwrap();
         assert_eq!(r.plan_cache_stats().misses, misses);
     }
 

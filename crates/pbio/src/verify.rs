@@ -44,6 +44,7 @@
 
 use std::fmt;
 
+use crate::error::PbioError;
 use crate::format::FormatDescriptor;
 use crate::layout::align_up;
 use crate::machine::ByteOrder;
@@ -132,6 +133,13 @@ impl Verdict {
     /// Consume into the violation list.
     pub fn into_violations(self) -> Vec<Violation> {
         self.violations
+    }
+
+    /// The plan gate's answer: `Ok` unless a violation is an error, then
+    /// the [`PbioError::PlanRejected`] naming `format` and that error.
+    pub(crate) fn certify(&self, format: impl FnOnce() -> String) -> Result<(), PbioError> {
+        let Some(v) = self.first_error() else { return Ok(()) };
+        Err(PbioError::PlanRejected { format: format(), violation: v.to_string() })
     }
 
     /// Fold another verdict's violations into this one.

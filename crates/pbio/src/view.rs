@@ -38,7 +38,7 @@ use crate::format::FormatDescriptor;
 use crate::layout::FieldLayout;
 use crate::machine::ByteOrder;
 use crate::plan::{
-    check_record_size, locate_payload, SlotProgram, VarSlice, ViewPlan, ViewProgram,
+    check_record_size, extract, locate_payload, SlotProgram, VarSlice, ViewPlan, ViewProgram,
 };
 use crate::record::{read_float, read_int, read_uint, RawRecord};
 use crate::types::{BaseType, FieldKind};
@@ -316,34 +316,9 @@ impl<'a> RecordView<'a> {
     /// Materialize the equivalent owned record (what the non-view decode
     /// path would have produced).
     pub fn to_owned(&self) -> Result<RawRecord, PbioError> {
-        let mut fixed = self.fixed_bytes().to_vec();
-        let mut varlen = std::collections::BTreeMap::new();
-        for slot in &self.prog().slots {
-            let payload = locate_payload(self.data, slot, self.order())?;
-            fixed[slot.off..slot.off + slot.size].fill(0);
-            match payload {
-                Some(VarSlice::Str(s)) => {
-                    varlen.insert(slot.off, crate::record::VarData::Str(s.to_string()));
-                }
-                Some(VarSlice::Bytes(b)) => {
-                    varlen.insert(slot.off, crate::record::VarData::Bytes(b.to_vec()));
-                }
-                None => {}
-            }
-        }
+        let prog = self.prog();
+        let (fixed, varlen) = extract(self.data, &prog.slots, prog.order, prog.record_size)?;
         Ok(RawRecord::from_parts(self.plan.target().clone(), fixed, varlen))
-    }
-
-    /// Does this view's plan carry a var-length slot for `path`?  Used
-    /// by diagnostics; a resolved string/array field always does.
-    pub fn has_varlen_slot(&self, path: &str) -> bool {
-        self.resolve(path)
-            .ok()
-            .map(|(off, f)| {
-                matches!(f.kind, FieldKind::String | FieldKind::DynamicArray { .. })
-                    && self.prog().slots.iter().any(|s| s.off == off)
-            })
-            .unwrap_or(false)
     }
 }
 

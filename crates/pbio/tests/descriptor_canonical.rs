@@ -114,6 +114,7 @@ fn mutate(good: &[u8], rng: &mut Xorshift) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    #[test]
     fn accepted_descriptor_bytes_re_encode_identically(
         picks in proptest::collection::vec(0usize..TYPES.len(), 1..6),
         dynamic in any::<bool>(),

@@ -7,8 +7,9 @@
 //! `{x: integer, label: string}`, damages the `label` slot, round-trips
 //! the descriptor through `codec` (so it carries its own content id, as
 //! a FORMAT frame would), and feeds a record under that id to each
-//! decode entry point.  A refusal is cached like a plan, so a peer
-//! replaying records under the lie pays for one compile, not one each.
+//! decode entry point, or a record of that format to each encode entry
+//! point.  A refusal is cached like a plan, so a peer replaying records
+//! under the lie pays for one compile, not one each.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -74,6 +75,25 @@ fn hostile_descriptor_is_refused_by_decode() {
         let wire = record_under(&good, hostile.id());
         let err = decode(&wire, &receiver).expect_err(what);
         assert!(matches!(err, PbioError::PlanRejected { .. }), "{what}: {err}");
+    }
+}
+
+#[test]
+fn hostile_descriptor_is_refused_by_every_encoder() {
+    let sender = FormatRegistry::new(MachineModel::native());
+    let good = labelled(&sender);
+    for (what, hostile) in hostile_descriptors(&good) {
+        let mut rec = RawRecord::new(Arc::new(hostile));
+        rec.set_i64("x", 7).unwrap();
+        let mut enc = Encoder::new();
+        let errors = [
+            enc.encode(&rec).map(<[u8]>::len).expect_err(what),
+            enc.encode_into(&rec, &mut Vec::new()).expect_err(what),
+            encode(&rec).expect_err(what),
+        ];
+        for err in errors {
+            assert!(matches!(err, PbioError::PlanRejected { .. }), "{what}: {err}");
+        }
     }
 }
 
