@@ -5,12 +5,13 @@
 //! negatives.
 
 use openmeta_analyzer::verify::{
-    verify_convert_program, verify_encode_program, verify_view_program,
+    verify_convert_program, verify_encode_program, verify_same_layout,
 };
 use openmeta_bench::workloads::{figure3_cases, figure6_cases};
-use openmeta_pbio::plan::{ConvertProgram, EncodeProgram, PlanOp, ViewProgram};
+use openmeta_pbio::plan::{ConvertProgram, EncodeProgram, PlanOp};
 use openmeta_pbio::{
-    ByteOrder, ConvertPlan, EncodePlan, FormatDescriptor, FormatRegistry, MachineModel, ViewPlan,
+    layouts_match, ByteOrder, ConvertPlan, EncodePlan, FieldKind, FormatDescriptor, FormatRegistry,
+    MachineModel,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,12 +50,6 @@ enum ConvertMutation {
     ShiftVarDst(usize, usize),
     /// Drop one var-length move.
     DropVar(usize),
-    /// Drop one length fix.
-    DropLenFix(usize),
-    /// Point one length fix at the wrong offset.
-    ShiftLenFix(usize, usize),
-    /// Lie about the destination record size.
-    ShrinkDstRecord,
 }
 
 /// Apply a mutation; returns `false` if it does not apply to this program
@@ -134,29 +129,6 @@ fn apply_convert(prog: &mut ConvertProgram, m: ConvertMutation) -> bool {
             prog.var_ops.remove(i);
             true
         }
-        ConvertMutation::DropLenFix(i) => {
-            if prog.len_fixes.is_empty() {
-                return false;
-            }
-            let i = i % prog.len_fixes.len();
-            prog.len_fixes.remove(i);
-            true
-        }
-        ConvertMutation::ShiftLenFix(i, delta) => {
-            if prog.len_fixes.is_empty() {
-                return false;
-            }
-            let i = i % prog.len_fixes.len();
-            prog.len_fixes[i].len_off += delta.max(1);
-            true
-        }
-        ConvertMutation::ShrinkDstRecord => {
-            if prog.dst_record_size == 0 {
-                return false;
-            }
-            prog.dst_record_size -= 1;
-            true
-        }
     }
 }
 
@@ -169,17 +141,14 @@ fn nth_op(prog: &mut ConvertProgram, i: usize) -> Option<&mut PlanOp> {
 }
 
 fn mutation_from(selector: u8, i: usize, delta: u32) -> ConvertMutation {
-    match selector % 10 {
+    match selector % 7 {
         0 => ConvertMutation::ShiftDst(i, delta),
         1 => ConvertMutation::ShiftSrc(i, delta),
         2 => ConvertMutation::DropOp(i),
         3 => ConvertMutation::Inflate(i, delta),
         4 => ConvertMutation::BreakSwapWidth(i),
         5 => ConvertMutation::ShiftVarDst(i, delta as usize),
-        6 => ConvertMutation::DropVar(i),
-        7 => ConvertMutation::DropLenFix(i),
-        8 => ConvertMutation::ShiftLenFix(i, delta as usize),
-        _ => ConvertMutation::ShrinkDstRecord,
+        _ => ConvertMutation::DropVar(i),
     }
 }
 
@@ -208,13 +177,17 @@ proptest! {
     }
 }
 
-/// Encode-program mutations: header corruption and slot-table damage.
+/// Encode-program mutations: header corruption, slot-table damage and
+/// lies about the image.  An encode program's slot table also drives
+/// extraction, conversions (the sender's locates payloads, the
+/// receiver's fixes length fields) and borrowed views.
 #[derive(Debug, Clone, Copy)]
 enum EncodeMutation {
     FlipHeaderByte(usize),
     DropSlot(usize),
     ShiftSlot(usize, usize),
     ShrinkRecord,
+    FlipOrder,
 }
 
 fn apply_encode(prog: &mut EncodeProgram, m: EncodeMutation) -> bool {
@@ -247,6 +220,13 @@ fn apply_encode(prog: &mut EncodeProgram, m: EncodeMutation) -> bool {
             prog.record_size -= 1;
             true
         }
+        EncodeMutation::FlipOrder => {
+            prog.order = match prog.order {
+                ByteOrder::Big => ByteOrder::Little,
+                ByteOrder::Little => ByteOrder::Big,
+            };
+            true
+        }
     }
 }
 
@@ -254,7 +234,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn encode_mutants_rejected(case_idx in 0usize..7, selector in 0u8..4, i in 0usize..64, delta in 1usize..16) {
+    fn encode_mutants_rejected(case_idx in 0usize..7, selector in 0u8..5, i in 0usize..64, delta in 1usize..16) {
         let pairs = corpus_pairs();
         let (desc, _) = &pairs[case_idx % pairs.len()];
         let clean = EncodePlan::compile(desc).expect("corpus compiles").program().clone();
@@ -263,7 +243,8 @@ proptest! {
             0 => EncodeMutation::FlipHeaderByte(i),
             1 => EncodeMutation::DropSlot(i),
             2 => EncodeMutation::ShiftSlot(i, delta),
-            _ => EncodeMutation::ShrinkRecord,
+            3 => EncodeMutation::ShrinkRecord,
+            _ => EncodeMutation::FlipOrder,
         };
         if apply_encode(&mut prog, m) {
             prop_assert!(prog != clean);
@@ -315,70 +296,30 @@ fn exhaustive_per_op_mutants_rejected() {
                 mutants += 1;
             }
         }
-        for i in 0..clean.len_fixes.len() {
-            for m in [ConvertMutation::DropLenFix(i), ConvertMutation::ShiftLenFix(i, 1)] {
-                let mut prog = clean.clone();
-                assert!(apply_convert(&mut prog, m));
-                assert!(
-                    verify_convert_program(&from, &to, &prog).has_errors(),
-                    "mutant survived: {m:?} fix {i} on {}→{}",
-                    from.name,
-                    to.name
-                );
-                mutants += 1;
-            }
-        }
     }
     // Coalescing keeps corpus programs short; the corpus still yields
     // dozens of distinct single mutations, every one of which must die.
     assert!(mutants >= 50, "corpus produced only {mutants} mutants");
 }
 
-/// View-program mutations: slot-table damage and lies about the image.
-#[derive(Debug, Clone, Copy)]
-enum ViewMutation {
-    DropSlot(usize),
-    ShiftSlot(usize),
-    ShrinkRecord,
-    FlipOrder,
-}
-
-fn apply_view(prog: &mut ViewProgram, m: ViewMutation) {
-    match m {
-        ViewMutation::DropSlot(i) => {
-            prog.slots.remove(i);
-        }
-        ViewMutation::ShiftSlot(i) => prog.slots[i].off += 1,
-        ViewMutation::ShrinkRecord => prog.record_size -= 1,
-        ViewMutation::FlipOrder => {
-            prog.order = match prog.order {
-                ByteOrder::Big => ByteOrder::Little,
-                ByteOrder::Little => ByteOrder::Big,
-            }
-        }
-    }
-}
-
-/// A deterministic sweep over the same-machine corpus pairs, the only
-/// pairs a view plan compiles for: every slot dropped, every slot
-/// shifted, the record shrunk and the byte order flipped — each mutant
-/// is rejected.
+/// A deterministic sweep over every corpus encode program, the slot
+/// table extraction, conversions and views all run: every slot dropped,
+/// every slot shifted, the record shrunk and the byte order flipped —
+/// each mutant is rejected.
 #[test]
-fn view_mutants_rejected() {
+fn encode_slot_mutants_rejected() {
     let mut mutants = 0usize;
     for desc in corpus_pairs().into_iter().flat_map(|(a, b)| [a, b]) {
-        let plan = ViewPlan::compile(&desc, &desc)
-            .expect("corpus compiles")
-            .expect("a layout views itself");
+        let plan = EncodePlan::compile(&desc).expect("corpus compiles");
         let clean = plan.program();
         let per_slot = (0..clean.slots.len())
-            .flat_map(|i| [ViewMutation::DropSlot(i), ViewMutation::ShiftSlot(i)]);
-        for m in per_slot.chain([ViewMutation::ShrinkRecord, ViewMutation::FlipOrder]) {
+            .flat_map(|i| [EncodeMutation::DropSlot(i), EncodeMutation::ShiftSlot(i, 1)]);
+        for m in per_slot.chain([EncodeMutation::ShrinkRecord, EncodeMutation::FlipOrder]) {
             let mut prog = clean.clone();
-            apply_view(&mut prog, m);
+            assert!(apply_encode(&mut prog, m));
             assert!(prog != *clean, "mutation {m:?} must change the program");
             assert!(
-                verify_view_program(&desc, &desc, &prog).has_errors(),
+                verify_encode_program(&desc, &prog).has_errors(),
                 "mutant survived: {m:?} on {}",
                 desc.name
             );
@@ -386,5 +327,91 @@ fn view_mutants_rejected() {
         }
     }
     // 14 descriptors give 28 whole-program mutants; the rest are slots.
-    assert!(mutants >= 50, "corpus produced only {mutants} view mutants");
+    assert!(mutants >= 50, "corpus produced only {mutants} encode mutants");
+}
+
+/// One way to damage a receiver descriptor's layout, and the
+/// same-layout check that must name it.
+#[derive(Debug, Clone, Copy)]
+enum LayoutDamage {
+    FlipOrder,
+    ShrinkRecord,
+    ChangeAlign,
+    /// Shift the top-level leaf at this index.
+    ShiftLeaf(usize),
+    /// Rename a leaf of the nested record at this top-level index.
+    RenameNestedLeaf(usize),
+}
+
+impl LayoutDamage {
+    fn check(self) -> &'static str {
+        match self {
+            LayoutDamage::FlipOrder => "view-order",
+            LayoutDamage::ShrinkRecord => "view-size",
+            LayoutDamage::ChangeAlign => "view-align",
+            LayoutDamage::ShiftLeaf(_) | LayoutDamage::RenameNestedLeaf(_) => "view-fields",
+        }
+    }
+
+    fn apply(self, desc: &mut FormatDescriptor) {
+        match self {
+            LayoutDamage::FlipOrder => {
+                desc.machine.byte_order = match desc.machine.byte_order {
+                    ByteOrder::Big => ByteOrder::Little,
+                    ByteOrder::Little => ByteOrder::Big,
+                }
+            }
+            LayoutDamage::ShrinkRecord => desc.record_size -= 1,
+            LayoutDamage::ChangeAlign => desc.align *= 2,
+            LayoutDamage::ShiftLeaf(i) => desc.fields[i].offset += 1,
+            LayoutDamage::RenameNestedLeaf(i) => {
+                let FieldKind::Nested(sub) = &mut desc.fields[i].kind else {
+                    panic!("field {i} is not nested")
+                };
+                let mut renamed = (**sub).clone();
+                renamed.fields[0].name.push_str("_renamed");
+                *sub = Arc::new(renamed);
+            }
+        }
+    }
+}
+
+/// The same-layout certificate a borrowed view needs: over every
+/// same-machine corpus pair, each single damage to the receiver's layout
+/// is named by its check in `verify_same_layout` and fails
+/// `layouts_match`, while the undamaged pair passes both.
+#[test]
+fn same_layout_damage_rejected() {
+    let mut damaged = 0usize;
+    let mut nested = 0usize;
+    for desc in corpus_pairs().into_iter().flat_map(|(a, b)| [a, b]) {
+        let receiver = (*desc).clone();
+        assert!(layouts_match(&desc, &receiver), "{}", desc.name);
+        let clean = verify_same_layout(&desc, &receiver);
+        assert!(!clean.has_errors(), "{}: {:?}", desc.name, clean.violations());
+
+        let leaves = desc.fields.iter().enumerate();
+        let per_field = leaves.map(|(i, f)| match f.kind {
+            FieldKind::Nested(_) => LayoutDamage::RenameNestedLeaf(i),
+            _ => LayoutDamage::ShiftLeaf(i),
+        });
+        let whole =
+            [LayoutDamage::FlipOrder, LayoutDamage::ShrinkRecord, LayoutDamage::ChangeAlign];
+        for damage in whole.into_iter().chain(per_field) {
+            let mut receiver = (*desc).clone();
+            damage.apply(&mut receiver);
+            let verdict = verify_same_layout(&desc, &receiver);
+            assert!(
+                verdict.violations().iter().any(|v| v.check == damage.check()),
+                "{damage:?} on {}: {:?}",
+                desc.name,
+                verdict.violations()
+            );
+            assert!(!layouts_match(&desc, &receiver), "{damage:?} on {}", desc.name);
+            damaged += 1;
+            nested += usize::from(matches!(damage, LayoutDamage::RenameNestedLeaf(_)));
+        }
+    }
+    assert!(nested > 0, "the corpus must exercise a nested rename");
+    assert!(damaged >= 50, "corpus produced only {damaged} damaged layouts");
 }

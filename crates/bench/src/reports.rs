@@ -132,7 +132,7 @@ pub struct Figure7Row {
     /// Encode time with XMIT-generated metadata.
     pub xmit: Duration,
     /// Same-layout decode via the borrowed `RecordView` path
-    /// (header parse + view-plan lookup + pointer validation).
+    /// (header parse + same-layout lookup + pointer validation).
     pub view_decode: Duration,
     /// Raw `copy_from_slice` of the encoded message into a preallocated
     /// buffer — the hardware floor a zero-copy decode competes against.

@@ -7,7 +7,9 @@
 //! instrument's [`SeriesKey`], so a [`Snapshot`] can sum every live
 //! instance of a series without the owners ever sharing state or taking
 //! a lock to increment.  Dead instances (dropped owners) are pruned at
-//! snapshot time.
+//! snapshot time; a registered counter folds its count into its series'
+//! retained total as it drops, so counter series only grow, while a
+//! gauge is a sum over live instances.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,6 +24,16 @@ use crate::sync;
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
+    /// The series' retained total, for a counter made by a registry.
+    retired: Option<Arc<AtomicU64>>,
+}
+
+impl Drop for Counter {
+    fn drop(&mut self) {
+        if let Some(retired) = &self.retired {
+            retired.fetch_add(self.get(), Ordering::Relaxed);
+        }
+    }
 }
 
 impl Counter {
@@ -270,11 +282,11 @@ impl fmt::Display for SeriesKey {
 }
 
 /// Weak handles to every live instance of each series, per instrument
-/// kind.  Kinds live in separate maps so a name can never collide across
-/// types.
+/// kind, and each counter series' count from dropped instances.  Kinds
+/// live in separate maps so a name can never collide across types.
 #[derive(Default)]
 struct Families {
-    counters: BTreeMap<SeriesKey, Vec<Weak<Counter>>>,
+    counters: BTreeMap<SeriesKey, (Arc<AtomicU64>, Vec<Weak<Counter>>)>,
     gauges: BTreeMap<SeriesKey, Vec<Weak<Gauge>>>,
     histograms: BTreeMap<SeriesKey, Vec<Weak<Histogram>>>,
 }
@@ -306,9 +318,10 @@ impl MetricsRegistry {
 
     /// A new counter instance registered under `name{labels}`.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
         let mut fams = sync::lock(&self.families);
-        fams.counters.entry(SeriesKey::new(name, labels)).or_default().push(Arc::downgrade(&c));
+        let (retired, live) = fams.counters.entry(SeriesKey::new(name, labels)).or_default();
+        let c = Arc::new(Counter { value: AtomicU64::new(0), retired: Some(retired.clone()) });
+        live.push(Arc::downgrade(&c));
         c
     }
 
@@ -339,17 +352,22 @@ impl MetricsRegistry {
     }
 
     /// Sum every live instance of every series into a point-in-time
-    /// [`Snapshot`], pruning instances whose owners have been dropped.
-    /// Series whose every instance is dead are kept at their type's zero
-    /// so a scrape schema stays stable across owner restarts.
+    /// [`Snapshot`], pruning instances whose owners have been dropped.  A
+    /// counter series adds what its dropped instances counted; a gauge or
+    /// histogram series whose every instance is dead is kept at its
+    /// type's zero, so a scrape schema stays stable across owner restarts.
     pub fn snapshot(&self) -> Snapshot {
         let mut fams = sync::lock(&self.families);
         let counters = fams
             .counters
             .iter_mut()
-            .map(|(key, instances)| {
+            .map(|(key, (retired, instances))| {
                 instances.retain(|w| w.strong_count() > 0);
-                (key.clone(), instances.iter().filter_map(Weak::upgrade).map(|c| c.get()).sum())
+                // Read the retained total first, so an instance dropping
+                // during the sum below is never counted twice.
+                let total = retired.load(Ordering::Relaxed);
+                let live: u64 = instances.iter().filter_map(Weak::upgrade).map(|c| c.get()).sum();
+                (key.clone(), total + live)
             })
             .collect();
         let gauges = fams
@@ -516,12 +534,24 @@ mod tests {
     #[test]
     fn dead_instances_are_pruned_but_series_survive() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter("openmeta_drop_total");
-        a.add(7);
-        drop(a);
+        let g = reg.gauge("openmeta_drop_active");
+        g.add(7);
+        drop(g);
         let snap = reg.snapshot();
-        // The owner died; its increments die with it, the series stays.
-        assert_eq!(snap.counter_value("openmeta_drop_total"), Some(0));
+        // The owner died; its gauge level dies with it, the series stays.
+        assert_eq!(snap.gauges, vec![(SeriesKey::new("openmeta_drop_active", &[]), 0)]);
+    }
+
+    #[test]
+    fn a_dropped_counter_still_counts() {
+        let reg = MetricsRegistry::new();
+        let a = reg.counter("openmeta_drop_total");
+        a.add(5);
+        drop(a);
+        assert_eq!(reg.snapshot().counter_value("openmeta_drop_total"), Some(5));
+        let b = reg.counter("openmeta_drop_total");
+        b.add(2);
+        assert_eq!(reg.snapshot().counter_value("openmeta_drop_total"), Some(7));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::clock;
 use crate::metrics::Histogram;
 
-/// Histogram family every [`span!`] records into, labeled by `stage`.
+/// Histogram family every [`span!`](crate::span!) records into, labeled by `stage`.
 pub const STAGE_HISTOGRAM: &str = "openmeta_stage_duration_ns";
 
 static TIMING_ENABLED: AtomicBool = AtomicBool::new(true);
@@ -69,7 +69,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// Start measuring into `hist` (usually via the [`span!`] macro).
+    /// Start measuring into `hist` (usually via the [`span!`](crate::span!) macro).
     pub fn enter(hist: &Arc<Histogram>) -> Span {
         if timing_enabled() {
             Span { start: Some((hist.clone(), clock::now())) }

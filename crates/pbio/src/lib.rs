@@ -26,8 +26,9 @@
 //! | [`record`] | `RawRecord`: a native-layout byte buffer with typed field accessors |
 //! | [`value`] | dynamic `Value` tree and conversions to/from records |
 //! | [`marshal`] | encode to / decode from the wire format; decode runs compiled plans |
-//! | [`plan`] | compiled encode/convert/view programs and the executors that run them |
-//! | [`verify`] | static proof of layouts and plan programs before a plan is cached |
+//! | [`view`] | `RecordView`: borrowed field access over a same-layout wire buffer |
+//! | [`plan`] | compiled encode and convert programs and the executors that run them; a format's encode program is its one slot table, shared by encode, extraction, conversion and views |
+//! | [`verify`] | static proof of layouts, plan programs and same-layout claims before they are cached |
 //! | [`convert`] | field-at-a-time interpreter: the differential oracle for the compiled plans |
 //! | [`codec`] | binary (de)serialization of format descriptors themselves |
 //! | [`server`] | TCP format server: register/fetch descriptors by id |
@@ -87,7 +88,7 @@ pub use machine::{ByteOrder, MachineModel};
 pub use marshal::{
     convert_wire_into, decode, decode_borrowed, decode_with, encode, encode_into, Decoded,
 };
-pub use plan::{layouts_match, ConvertPlan, EncodePlan, Encoder, MarshalStats, ViewPlan};
+pub use plan::{layouts_match, ConvertPlan, EncodePlan, Encoder, MarshalStats};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use record::RawRecord;
 pub use registry::{FormatRegistry, PlanCacheStats};

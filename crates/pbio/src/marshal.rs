@@ -22,10 +22,13 @@
 //! The fixed part is copied with one `memcpy`-equivalent; only pointer
 //! slots are patched.  A receiver whose machine model and format match the
 //! sender can read fields **in place**: [`decode_borrowed`] returns a
-//! [`crate::view::RecordView`] over the wire bytes — the
+//! [`crate::view::RecordView`] over the wire bytes, read through the
+//! receiver descriptor's certified encode program — the
 //! "receiver-makes-right with nothing to make right" fast path.  Otherwise
 //! [`decode`] converts to the receiver's native format by running the
-//! registry's compiled [`crate::plan::ConvertPlan`]; the field-at-a-time
+//! registry's compiled [`crate::plan::ConvertPlan`] between the sender's
+//! and the receiver's encode programs, which locate the sender's payloads
+//! and fix the receiver's length fields; the field-at-a-time
 //! [`crate::convert`] interpreter is only the differential oracle behind
 //! `decode_with_interpreted`.
 
@@ -238,9 +241,10 @@ pub fn decode_with(
 ///
 /// This is receiver-makes-right run at the sender — an ECho derived
 /// channel converts each event once for all of a view's subscribers.
-/// It runs the pair's certified [`crate::plan::ConvertPlan`] with the
-/// target descriptor's certified [`crate::plan::EncodePlan`] placing the
-/// payloads, so every output byte is written once, straight into `out`.
+/// It runs the pair's certified [`crate::plan::ConvertPlan`] between the
+/// sender's and the target's certified [`crate::plan::EncodePlan`]s, the
+/// target's placing the payloads, so every output byte is written once,
+/// straight into `out`.
 /// Growth of `out` is the caller's allocation and is not counted (see
 /// [`crate::plan::Encoder::encode_into`]).
 /// Timed as `marshal.decode`: it is the conversion half of a decode.
@@ -253,7 +257,8 @@ pub fn convert_wire_into(
     let _span = openmeta_obs::span!("marshal.decode");
     let (sender, data) = sender_and_data(wire, registry)?;
     let plan = registry.convert_plan(&sender, target)?;
-    crate::plan::execute_convert_wire(&plan, registry.encode_plan(target)?, data, out)
+    let src = sender.encode_plan().0?;
+    crate::plan::execute_convert_wire(&plan, src, registry.encode_plan(target)?, data, out)
 }
 
 /// The sender's descriptor, found in `registry` by the header's format
@@ -279,13 +284,12 @@ fn extract_or_convert(
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
     if Arc::ptr_eq(sender, target) || sender.id() == target.id() {
-        let prog = registry.encode_plan(sender)?.program();
-        let (fixed, varlen) =
-            crate::plan::extract(data, &prog.slots, prog.order, prog.record_size)?;
+        let (fixed, varlen) = crate::plan::extract(data, registry.encode_plan(sender)?.program())?;
         return Ok(RawRecord::from_parts(target.clone(), fixed, varlen));
     }
     let plan = registry.convert_plan(sender, target)?;
-    crate::plan::execute_convert(&plan, data, target)
+    let (src, dst) = (sender.encode_plan().0?, target.encode_plan().0?);
+    crate::plan::execute_convert(&plan, src, dst, data, target)
 }
 
 /// Result of [`decode_borrowed`]: either a zero-copy view over the wire
@@ -313,11 +317,12 @@ impl Decoded<'_> {
 /// buffer when the sender's layout matches the receiver's.
 ///
 /// This is the allocation-free decode entry point: when the registry's
-/// cached (and, in every build, independently verified)
-/// [`crate::plan::ViewPlan`] certifies that the wire data section *is*
-/// the receiver's native image, the returned [`Decoded::View`] performs
-/// no copy and no allocation.  Otherwise this falls back to exactly what
-/// [`decode_with`] does and returns [`Decoded::Owned`].
+/// cached (and, in every build, independently verified) same-layout
+/// verdict ([`FormatRegistry::same_layout`]) certifies that the wire data
+/// section *is* the receiver's native image, the returned
+/// [`Decoded::View`] reads it through the receiver's certified encode
+/// program with no copy and no allocation.  Otherwise this falls back to
+/// exactly what [`decode_with`] does and returns [`Decoded::Owned`].
 pub fn decode_borrowed<'a>(
     wire: &'a [u8],
     registry: &FormatRegistry,
@@ -325,8 +330,8 @@ pub fn decode_borrowed<'a>(
 ) -> Result<Decoded<'a>, PbioError> {
     let _span = openmeta_obs::span!("marshal.decode");
     let (sender, data) = sender_and_data(wire, registry)?;
-    if let Some(plan) = registry.view_plan(&sender, target)? {
-        return Ok(Decoded::View(crate::view::RecordView::new(data, plan)?));
+    if registry.same_layout(&sender, target)? {
+        return Ok(Decoded::View(crate::view::RecordView::new(data, target.clone())?));
     }
     Ok(Decoded::Owned(extract_or_convert(data, registry, &sender, target)?))
 }

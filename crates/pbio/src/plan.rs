@@ -11,7 +11,7 @@
 //! * [`EncodePlan`] — one program per format.  Encoding becomes: append a
 //!   precomputed header template, memcpy the fixed image, patch pointer
 //!   slots from a flat slot table, append payloads.  The same slot table
-//!   drives extraction on decode.
+//!   drives extraction on decode, conversions and borrowed views.
 //! * [`ConvertPlan`] — one program per (sender, receiver) descriptor pair.
 //!   Name matching, width/order classification, and type checking all
 //!   happen at compile time; execution is a tight loop over
@@ -19,9 +19,13 @@
 //!   var-length moves.  Adjacent compatible ops are coalesced so runs of
 //!   like fields become single memcpys or single swap loops.
 //!
-//! Each descriptor holds its one certified encode plan; convert and view
-//! plans are cached in the [`crate::registry::FormatRegistry`] keyed by
-//! the pair of [`FormatId`](crate::format::FormatId)s.
+//! Each descriptor holds its one certified encode plan, whose slot table
+//! is the only one: a conversion locates the sender's payloads with the
+//! sender's table and fixes the receiver's length fields from the
+//! receiver's, and a borrowed view reads through the receiver's.  Convert
+//! plans and same-layout verdicts are cached in the
+//! [`crate::registry::FormatRegistry`] keyed by the pair of
+//! [`FormatId`](crate::format::FormatId)s.
 //!
 //! Fidelity notes (vs. the interpreted reference paths, which are kept for
 //! differential testing):
@@ -129,6 +133,11 @@ pub enum SlotPayloadProgram {
         len_size: usize,
         /// Length-field name (diagnostics).
         len_name: String,
+        /// This is the last-declared array governing its length field, so
+        /// a conversion into the format sets that field from this array's
+        /// payload: the interpreter fixes lengths in declaration order,
+        /// and slots are in offset order.
+        fixes_len: bool,
     },
 }
 
@@ -181,26 +190,13 @@ pub enum VarConvProgram {
 /// destination slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarOpProgram {
-    /// Index into the source slot table (and the located-payload vector).
+    /// Index into the sender's encode-program slot table (and the
+    /// located-payload vector).
     pub src_idx: usize,
     /// Destination slot offset (the receiver-side `varlen` key).
     pub dst_off: usize,
     /// How the payload is converted.
     pub conv: VarConvProgram,
-}
-
-/// Post-pass: make a destination dynamic-array length field agree with
-/// the payload actually present (as `convert::fix_dynamic_lengths` does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LenFixProgram {
-    /// Absolute offset of the length field in the destination image.
-    pub len_off: usize,
-    /// Length-field width.
-    pub len_size: usize,
-    /// Absolute offset of the governed array's pointer slot.
-    pub arr_off: usize,
-    /// Bytes per array element.
-    pub elem_size: usize,
 }
 
 /// The program an [`EncodePlan`] runs.
@@ -217,37 +213,15 @@ pub struct EncodeProgram {
     pub slots: Vec<SlotProgram>,
 }
 
-/// The program a [`ConvertPlan`] runs.
+/// The program a [`ConvertPlan`] runs, between the sender's and the
+/// receiver's encode programs: those locate the sender's payloads and
+/// fix the receiver's length fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvertProgram {
-    /// Sender byte order.
-    pub src_order: ByteOrder,
-    /// Receiver byte order.
-    pub dst_order: ByteOrder,
-    /// Sender fixed-image size.
-    pub src_record_size: usize,
-    /// Receiver fixed-image size.
-    pub dst_record_size: usize,
-    /// Sender slot table: every slot is located and validated, even ones
-    /// the receiver ignores, matching interpreted extract semantics.
-    pub src_slots: Vec<SlotProgram>,
     /// Fixed-image instructions.
     pub ops: Vec<PlanOp>,
     /// Var-length payload moves.
     pub var_ops: Vec<VarOpProgram>,
-    /// Destination length-field fix-ups.
-    pub len_fixes: Vec<LenFixProgram>,
-}
-
-/// The program a [`ViewPlan`] runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewProgram {
-    /// Fixed-image size the plan was compiled for.
-    pub record_size: usize,
-    /// Byte order of the (shared) machine model.
-    pub order: ByteOrder,
-    /// Var-length slot table, in placement order.
-    pub slots: Vec<SlotProgram>,
 }
 
 /// Flatten a descriptor's var-length slots, resolving length fields once.
@@ -261,11 +235,15 @@ fn compile_slots(desc: &FormatDescriptor) -> Result<Vec<SlotProgram>, PbioError>
                     field: s.field.name.clone(),
                     reason: format!("length field '{length_field}' missing"),
                 })?;
+                let last = s.record.fields.iter().rfind(|f| {
+                    matches!(&f.kind, FieldKind::DynamicArray { length_field: l, .. } if l == length_field)
+                });
                 SlotPayloadProgram::Array {
                     elem_size: *elem_size,
                     len_off: s.record_base + lf.offset,
                     len_size: lf.size,
                     len_name: length_field.clone(),
+                    fixes_len: last.is_some_and(|f| std::ptr::eq(f, s.field)),
                 }
             }
             other => unreachable!("varlen_slots only yields varlen kinds, got {other:?}"),
@@ -408,7 +386,7 @@ pub(crate) fn execute_encode(
         let (len, align) = match (&slot.payload, rec.varlen.get(&slot.off)) {
             (SlotPayloadProgram::Str, Some(VarData::Str(v))) => (v.len() + 1, 1),
             (SlotPayloadProgram::Str, None) => (0, 1),
-            (SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name }, payload) => {
+            (SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name, .. }, payload) => {
                 let declared = read_uint(&fixed[*len_off..*len_off + *len_size], order) as usize;
                 let have = match payload {
                     Some(VarData::Bytes(b)) => b.len() / elem_size,
@@ -500,17 +478,15 @@ fn dimension_error(slot: &SlotProgram, len_name: &str, declared: usize, have: us
 /// interpreted [`crate::convert`] extract.
 pub(crate) fn extract(
     data: &[u8],
-    slots: &[SlotProgram],
-    order: ByteOrder,
-    record_size: usize,
+    prog: &EncodeProgram,
 ) -> Result<(Vec<u8>, BTreeMap<usize, VarData>), PbioError> {
-    check_record_size(data, record_size)?;
-    let mut fixed = data[..record_size].to_vec();
+    check_record_size(data, prog.record_size)?;
+    let mut fixed = data[..prog.record_size].to_vec();
     let mut allocs = 1u64; // the fixed image itself
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
-    for slot in slots {
-        let payload = locate_payload(data, slot, order)?;
+    for slot in &prog.slots {
+        let payload = locate_payload(data, slot, prog.order)?;
         fixed[slot.off..slot.off + slot.size].fill(0);
         match payload {
             Some(VarSlice::Str(s)) => {
@@ -533,7 +509,7 @@ pub(crate) fn extract(
 }
 
 // ---------------------------------------------------------------------------
-// View plans: the PBIO best case, decoded in place.
+// Same layout: the PBIO best case, decoded in place.
 // ---------------------------------------------------------------------------
 
 /// Structural layout equality: would records of `a` land byte-for-byte in
@@ -552,78 +528,18 @@ pub fn layouts_match(a: &FormatDescriptor, b: &FormatDescriptor) -> bool {
     a.machine.byte_order == b.machine.byte_order
         && a.record_size == b.record_size
         && a.align == b.align
-        && fields_match(a, b)
-}
-
-fn fields_match(a: &FormatDescriptor, b: &FormatDescriptor) -> bool {
-    a.fields.len() == b.fields.len()
+        && a.fields.len() == b.fields.len()
         && a.fields.iter().zip(&b.fields).all(|(fa, fb)| {
             fa.name == fb.name
                 && fa.offset == fb.offset
                 && fa.size == fb.size
-                && kinds_match(&fa.kind, &fb.kind)
+                && match (&fa.kind, &fb.kind) {
+                    // Nested records compare like the outer one, by
+                    // structure and not by (sub)format name.
+                    (FieldKind::Nested(x), FieldKind::Nested(y)) => layouts_match(x, y),
+                    (x, y) => x == y,
+                }
         })
-}
-
-fn kinds_match(a: &FieldKind, b: &FieldKind) -> bool {
-    match (a, b) {
-        // Nested descriptors are compared structurally, ignoring their
-        // (sub)format names, exactly like the outer comparison.
-        (FieldKind::Nested(x), FieldKind::Nested(y)) => {
-            x.machine.byte_order == y.machine.byte_order
-                && x.record_size == y.record_size
-                && x.align == y.align
-                && fields_match(x, y)
-        }
-        (x, y) => x == y,
-    }
-}
-
-/// Compiled program for the borrowed same-layout decode path: enough to
-/// validate a wire data section and chase its var-length slots without
-/// materializing anything.
-///
-/// A view plan only exists for a (sender, receiver) pair whose layouts
-/// are structurally identical ([`layouts_match`]); [`ViewPlan::compile`]
-/// returns `Ok(None)` otherwise and the caller falls back to the
-/// [`ConvertPlan`] path.  Before a view plan is cached, in every build,
-/// `crate::verify` re-derives the same-layout claim independently
-/// ([`crate::verify::verify_view_program`]).
-#[derive(Debug)]
-pub struct ViewPlan {
-    program: ViewProgram,
-    target: Arc<FormatDescriptor>,
-}
-
-impl ViewPlan {
-    /// Lower a same-layout (sender, receiver) pair into a view program.
-    /// `Ok(None)` means the layouts differ and a view is not possible.
-    pub fn compile(
-        sender: &FormatDescriptor,
-        target: &Arc<FormatDescriptor>,
-    ) -> Result<Option<ViewPlan>, PbioError> {
-        if !layouts_match(sender, target) {
-            return Ok(None);
-        }
-        Ok(Some(ViewPlan {
-            program: ViewProgram {
-                record_size: target.record_size,
-                order: target.machine.byte_order,
-                slots: compile_slots(target)?,
-            },
-            target: target.clone(),
-        }))
-    }
-
-    /// The receiver descriptor the view resolves field names against.
-    pub fn target(&self) -> &Arc<FormatDescriptor> {
-        &self.target
-    }
-
-    /// The program this plan runs, for static verification.
-    pub fn program(&self) -> &ViewProgram {
-        &self.program
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -743,26 +659,13 @@ impl ConvertPlan {
         from: &FormatDescriptor,
         to: &FormatDescriptor,
     ) -> Result<ConvertPlan, PbioError> {
-        let src_slots = compile_slots(from)?;
+        // The sender's encode program lists its slots in this order.
         let slot_index: HashMap<usize, usize> =
-            src_slots.iter().enumerate().map(|(i, s)| (s.off, i)).collect();
+            from.varlen_slots().iter().enumerate().map(|(i, s)| (s.slot_offset, i)).collect();
         let mut ops = Vec::new();
         let mut var_ops = Vec::new();
         compile_fields(from, 0, to, 0, &slot_index, &mut ops, &mut var_ops)?;
-        let mut len_fixes = Vec::new();
-        compile_len_fixes(to, 0, &mut len_fixes);
-        Ok(ConvertPlan {
-            program: ConvertProgram {
-                src_order: from.machine.byte_order,
-                dst_order: to.machine.byte_order,
-                src_record_size: from.record_size,
-                dst_record_size: to.record_size,
-                src_slots,
-                ops,
-                var_ops,
-                len_fixes,
-            },
-        })
+        Ok(ConvertPlan { program: ConvertProgram { ops, var_ops } })
     }
 
     /// The program this plan runs, for static verification.
@@ -836,25 +739,6 @@ fn compile_fields(
     Ok(())
 }
 
-fn compile_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFixProgram>) {
-    for f in &desc.fields {
-        match &f.kind {
-            FieldKind::DynamicArray { elem_size, length_field, .. } => {
-                if let Some(lf) = desc.field(length_field) {
-                    out.push(LenFixProgram {
-                        len_off: base + lf.offset,
-                        len_size: lf.size,
-                        arr_off: base + f.offset,
-                        elem_size: *elem_size,
-                    });
-                }
-            }
-            FieldKind::Nested(sub) => compile_len_fixes(sub, base + f.offset, out),
-            _ => {}
-        }
-    }
-}
-
 /// Convert the `src.len() / src_w` elements of `src` into `dst`.
 fn convert_elems(
     conv: ElemKind,
@@ -878,24 +762,17 @@ fn convert_elems(
 }
 
 impl ConvertPlan {
-    /// Locate and validate every sender payload of `data` (borrowed),
-    /// exactly as the interpreted extract does.
-    fn locate_all<'a>(&self, data: &'a [u8]) -> Result<Vec<Option<VarSlice<'a>>>, PbioError> {
-        let prog = &self.program;
-        check_record_size(data, prog.src_record_size)?;
-        let mut vars = Vec::with_capacity(prog.src_slots.len());
-        for slot in &prog.src_slots {
-            vars.push(locate_payload(data, slot, prog.src_order)?);
-        }
-        Ok(vars)
-    }
-
     /// Run the fixed-image ops from the sender image `data` into the
     /// zeroed receiver image `fixed`.
-    fn run_fixed_ops(&self, data: &[u8], fixed: &mut [u8]) {
-        let prog = &self.program;
-        for op in &prog.ops {
-            let (conv, src, dst, sw, dw, n) = match *op {
+    fn run_fixed_ops(
+        &self,
+        src: &EncodeProgram,
+        dst: &EncodeProgram,
+        data: &[u8],
+        fixed: &mut [u8],
+    ) {
+        for op in &self.program.ops {
+            let (conv, s, d, sw, dw, n) = match *op {
                 PlanOp::Copy { src, dst, len } => (ElemKind::Copy, src, dst, 1, 1, len),
                 PlanOp::Swap { src, dst, width, count } => {
                     (ElemKind::Swap, src, dst, width, width, count)
@@ -907,54 +784,68 @@ impl ConvertPlan {
                     (ElemKind::Float, src, dst, src_w, dst_w, count)
                 }
             };
-            let (src, dst, sw, dw, n) =
-                (src as usize, dst as usize, sw as usize, dw as usize, n as usize);
+            let (s, d, sw, dw, n) = (s as usize, d as usize, sw as usize, dw as usize, n as usize);
             convert_elems(
                 conv,
-                &data[src..src + n * sw],
+                &data[s..s + n * sw],
                 sw,
-                prog.src_order,
-                &mut fixed[dst..dst + n * dw],
+                src.order,
+                &mut fixed[d..d + n * dw],
                 dw,
-                prog.dst_order,
-            );
-        }
-    }
-
-    /// Make each destination length field agree with the payload
-    /// present: `payload_len(arr_off)` is the byte length of the array
-    /// converted into the slot at `arr_off`.
-    fn fix_lengths(&self, fixed: &mut [u8], payload_len: impl Fn(usize) -> usize) {
-        for lf in &self.program.len_fixes {
-            let count = payload_len(lf.arr_off) / lf.elem_size;
-            write_uint(
-                &mut fixed[lf.len_off..lf.len_off + lf.len_size],
-                self.program.dst_order,
-                count as u64,
+                dst.order,
             );
         }
     }
 }
 
+/// Locate and validate every payload of `data`, a data section in the
+/// sender's format, through the sender's slot table (borrowed), exactly
+/// as the interpreted extract does.
+fn locate_all<'a>(
+    src: &EncodeProgram,
+    data: &'a [u8],
+) -> Result<Vec<Option<VarSlice<'a>>>, PbioError> {
+    check_record_size(data, src.record_size)?;
+    src.slots.iter().map(|slot| locate_payload(data, slot, src.order)).collect()
+}
+
+/// Make each of the receiver's length fields agree with the payload
+/// converted into the array that sets it (`fixes_len`), as
+/// `convert::fix_dynamic_lengths` does: `payload_len(i)` is the byte
+/// length of the payload in the receiver's slot `i`.
+fn fix_lengths(dst: &EncodeProgram, fixed: &mut [u8], payload_len: impl Fn(usize) -> usize) {
+    for (i, slot) in dst.slots.iter().enumerate() {
+        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, fixes_len: true, .. } =
+            &slot.payload
+        {
+            let count = payload_len(i) / elem_size;
+            write_uint(&mut fixed[*len_off..*len_off + *len_size], dst.order, count as u64);
+        }
+    }
+}
+
 /// Run a conversion plan over a wire data section, producing a record in
-/// the receiver's representation.  Extraction happens in place — the
-/// sender's payloads are borrowed from `data` and copied at most once,
-/// directly into their converted destination.
+/// the receiver's representation.  `src` and `dst` are the sender's and
+/// the receiver's certified encode plans.  Extraction happens in place —
+/// the sender's payloads are borrowed from `data` and copied at most
+/// once, directly into their converted destination.
 pub(crate) fn execute_convert(
     plan: &ConvertPlan,
+    src: &EncodePlan,
+    dst: &EncodePlan,
     data: &[u8],
     target: &Arc<FormatDescriptor>,
 ) -> Result<RawRecord, PbioError> {
-    let prog = &plan.program;
-    let vars = plan.locate_all(data)?;
-    let mut fixed = vec![0u8; prog.dst_record_size];
-    plan.run_fixed_ops(data, &mut fixed);
+    let (src, dst) = (&src.program, &dst.program);
+    let vars = locate_all(src, data)?;
+    let mut fixed = vec![0u8; dst.record_size];
+    plan.run_fixed_ops(src, dst, data, &mut fixed);
 
     // Var-length payloads, borrowed source → converted destination.
     let mut allocs = 1u64; // the destination fixed image
     let mut copied = fixed.len() as u64;
     let mut varlen = BTreeMap::new();
-    for vo in &prog.var_ops {
+    for vo in &plan.program.var_ops {
         match (vo.conv, vars[vo.src_idx]) {
             (_, None) => {}
             (VarConvProgram::Move, Some(VarSlice::Str(s))) => {
@@ -969,7 +860,7 @@ pub(crate) fn execute_convert(
             }
             (VarConvProgram::Elem { conv, src_w, dst_w }, Some(VarSlice::Bytes(b))) => {
                 let mut out = vec![0u8; b.len() / src_w * dst_w];
-                convert_elems(conv, b, src_w, prog.src_order, &mut out, dst_w, prog.dst_order);
+                convert_elems(conv, b, src_w, src.order, &mut out, dst_w, dst.order);
                 allocs += 1;
                 copied += out.len() as u64;
                 varlen.insert(vo.dst_off, VarData::Bytes(out));
@@ -983,7 +874,7 @@ pub(crate) fn execute_convert(
     counters.alloc_total.add(allocs);
     counters.bytes_copied_total.add(copied);
 
-    plan.fix_lengths(&mut fixed, |off| match varlen.get(&off) {
+    fix_lengths(dst, &mut fixed, |i| match varlen.get(&dst.slots[i].off) {
         Some(VarData::Bytes(b)) => b.len(),
         _ => 0,
     });
@@ -994,33 +885,34 @@ pub(crate) fn execute_convert(
 /// target's wire image, appended to `out`: the receiver-makes-right
 /// conversion run at the sender, with no intermediate record.
 ///
-/// `target` is the target format's encode plan; its slot table places
-/// the converted payloads and patches the pointer slots exactly as
-/// [`execute_encode`] would for the record [`execute_convert`] returns,
-/// and the same dimension check applies, so the output is byte-identical
-/// to `encode(decode_with(..))` and so are the errors.  Every byte is
-/// written once, straight into `out`.  Returns the bytes appended.
+/// `src` and `dst` are the sender's and the target's certified encode
+/// plans.  The target's slot table places the converted payloads and
+/// patches the pointer slots exactly as [`execute_encode`] would for the
+/// record [`execute_convert`] returns, and the same dimension check
+/// applies, so the output is byte-identical to `encode(decode_with(..))`
+/// and so are the errors.  Every byte is written once, straight into
+/// `out`.  Returns the bytes appended.
 pub(crate) fn execute_convert_wire(
     plan: &ConvertPlan,
-    target: &EncodePlan,
+    src: &EncodePlan,
+    dst: &EncodePlan,
     data: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<usize, PbioError> {
-    let (prog, tgt) = (&plan.program, &target.program);
-    debug_assert_eq!(prog.dst_record_size, tgt.record_size, "plans for different formats");
-    let vars = plan.locate_all(data)?;
+    let (prog, src, tgt) = (&plan.program, &src.program, &dst.program);
+    let vars = locate_all(src, data)?;
 
     // Pass 1: each target slot's source payload, converted length and
     // placement — the same placement rule as `execute_encode`.
     let mut placed = Vec::with_capacity(tgt.slots.len());
     let mut data_size = tgt.record_size;
     for slot in &tgt.slots {
-        let src = prog
+        let moved = prog
             .var_ops
             .iter()
             .find(|vo| vo.dst_off == slot.off)
             .and_then(|vo| vars[vo.src_idx].map(|v| (vo.conv, v)));
-        let (len, align) = match (&slot.payload, src) {
+        let (len, align) = match (&slot.payload, moved) {
             (SlotPayloadProgram::Str, Some((_, VarSlice::Str(s)))) => (s.len() + 1, 1),
             (SlotPayloadProgram::Array { elem_size, .. }, Some((conv, VarSlice::Bytes(b)))) => {
                 let len = match conv {
@@ -1032,7 +924,7 @@ pub(crate) fn execute_convert_wire(
             (_, None) => (0, 1),
             (_, Some(_)) => unreachable!("var ops only pair strings with strings"),
         };
-        placed.push((src, place(&mut data_size, len, align), len));
+        placed.push((moved, place(&mut data_size, len, align), len));
     }
 
     // Pass 2: header and fixed image, converted in place.
@@ -1044,12 +936,11 @@ pub(crate) fn execute_convert_wire(
     let data_start = out.len();
     out.resize(data_start + tgt.record_size, 0);
     let fixed = &mut out[data_start..];
-    plan.run_fixed_ops(data, fixed);
-    plan.fix_lengths(fixed, |off| {
-        tgt.slots.iter().zip(&placed).find(|(s, _)| s.off == off).map_or(0, |(_, p)| p.2)
-    });
+    plan.run_fixed_ops(src, tgt, data, fixed);
+    fix_lengths(tgt, fixed, |i| placed[i].2);
     for (slot, &(_, at, len)) in tgt.slots.iter().zip(&placed) {
-        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name } = &slot.payload
+        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name, .. } =
+            &slot.payload
         {
             let declared = read_uint(&fixed[*len_off..*len_off + *len_size], order) as usize;
             let have = len / elem_size;
@@ -1062,8 +953,8 @@ pub(crate) fn execute_convert_wire(
     }
 
     // Pass 3: payloads, each converted straight into its placement.
-    for &(src, at, len) in &placed {
-        let Some((conv, payload)) = src.filter(|_| len != 0) else { continue };
+    for &(moved, at, len) in &placed {
+        let Some((conv, payload)) = moved.filter(|_| len != 0) else { continue };
         out.resize(data_start + at, 0);
         match (conv, payload) {
             (_, VarSlice::Str(s)) => {
@@ -1075,7 +966,7 @@ pub(crate) fn execute_convert_wire(
                 let from = out.len();
                 out.resize(from + len, 0);
                 let dst = &mut out[from..];
-                convert_elems(conv, b, src_w, prog.src_order, dst, dst_w, prog.dst_order);
+                convert_elems(conv, b, src_w, src.order, dst, dst_w, order);
             }
         }
     }
@@ -1128,7 +1019,7 @@ const TRIM_MIN_CAPACITY: usize = 4 * 1024;
 /// (the global one by default) and returns to it when the encoder drops.
 /// Two policies keep a burst of outsized records from pinning peak-sized
 /// memory: the pool refuses to shelve buffers over its retain cap, and
-/// the encoder itself shrinks its buffer once per [`TRIM_WINDOW`] encodes
+/// the encoder itself shrinks its buffer once per 64 encodes (`TRIM_WINDOW`)
 /// when capacity has grown to more than 4× the window's peak message.
 #[derive(Debug)]
 pub struct Encoder {
@@ -1281,7 +1172,7 @@ mod tests {
         let data = &wire[HEADER_SIZE..];
         let plan = EncodePlan::compile(rec.format()).unwrap();
         let prog = plan.program();
-        let (fixed, varlen) = extract(data, &prog.slots, prog.order, prog.record_size).unwrap();
+        let (fixed, varlen) = extract(data, prog).unwrap();
         let (ifixed, ivarlen) = crate::convert::extract(data, rec.format()).unwrap();
         assert_eq!(fixed, ifixed);
         assert_eq!(varlen, ivarlen);
@@ -1317,12 +1208,58 @@ mod tests {
         let wire = encode(&rec).unwrap();
         let data = &wire[HEADER_SIZE..];
         let plan = ConvertPlan::compile(&sfmt, &tfmt).unwrap();
-        let compiled = execute_convert(&plan, data, &tfmt).unwrap();
+        let (src, dst) = (sfmt.encode_plan().0.unwrap(), tfmt.encode_plan().0.unwrap());
+        let compiled = execute_convert(&plan, src, dst, data, &tfmt).unwrap();
         let (fixed, varlen) = crate::convert::extract(data, &sfmt).unwrap();
         let interp = crate::convert::convert_record(&fixed, &varlen, &sfmt, &tfmt).unwrap();
         assert_eq!(compiled, interp);
         assert_eq!(compiled.get_u64("big").unwrap(), 0xDEAD_BEEF);
         assert_eq!(compiled.get_f64_array("xs").unwrap(), vec![0.5, 1.5, 2.5]);
+    }
+
+    #[test]
+    fn shared_length_field_is_fixed_in_declaration_order() {
+        // The receiver's `a` and `b` share `n`; `a` is declared first but
+        // placed after `b`.  The interpreter fixes `n` in declaration
+        // order, so `b`'s count wins, and a re-encode then trips on `a`.
+        let sender = FormatRegistry::new(MachineModel::X86_64);
+        let receiver = FormatRegistry::new(MachineModel::X86_64);
+        let sfmt = sender
+            .register(FormatSpec::new(
+                "Shared",
+                vec![
+                    IOField::auto("n", "integer", 4),
+                    IOField::auto("m", "integer", 4),
+                    IOField::auto("a", "float[n]", 8),
+                    IOField::auto("b", "float[m]", 8),
+                ],
+            ))
+            .unwrap();
+        let tfmt = receiver
+            .register(FormatSpec::new(
+                "Shared",
+                vec![
+                    IOField::at("n", "integer", 4, 0),
+                    IOField::at("a", "float[n]", 8, 16),
+                    IOField::at("b", "float[n]", 8, 8),
+                ],
+            ))
+            .unwrap();
+        let mut rec = RawRecord::new(sfmt.clone());
+        rec.set_f64_array("a", &[1.0, 2.0, 3.0]).unwrap();
+        rec.set_f64_array("b", &[4.0]).unwrap();
+        let wire = encode(&rec).unwrap();
+        receiver.register_descriptor((*sfmt).clone());
+
+        let compiled = crate::marshal::decode_with(&wire, &receiver, &tfmt).unwrap();
+        let interp = crate::marshal::decode_with_interpreted(&wire, &receiver, &tfmt).unwrap();
+        assert_eq!(compiled, interp);
+        assert_eq!(compiled.get_i64("n").unwrap(), 1);
+
+        let err = crate::marshal::convert_wire_into(&wire, &receiver, &tfmt, &mut Vec::new());
+        let want = encode(&interp).unwrap_err();
+        assert!(matches!(want, PbioError::BadDimension { ref field, .. } if field == "a"));
+        assert_eq!(err.unwrap_err(), want);
     }
 
     #[test]
@@ -1402,7 +1339,7 @@ mod tests {
         let data = &wire[HEADER_SIZE..];
         let plan = EncodePlan::compile(&fmt).unwrap();
         let prog = plan.program();
-        let compiled_err = extract(data, &prog.slots, prog.order, prog.record_size).unwrap_err();
+        let compiled_err = extract(data, prog).unwrap_err();
         let interp_err = crate::convert::extract(data, &fmt).unwrap_err();
         assert_eq!(format!("{compiled_err}"), format!("{interp_err}"));
     }

@@ -15,7 +15,7 @@ use openmeta_obs::{Counter, MetricsRegistry};
 use crate::error::PbioError;
 use crate::format::{FormatDescriptor, FormatId, FormatSpec};
 use crate::machine::MachineModel;
-use crate::plan::{ConvertPlan, EncodePlan, ViewPlan};
+use crate::plan::{layouts_match, ConvertPlan, EncodePlan};
 use crate::verify::{self, Verdict};
 
 /// A registry of formats resolved for one machine model.
@@ -23,10 +23,10 @@ use crate::verify::{self, Verdict};
 pub struct FormatRegistry {
     machine: MachineModel,
     inner: RwLock<Inner>,
-    /// Compiled convert and view plans, keyed by the pair of format ids
-    /// they join.  Encode plans are not here: each descriptor holds its
-    /// own (see [`FormatDescriptor::encode_plan`]).  Read-mostly:
-    /// steady-state messaging only takes a read lock.
+    /// Compiled convert plans and same-layout verdicts, keyed by the pair
+    /// of format ids they join.  Encode plans are not here: each
+    /// descriptor holds its own (see [`FormatDescriptor::encode_plan`]).
+    /// Read-mostly: steady-state messaging only takes a read lock.
     plans: PlanCache,
     /// Global-registry-backed counters (`openmeta_plan_cache_*_total`):
     /// this registry's exact numbers via [`FormatRegistry::plan_cache_stats`],
@@ -47,10 +47,11 @@ struct Inner {
 #[derive(Debug, Default)]
 struct PlanCache {
     convert: PlanTable<Arc<ConvertPlan>>,
-    /// Borrowed-decode plans.  `None` is a cached *negative*: the pair's
-    /// layouts differ, so callers fall straight through to the convert
-    /// path without re-running the structural comparison per message.
-    view: PlanTable<Option<Arc<ViewPlan>>>,
+    /// Borrowed-decode verdicts.  `false` is a cached *negative*: the
+    /// pair's layouts differ, so callers fall straight through to the
+    /// convert path without re-running the structural comparison per
+    /// message.
+    view: PlanTable<bool>,
 }
 
 /// One kind of (sender, receiver) plan, each kind under its own lock.
@@ -60,10 +61,11 @@ type PlanTable<P> = RwLock<Verdicts<P>>;
 const MAX_REJECTIONS: usize = 256;
 
 /// The gate's answers for one kind of plan: every certified plan, and
-/// the [`PbioError::PlanRejected`] of the last [`MAX_REJECTIONS`] keys
-/// that failed certification — so a peer replaying records under a
-/// lying descriptor pays one compile and verify, not one per record,
-/// and a flood of fresh lying ids holds a bounded amount.
+/// the error of the last [`MAX_REJECTIONS`] keys that failed to compile
+/// (a [`PbioError::TypeMismatch`], say) or to certify
+/// ([`PbioError::PlanRejected`]) — so a peer replaying records under a
+/// lying or mismatched descriptor pays one compile and verify, not one
+/// per record, and a flood of fresh bad ids holds a bounded amount.
 #[derive(Debug)]
 struct Verdicts<P> {
     by_key: HashMap<(FormatId, FormatId), Result<P, PbioError>, IdHashState>,
@@ -245,45 +247,52 @@ impl FormatRegistry {
     }
 
     /// The compiled conversion plan for a (sender, receiver) pair, cached
-    /// by the pair of content ids.
+    /// by the pair of content ids.  It runs between the two descriptors'
+    /// encode plans, so a pair is only cached once both certify.
     pub fn convert_plan(
         &self,
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
     ) -> Result<Arc<ConvertPlan>, PbioError> {
         self.certified(&self.plans.convert, sender, target, || {
+            sender.encode_plan().0?;
+            target.encode_plan().0?;
             let plan = ConvertPlan::compile(sender, target)?;
             Ok((verify::verify_convert_program(sender, target, plan.program()), Arc::new(plan)))
         })
     }
 
-    /// The borrowed-decode plan for a (sender, receiver) pair, or `None`
-    /// when their layouts differ (also cached, so the structural check
-    /// runs once per pair, not per message).
+    /// Whether records of `sender` can be read in place as `target`'s
+    /// native image through `target`'s certified encode plan: the gate
+    /// for a borrowed [`crate::view::RecordView`], cached per pair,
+    /// `false` included, so the structural check runs once per pair, not
+    /// per message.
     ///
     /// The same-layout claim is re-derived by
-    /// [`crate::verify::verify_view_program`], independently of the plan
-    /// compiler, before the plan is cached: a wrong view silently
-    /// misreads every field.
-    pub fn view_plan(
+    /// [`crate::verify::verify_same_layout`], independently of
+    /// [`layouts_match`], before the verdict is cached: a wrong view
+    /// silently misreads every field.
+    pub fn same_layout(
         &self,
         sender: &Arc<FormatDescriptor>,
         target: &Arc<FormatDescriptor>,
-    ) -> Result<Option<Arc<ViewPlan>>, PbioError> {
+    ) -> Result<bool, PbioError> {
         self.certified(&self.plans.view, sender, target, || {
-            let Some(plan) = ViewPlan::compile(sender, target)? else {
-                return Ok((Verdict::default(), None));
-            };
-            Ok((verify::verify_view_program(sender, target, plan.program()), Some(Arc::new(plan))))
+            if !layouts_match(sender, target) {
+                return Ok((Verdict::default(), false));
+            }
+            target.encode_plan().0?;
+            Ok((verify::verify_same_layout(sender, target), true))
         })
     }
 
     /// The gate in front of every pair plan this registry caches: the
     /// pair's cached verdict, or one reached now from the verifier's
-    /// verdict and the plan `compile` returns; a rejection is cached too
-    /// (see [`Verdicts`]).  Descriptors arrive from peers and a plan runs
-    /// with no per-record layout checks, so a lying descriptor's plan is
-    /// refused here, never an out-of-bounds access later.
+    /// verdict and the plan `compile` returns; a rejection or a compile
+    /// error is cached too (see [`Verdicts`]).  Descriptors arrive from
+    /// peers and a plan runs with no per-record layout checks, so a lying
+    /// descriptor's plan is refused here, never an out-of-bounds access
+    /// later.
     fn certified<P: Clone>(
         &self,
         table: &PlanTable<P>,
@@ -299,9 +308,9 @@ impl FormatRegistry {
         self.plan_misses.inc();
         // Compile and certify outside the write lock; the double-checked
         // insert keeps one shared verdict if another thread raced us here.
-        let (verdict, plan) = compile()?;
-        let verdict =
-            verdict.certify(|| format!("{}\u{2192}{}", sender.name, target.name)).map(|()| plan);
+        let verdict = compile().and_then(|(verdict, plan)| {
+            verdict.certify(|| format!("{}\u{2192}{}", sender.name, target.name)).map(|()| plan)
+        });
         let mut table = sync::write(table);
         if verdict.is_err() && !table.by_key.contains_key(&key) {
             if table.rejected.len() == MAX_REJECTIONS {

@@ -27,8 +27,14 @@
 //!   width/order decision matches the classification spec.  On top of
 //!   that: op bounds against both record sizes, swap widths in {2,4,8}
 //!   with alignment advisories, a destination coverage bitmap (overlap is
-//!   a hard error), and independently derived var-op and length-fix
-//!   tables.
+//!   a hard error), and an independently derived var-op table indexing
+//!   the sender's slots.  A convert program runs between the two
+//!   descriptors' encode programs, whose slot tables locate the sender's
+//!   payloads and fix the receiver's length fields, so those tables are
+//!   proved once per format, by [`verify_encode_program`].
+//! * **Same layout** ([`verify_same_layout`]): the borrowed view reads a
+//!   sender's bytes through the receiver's encode program, so the two
+//!   layouts must be provably identical, leaf by leaf.
 //!
 //! The derivations here deliberately *reimplement* the specification
 //! (layout rules, field matching, scalar classification) rather than
@@ -50,8 +56,8 @@ use crate::layout::align_up;
 use crate::machine::ByteOrder;
 use crate::marshal::{MAGIC, VERSION};
 use crate::plan::{
-    ConvertProgram, ElemKind, EncodeProgram, LenFixProgram, PlanOp, SlotPayloadProgram,
-    SlotProgram, VarConvProgram, ViewProgram,
+    ConvertProgram, ElemKind, EncodeProgram, PlanOp, SlotPayloadProgram, SlotProgram,
+    VarConvProgram,
 };
 use crate::types::{BaseType, FieldKind};
 
@@ -360,7 +366,7 @@ fn verify_layout_into(desc: &FormatDescriptor, prefix: &str, v: &mut Verdict) {
 }
 
 // ---------------------------------------------------------------------------
-// Slot-table derivation (shared by encode and convert verification).
+// Slot-table derivation (encode programs; convert programs index it).
 // ---------------------------------------------------------------------------
 
 /// Independently derive the slot table a plan must carry for `desc`.
@@ -380,11 +386,19 @@ fn expected_slots(desc: &FormatDescriptor, v: &mut Verdict) -> Vec<SlotProgram> 
                     );
                     continue;
                 };
+                // The interpreter fixes lengths in declaration order, so
+                // the last array declared on a length field sets it.
+                let later = s.record.fields.iter().skip_while(|f| !std::ptr::eq(*f, s.field));
+                let shadowed = later.skip(1).any(|f| match &f.kind {
+                    FieldKind::DynamicArray { length_field: other, .. } => other == length_field,
+                    _ => false,
+                });
                 SlotPayloadProgram::Array {
                     elem_size: *elem_size,
                     len_off: s.record_base + lf.offset,
                     len_size: lf.size,
                     len_name: length_field.clone(),
+                    fixes_len: !shadowed,
                 }
             }
             _ => continue,
@@ -439,7 +453,8 @@ fn check_slot_table(slots: &[SlotProgram], record_size: usize, v: &mut Verdict) 
         }
         prev_off = Some(s.off);
         prev_end = s.off + s.size;
-        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name } = &s.payload {
+        if let SlotPayloadProgram::Array { elem_size, len_off, len_size, len_name, .. } = &s.payload
+        {
             if *elem_size == 0 {
                 v.error("slot-bounds", format!("slot '{}': zero element size", s.name));
             }
@@ -464,11 +479,11 @@ fn check_slot_table(slots: &[SlotProgram], record_size: usize, v: &mut Verdict) 
     }
 }
 
-fn compare_slot_tables(got: &[SlotProgram], want: &[SlotProgram], what: &str, v: &mut Verdict) {
+fn compare_slot_tables(got: &[SlotProgram], want: &[SlotProgram], v: &mut Verdict) {
     if got.len() != want.len() {
         v.error(
             "slot-table",
-            format!("{what} slot table has {} slots, descriptor has {}", got.len(), want.len()),
+            format!("slot table has {} slots, descriptor has {}", got.len(), want.len()),
         );
         return;
     }
@@ -477,7 +492,7 @@ fn compare_slot_tables(got: &[SlotProgram], want: &[SlotProgram], what: &str, v:
             v.error(
                 "slot-table",
                 format!(
-                    "{what} slot '{}' disagrees with the descriptor: plan {g:?}, expected {w:?}",
+                    "slot '{}' disagrees with the descriptor: plan {g:?}, expected {w:?}",
                     w.name
                 ),
             );
@@ -533,7 +548,7 @@ pub fn verify_encode_program(desc: &FormatDescriptor, prog: &EncodeProgram) -> V
     }
 
     let want = expected_slots(desc, &mut v);
-    compare_slot_tables(&prog.slots, &want, "encode", &mut v);
+    compare_slot_tables(&prog.slots, &want, &mut v);
     check_slot_table(&prog.slots, prog.record_size, &mut v);
     v
 }
@@ -746,8 +761,7 @@ fn expand_ops(
     units: &mut Vec<Unit>,
     v: &mut Verdict,
 ) {
-    let srs = prog.src_record_size;
-    let drs = prog.dst_record_size;
+    let (srs, drs) = (from.record_size, to.record_size);
     let bounds = |src: usize, s_len: usize, dst: usize, d_len: usize, v: &mut Verdict| -> bool {
         let mut ok = true;
         if src.checked_add(s_len).is_none_or(|end| end > srs) {
@@ -870,26 +884,6 @@ fn expand_ops(
     }
 }
 
-/// Independently derive the length-fix table the conversion spec requires.
-fn expected_len_fixes(desc: &FormatDescriptor, base: usize, out: &mut Vec<LenFixProgram>) {
-    for f in &desc.fields {
-        match &f.kind {
-            FieldKind::DynamicArray { elem_size, length_field, .. } => {
-                if let Some(lf) = desc.field(length_field) {
-                    out.push(LenFixProgram {
-                        len_off: base + lf.offset,
-                        len_size: lf.size,
-                        arr_off: base + f.offset,
-                        elem_size: *elem_size,
-                    });
-                }
-            }
-            FieldKind::Nested(sub) => expected_len_fixes(sub, base + f.offset, out),
-            _ => {}
-        }
-    }
-}
-
 /// Prove a convert program safe for the `(from, to)` descriptor pair.
 ///
 /// The central argument: the program's ops expand to per-element units
@@ -906,33 +900,6 @@ pub fn verify_convert_program(
 ) -> Verdict {
     let mut v = verify_layout(from);
     v.merge(verify_layout(to));
-
-    if prog.src_record_size != from.record_size {
-        v.error(
-            "record-size",
-            format!(
-                "plan reads a {}-byte source record, sender descriptor is {} bytes",
-                prog.src_record_size, from.record_size
-            ),
-        );
-    }
-    if prog.dst_record_size != to.record_size {
-        v.error(
-            "record-size",
-            format!(
-                "plan writes a {}-byte destination record, receiver descriptor is {} bytes",
-                prog.dst_record_size, to.record_size
-            ),
-        );
-    }
-    if prog.src_order != from.machine.byte_order || prog.dst_order != to.machine.byte_order {
-        v.error("byte-order", "plan byte orders disagree with the machine models".to_string());
-    }
-
-    // Source slot table: equal to an independent derivation, in-bounds.
-    let want_slots = expected_slots(from, &mut v);
-    compare_slot_tables(&prog.src_slots, &want_slots, "source", &mut v);
-    check_slot_table(&prog.src_slots, prog.src_record_size, &mut v);
 
     // Fixed image: unit-expansion equivalence.
     let mut got_units = Vec::new();
@@ -953,7 +920,7 @@ pub fn verify_convert_program(
 
     // Destination coverage: each byte written at most once by the ops.
     // (The length-fix post-pass legitimately overwrites length fields.)
-    let mut coverage = vec![0u8; prog.dst_record_size];
+    let mut coverage = vec![0u8; to.record_size];
     for u in &got_units {
         for b in u.dst..(u.dst + u.dst_w).min(coverage.len()) {
             if coverage[b] == 1 {
@@ -984,28 +951,30 @@ pub fn verify_convert_program(
     }
 
     // Var-length moves: equal to the derivation (keyed by destination).
-    let slot_off = |idx: usize| prog.src_slots.get(idx).map(|s| s.off);
+    // A source index names a slot of the sender's encode program, which
+    // certifies equal to this derivation.
+    let src_slots = expected_slots(from, &mut v);
     let mut got_vars = Vec::new();
     for vo in &prog.var_ops {
-        match slot_off(vo.src_idx) {
-            Some(src_off) => {
-                got_vars.push(ExpectedVar { src_off, dst_off: vo.dst_off, conv: vo.conv })
+        match src_slots.get(vo.src_idx) {
+            Some(slot) => {
+                got_vars.push(ExpectedVar { src_off: slot.off, dst_off: vo.dst_off, conv: vo.conv })
             }
             None => v.error(
                 "var-bounds",
                 format!(
                     "var op targets source slot index {} of a {}-slot table",
                     vo.src_idx,
-                    prog.src_slots.len()
+                    src_slots.len()
                 ),
             ),
         }
-        if vo.dst_off >= prog.dst_record_size {
+        if vo.dst_off >= to.record_size {
             v.error(
                 "var-bounds",
                 format!(
                     "var op destination slot {} is outside the {}-byte record",
-                    vo.dst_off, prog.dst_record_size
+                    vo.dst_off, to.record_size
                 ),
             );
         }
@@ -1036,44 +1005,11 @@ pub fn verify_convert_program(
         v.error("var-ops", format!("var-length moves disagree with the descriptor pair: {detail}"));
     }
 
-    // Length fixes: equal to the derivation, in-bounds.
-    let mut want_fixes = Vec::new();
-    expected_len_fixes(to, 0, &mut want_fixes);
-    if prog.len_fixes != want_fixes {
-        v.error(
-            "len-fixes",
-            format!(
-                "length-fix table disagrees with the receiver descriptor: plan has {} fixes, spec requires {}",
-                prog.len_fixes.len(),
-                want_fixes.len()
-            ),
-        );
-    }
-    for lf in &prog.len_fixes {
-        if lf.len_off + lf.len_size > prog.dst_record_size {
-            v.error(
-                "len-fix-bounds",
-                format!(
-                    "length fix writes [{}, {}) beyond the {}-byte record",
-                    lf.len_off,
-                    lf.len_off + lf.len_size,
-                    prog.dst_record_size
-                ),
-            );
-        }
-        if !matches!(lf.len_size, 1 | 2 | 4 | 8) {
-            v.error("len-fix-bounds", format!("length fix has width {}", lf.len_size));
-        }
-        if lf.elem_size == 0 {
-            v.error("len-fix-bounds", "length fix divides by a zero element size".to_string());
-        }
-    }
-
     v
 }
 
 // ---------------------------------------------------------------------------
-// View-program verification.
+// Same-layout verification.
 // ---------------------------------------------------------------------------
 
 /// One leaf of a descriptor's fixed image, flattened for the structural
@@ -1126,18 +1062,13 @@ fn view_leaves(desc: &FormatDescriptor, base: usize, prefix: &str, out: &mut Vec
     }
 }
 
-/// Prove a view program safe for a (sender, receiver) pair: the borrowed
-/// fast path reads sender bytes *as if* they were receiver bytes, so the
-/// two layouts must be provably identical — byte order, record size,
+/// Prove that records of `sender` can be read in place as `target`'s
+/// native image: the borrowed view reads sender bytes *as if* they were
+/// receiver bytes, through the receiver's encode program, so the two
+/// layouts must be provably identical — byte order, record size,
 /// alignment, and a leaf-by-leaf structural walk of both descriptors
-/// (re-derived here, not taken from [`crate::plan::layouts_match`]) — and
-/// the plan's slot table must equal an independent derivation from the
-/// receiver descriptor with every slot in-bounds and monotone.
-pub fn verify_view_program(
-    sender: &FormatDescriptor,
-    target: &FormatDescriptor,
-    prog: &ViewProgram,
-) -> Verdict {
+/// (re-derived here, not taken from [`crate::plan::layouts_match`]).
+pub fn verify_same_layout(sender: &FormatDescriptor, target: &FormatDescriptor) -> Verdict {
     let mut v = verify_layout(sender);
     v.merge(verify_layout(target));
 
@@ -1179,23 +1110,6 @@ pub fn verify_view_program(
             }
         }
     }
-
-    if prog.record_size != target.record_size {
-        v.error(
-            "record-size",
-            format!(
-                "plan compiled for a {}-byte record, receiver descriptor is {} bytes",
-                prog.record_size, target.record_size
-            ),
-        );
-    }
-    if prog.order != target.machine.byte_order {
-        v.error("byte-order", "plan byte order disagrees with the machine model".to_string());
-    }
-
-    let want = expected_slots(target, &mut v);
-    compare_slot_tables(&prog.slots, &want, "view", &mut v);
-    check_slot_table(&prog.slots, prog.record_size, &mut v);
     v
 }
 
@@ -1298,13 +1212,26 @@ mod tests {
     }
 
     #[test]
-    fn dropped_len_fix_rejected() {
+    fn var_op_past_the_sender_slots_rejected() {
         let (_, src) = mixed_reg(MachineModel::SPARC32);
         let (_, dst) = mixed_reg(MachineModel::X86_64);
         let mut prog = ConvertPlan::compile(&src, &dst).unwrap().program().clone();
-        prog.len_fixes.clear();
+        prog.var_ops[0].src_idx = src.varlen_slots().len();
         let verdict = verify_convert_program(&src, &dst, &prog);
-        assert!(verdict.violations().iter().any(|x| x.check == "len-fixes"));
+        assert!(verdict.violations().iter().any(|x| x.check == "var-bounds"));
+    }
+
+    #[test]
+    fn shadowed_length_fix_rejected() {
+        let (_, d) = mixed_reg(MachineModel::SPARC32);
+        let mut prog = EncodePlan::compile(&d).unwrap().program().clone();
+        for slot in &mut prog.slots {
+            if let SlotPayloadProgram::Array { fixes_len, .. } = &mut slot.payload {
+                *fixes_len = false;
+            }
+        }
+        let verdict = verify_encode_program(&d, &prog);
+        assert!(verdict.violations().iter().any(|x| x.check == "slot-table"));
     }
 
     #[test]

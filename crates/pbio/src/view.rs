@@ -2,24 +2,27 @@
 //!
 //! The paper's best case — sender and receiver sharing one native layout
 //! — should cost "little more than a memcpy".  This module removes even
-//! the memcpy: when a [`ViewPlan`](crate::plan::ViewPlan) certifies that
-//! the wire data section *is* the receiver's native image, a
-//! [`RecordView`] lends typed accessors directly over the wire bytes.
-//! Nothing is materialized; strings and dynamic arrays are chased
-//! through their pointer slots on access, with the same validation the
-//! owned extract performs.
+//! the memcpy: when the registry certifies that the wire data section
+//! *is* the receiver's native image, a [`RecordView`] lends typed
+//! accessors directly over the wire bytes.  Nothing is materialized;
+//! strings and dynamic arrays are chased through their pointer slots on
+//! access, with the same validation the owned extract performs.
 //!
 //! # Safety argument (why borrowed access cannot go wrong)
 //!
 //! There is no `unsafe` here (the crate denies it); every read is a
 //! bounds-checked slice index.  What keeps the *values* honest:
 //!
-//! * A view is only constructed through a [`ViewPlan`], and a view plan
-//!   only compiles when [`layouts_match`](crate::plan::layouts_match)
-//!   holds — byte order, record size, alignment, and every field's
-//!   name/offset/size/kind agree between sender and receiver.  In every
-//!   build, `crate::verify` re-derives that claim independently before
-//!   the plan enters the registry cache.
+//! * Only [`crate::marshal::decode_borrowed`] builds a view, and only
+//!   after the registry's same-layout gate passes for the (sender,
+//!   receiver) pair: [`layouts_match`](crate::plan::layouts_match) holds
+//!   — byte order, record size, alignment, and every field's
+//!   name/offset/size/kind agree — and, in every build,
+//!   `crate::verify::verify_same_layout` re-derives that claim
+//!   independently before the verdict is cached.
+//! * A view reads through the receiver descriptor's own certified encode
+//!   program, the one slot table its records are encoded with; the gate
+//!   refuses a receiver whose plan fails certification.
 //! * Construction validates the buffer is at least `record_size` bytes;
 //!   scalar accessors therefore index within the fixed image.
 //! * Var-length accessors go through the same
@@ -38,7 +41,7 @@ use crate::format::FormatDescriptor;
 use crate::layout::FieldLayout;
 use crate::machine::ByteOrder;
 use crate::plan::{
-    check_record_size, extract, locate_payload, SlotProgram, VarSlice, ViewPlan, ViewProgram,
+    check_record_size, extract, locate_payload, EncodeProgram, SlotProgram, VarSlice,
 };
 use crate::record::{read_float, read_int, read_uint, RawRecord};
 use crate::types::{BaseType, FieldKind};
@@ -52,23 +55,26 @@ use crate::types::{BaseType, FieldKind};
 #[derive(Debug, Clone)]
 pub struct RecordView<'a> {
     data: &'a [u8],
-    plan: Arc<ViewPlan>,
+    target: Arc<FormatDescriptor>,
 }
 
 impl<'a> RecordView<'a> {
     /// Wrap `data` (a wire *data section*, header already stripped) in a
-    /// view.  Validates only the fixed-image size; var-length payloads
-    /// are validated lazily on access (or eagerly via
-    /// [`RecordView::validate`]).  The view's lifetime ties to the wire
-    /// buffer alone; the plan handle is shared.
-    pub fn new(data: &'a [u8], plan: Arc<ViewPlan>) -> Result<RecordView<'a>, PbioError> {
-        check_record_size(data, plan.program().record_size)?;
-        Ok(RecordView { data, plan })
+    /// view of `target`, whose encode plan must certify.  Validates only
+    /// the fixed-image size; var-length payloads are validated lazily on
+    /// access (or eagerly via [`RecordView::validate`]).  The view's
+    /// lifetime ties to the wire buffer alone; the descriptor is shared.
+    pub(crate) fn new(
+        data: &'a [u8],
+        target: Arc<FormatDescriptor>,
+    ) -> Result<RecordView<'a>, PbioError> {
+        check_record_size(data, target.encode_plan().0?.program().record_size)?;
+        Ok(RecordView { data, target })
     }
 
     /// The receiver-side format the view resolves field names against.
     pub fn format(&self) -> &Arc<FormatDescriptor> {
-        self.plan.target()
+        &self.target
     }
 
     /// The fixed image (pointer slots still hold wire offsets; use the
@@ -87,8 +93,10 @@ impl<'a> RecordView<'a> {
         Ok(())
     }
 
-    fn prog(&self) -> &ViewProgram {
-        self.plan.program()
+    /// The target's certified encode program ([`RecordView::new`] checked
+    /// it certifies, and the descriptor keeps that verdict).
+    fn prog(&self) -> &EncodeProgram {
+        self.target.encode_plan().0.expect("a view's target plan is certified").program()
     }
 
     fn order(&self) -> ByteOrder {
@@ -96,11 +104,8 @@ impl<'a> RecordView<'a> {
     }
 
     fn resolve(&self, path: &str) -> Result<(usize, &FieldLayout), PbioError> {
-        self.plan.target().field_path(path).map(|(off, f, _)| (off, f)).ok_or_else(|| {
-            PbioError::NoSuchField {
-                format: self.plan.target().name.clone(),
-                field: path.to_string(),
-            }
+        self.target.field_path(path).map(|(off, f, _)| (off, f)).ok_or_else(|| {
+            PbioError::NoSuchField { format: self.target.name.clone(), field: path.to_string() }
         })
     }
 
@@ -316,9 +321,8 @@ impl<'a> RecordView<'a> {
     /// Materialize the equivalent owned record (what the non-view decode
     /// path would have produced).
     pub fn to_owned(&self) -> Result<RawRecord, PbioError> {
-        let prog = self.prog();
-        let (fixed, varlen) = extract(self.data, &prog.slots, prog.order, prog.record_size)?;
-        Ok(RawRecord::from_parts(self.plan.target().clone(), fixed, varlen))
+        let (fixed, varlen) = extract(self.data, self.prog())?;
+        Ok(RawRecord::from_parts(self.target.clone(), fixed, varlen))
     }
 }
 
@@ -362,23 +366,19 @@ mod tests {
         rec
     }
 
-    fn view_fixture(
-        machine: MachineModel,
-    ) -> (RawRecord, Vec<u8>, Arc<ViewPlan>, Arc<FormatDescriptor>) {
+    fn view_fixture(machine: MachineModel) -> (RawRecord, Vec<u8>, Arc<FormatDescriptor>) {
         let reg = FormatRegistry::new(machine);
         let fmt = mixed_fmt(&reg);
         let rec = mixed_rec(fmt.clone());
         let wire = encode(&rec).unwrap();
-        let plan =
-            Arc::new(ViewPlan::compile(&fmt, &fmt).unwrap().expect("same descriptor must view"));
-        (rec, wire, plan, fmt)
+        (rec, wire, fmt)
     }
 
     #[test]
     fn accessors_agree_with_owned_record_both_orders() {
         for machine in [MachineModel::SPARC32, MachineModel::X86_64] {
-            let (rec, wire, plan, _fmt) = view_fixture(machine);
-            let view = RecordView::new(&wire[HEADER_SIZE..], plan.clone()).unwrap();
+            let (rec, wire, fmt) = view_fixture(machine);
+            let view = RecordView::new(&wire[HEADER_SIZE..], fmt).unwrap();
             view.validate().unwrap();
             assert_eq!(view.get_i64("id").unwrap(), rec.get_i64("id").unwrap());
             assert_eq!(view.get_u64("flag").unwrap(), rec.get_u64("flag").unwrap());
@@ -399,8 +399,8 @@ mod tests {
 
     #[test]
     fn borrowed_str_points_into_wire_buffer() {
-        let (_rec, wire, plan, _fmt) = view_fixture(MachineModel::native());
-        let view = RecordView::new(&wire[HEADER_SIZE..], plan.clone()).unwrap();
+        let (_rec, wire, fmt) = view_fixture(MachineModel::native());
+        let view = RecordView::new(&wire[HEADER_SIZE..], fmt).unwrap();
         let s = view.get_str("who").unwrap();
         let wire_range = wire.as_ptr() as usize..wire.as_ptr() as usize + wire.len();
         assert!(wire_range.contains(&(s.as_ptr() as usize)));
@@ -411,8 +411,8 @@ mod tests {
 
     #[test]
     fn pointer_slots_never_leak_through_scalar_getters() {
-        let (_rec, wire, plan, _fmt) = view_fixture(MachineModel::native());
-        let view = RecordView::new(&wire[HEADER_SIZE..], plan.clone()).unwrap();
+        let (_rec, wire, fmt) = view_fixture(MachineModel::native());
+        let view = RecordView::new(&wire[HEADER_SIZE..], fmt).unwrap();
         assert!(matches!(view.get_i64("who"), Err(PbioError::TypeMismatch { .. })));
         assert!(matches!(view.get_u64("vals"), Err(PbioError::TypeMismatch { .. })));
         assert!(matches!(view.get_f64("who"), Err(PbioError::TypeMismatch { .. })));
@@ -424,8 +424,7 @@ mod tests {
         let fmt = mixed_fmt(&reg);
         let rec = RawRecord::new(fmt.clone()); // nothing set
         let wire = encode(&rec).unwrap();
-        let plan = Arc::new(ViewPlan::compile(&fmt, &fmt).unwrap().unwrap());
-        let view = RecordView::new(&wire[HEADER_SIZE..], plan.clone()).unwrap();
+        let view = RecordView::new(&wire[HEADER_SIZE..], fmt).unwrap();
         assert_eq!(view.get_str("who").unwrap(), "");
         assert!(view.get_f64_array("vals").unwrap().is_empty());
         assert!(view.get_array_bytes("vals").unwrap().is_empty());
@@ -433,14 +432,14 @@ mod tests {
 
     #[test]
     fn corrupt_pointer_fails_validation_not_panics() {
-        let (_rec, mut wire, plan, _fmt) = view_fixture(MachineModel::native());
+        let (_rec, mut wire, fmt) = view_fixture(MachineModel::native());
         // Stamp the string's pointer slot with an out-of-bounds offset.
-        let who_off = plan.target().field_path("who").unwrap().0;
+        let who_off = fmt.field_path("who").unwrap().0;
         let at = HEADER_SIZE + who_off;
         for b in &mut wire[at..at + 4] {
             *b = 0xff;
         }
-        let view = RecordView::new(&wire[HEADER_SIZE..], plan.clone()).unwrap();
+        let view = RecordView::new(&wire[HEADER_SIZE..], fmt).unwrap();
         assert!(matches!(view.validate(), Err(PbioError::BadWireData(_))));
         assert!(matches!(view.get_str("who"), Err(PbioError::BadWireData(_))));
         // Unrelated fields still read fine.
@@ -448,12 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn layout_mismatch_refuses_to_compile() {
+    fn layout_mismatch_is_never_viewed() {
         let le = FormatRegistry::new(MachineModel::X86_64);
         let be = FormatRegistry::new(MachineModel::SPARC32);
         let lfmt = mixed_fmt(&le);
         let bfmt = mixed_fmt(&be);
-        assert!(ViewPlan::compile(&bfmt, &lfmt).unwrap().is_none(), "byte order differs");
+        assert!(!le.same_layout(&bfmt, &lfmt).unwrap(), "byte order differs");
 
         let renamed = le
             .register(FormatSpec::new(
@@ -471,11 +470,11 @@ mod tests {
             ))
             .unwrap();
         // Same structure under a different outer name still views.
-        assert!(ViewPlan::compile(&renamed, &lfmt).unwrap().is_some());
+        assert!(le.same_layout(&renamed, &lfmt).unwrap());
 
         let narrower = le
             .register(FormatSpec::new("MixedNarrow", vec![IOField::auto("id", "integer", 8)]))
             .unwrap();
-        assert!(ViewPlan::compile(&narrower, &lfmt).unwrap().is_none());
+        assert!(!le.same_layout(&narrower, &lfmt).unwrap());
     }
 }

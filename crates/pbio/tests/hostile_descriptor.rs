@@ -9,7 +9,8 @@
 //! a FORMAT frame would), and feeds a record under that id to each
 //! decode entry point, or a record of that format to each encode entry
 //! point.  A refusal is cached like a plan, so a peer replaying records
-//! under the lie pays for one compile, not one each.
+//! under the lie pays for one compile, not one each, and so does a peer
+//! whose descriptor fails to convert into the receiver's own.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -152,4 +153,27 @@ fn a_rejected_plan_is_cached_not_recompiled_per_record() {
         let stats = receiver.plan_cache_stats();
         assert_eq!((stats.misses, stats.hits), (1, 999), "{what}");
     }
+}
+
+#[test]
+fn a_pair_that_fails_to_compile_is_cached_not_recompiled_per_record() {
+    // The peer's `P` calls `label` an integer; the receiver's own `P`
+    // holds a string there, so the pair's convert plan is a type mismatch.
+    let spec = |label| {
+        FormatSpec::new(
+            "P",
+            vec![IOField::auto("x", "integer", 4), IOField::auto("label", label, 4)],
+        )
+    };
+    let peer = FormatRegistry::new(MachineModel::native());
+    let theirs = peer.register(spec("integer")).unwrap();
+    let receiver = FormatRegistry::new(MachineModel::native());
+    receiver.register(spec("string")).unwrap();
+    receiver.register_descriptor((*theirs).clone());
+    let wire = encode(&RawRecord::new(theirs)).unwrap();
+    let errors: Vec<PbioError> = (0..1000).map(|_| decode(&wire, &receiver).unwrap_err()).collect();
+    assert!(matches!(errors[0], PbioError::TypeMismatch { .. }), "{}", errors[0]);
+    assert!(errors.iter().all(|e| *e == errors[0]), "errors differ");
+    let stats = receiver.plan_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 999));
 }
