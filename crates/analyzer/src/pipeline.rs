@@ -88,15 +88,9 @@ fn analyze_pair(
     match ConvertPlan::compile(from, to) {
         Ok(plan) => {
             report.convert_plans_checked += 1;
-            let mut layout = verify::verify_layout(from);
-            layout.merge(verify::verify_layout(to));
+            // Both descriptors' layouts were reported by analyze_descriptor.
             let verdict = verify::verify_convert_program(from, to, plan.program());
-            let fresh: Vec<_> = verdict
-                .into_violations()
-                .into_iter()
-                .filter(|v| !layout.violations().contains(v))
-                .collect();
-            for violation in fresh {
+            for violation in verdict.into_violations() {
                 report.diagnostics.push(Diagnostic {
                     stage: Stage::ConvertPlan,
                     subject: subject.clone(),

@@ -40,24 +40,23 @@
 //! ## Deadlines
 //!
 //! Each connection carries a read deadline (refreshed by every byte
-//! received) and a write deadline.  The nearer one is parked in a
-//! [`TimerWheel`], whose [`TimerWheel::next_fire`] bounds how long the
-//! shard blocks.  Entries are lazy (never cancelled or moved on
-//! refresh), so a delivered token is validated against the
-//! connection's live deadline and generation before it kills anything.
+//! received) and a write deadline.  After every wake the shard makes one
+//! pass over its connection table, the same table `poll` just walked:
+//! it closes each connection whose nearer deadline has passed, and the
+//! earliest deadline left bounds how long the next `poll` blocks, so a
+//! deadline fires on time.  Refreshing a deadline is a field store.
 //! Expiries feed the `timed_out` counter, with the protocol deciding,
 //! via [`EventHandler::deadline_counts_as_timeout`], whether an idle
 //! keep-alive expiry counts (pbio: yes) or only a mid-request stall
 //! does (HTTP).
 //!
-//! The write deadline is *anchored*: it is armed (and parked in the
-//! wheel) when the output queue goes empty → non-empty, cleared when the
-//! queue fully drains, and — unlike the read deadline — **not** refreshed
-//! on partial progress.  Refreshing on progress would let a peer that
-//! drains one segment per timeout window hold a loadgen-size burst of
-//! queued responses forever; anchoring makes the deadline a bound on the
-//! total drain time of the queued buffer, and an expiry always counts as
-//! `timed_out`.
+//! The write deadline is *anchored*: it is armed when the output queue
+//! goes empty → non-empty, cleared when the queue fully drains, and —
+//! unlike the read deadline — **not** refreshed on partial progress.
+//! Refreshing on progress would let a peer that drains one segment per
+//! timeout window hold a loadgen-size burst of queued responses forever;
+//! anchoring makes the deadline a bound on the total drain time of the
+//! queued buffer, and an expiry always counts as `timed_out`.
 //!
 //! ## Drain
 //!
@@ -80,7 +79,6 @@ use crate::config::ServerConfig;
 use crate::nio::{self, ReadOutcome, WriteOutcome};
 use crate::stats::ServerStats;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
-use crate::timer::TimerWheel;
 use openmeta_obs::sync::{self, Mutex};
 
 /// What a handler did with a chunk of bytes.
@@ -117,10 +115,6 @@ pub trait EventHandler: Send {
 /// Factory producing one handler per accepted connection.
 pub type HandlerFactory = dyn Fn() -> Box<dyn EventHandler> + Send + Sync;
 
-/// Wheel slot width: deadlines fire at most this much late.
-const WHEEL_SLOT: Duration = Duration::from_millis(50);
-/// Wheel slots: horizon of 128 × 50ms = 6.4s before lazy re-insert.
-const WHEEL_SLOTS: usize = 128;
 /// Read scratch size and per-connection fairness budget per wake.
 const SWEEP_READ_BUDGET: usize = 64 * 1024;
 /// Most shard threads a loop runs, whatever the core count.
@@ -290,10 +284,6 @@ struct Conn {
     /// refreshed on partial progress (a slow-but-progressing drain must
     /// still expire), cleared when `out` fully drains.
     write_deadline: Option<Instant>,
-    /// Slot-reuse guard for lazy wheel tokens.
-    gen: u64,
-    /// Has a live wheel entry (lazy: at most one per connection).
-    scheduled: bool,
     close_after_flush: bool,
 }
 
@@ -318,43 +308,31 @@ impl Conn {
     }
 }
 
-fn token_of(slot: usize, gen: u64) -> u64 {
-    (gen << 32) | slot as u64
-}
-
-fn token_parts(token: u64) -> (usize, u64) {
-    ((token & 0xffff_ffff) as usize, token >> 32)
-}
-
 enum SweepVerdict {
     Keep,
     Close,
 }
 
-/// Per-shard state: the connection table with its `pollfd` array, slot
-/// generations (stale-token guard), the deadline wheel and the gauge.
+/// Per-shard state: the connection table with its `pollfd` array and
+/// the gauge.
 struct ShardState {
     conns: Vec<Option<Conn>>,
     /// `poll` entries: index 0 is the waker, index `slot + 1` watches
     /// `conns[slot]` (fd -1 while the slot is free).
     fds: Vec<PollFd>,
     free: Vec<usize>,
-    gens: Vec<u64>,
     /// Open connections in `conns`.
     live: usize,
-    wheel: TimerWheel,
     gauge: Arc<Gauge>,
 }
 
 impl ShardState {
-    fn new(wakee: &UnixStream, gauge: Arc<Gauge>, now: Instant) -> ShardState {
+    fn new(wakee: &UnixStream, gauge: Arc<Gauge>) -> ShardState {
         ShardState {
             conns: Vec::new(),
             fds: vec![PollFd::new(wakee.as_raw_fd(), POLLIN)],
             free: Vec::new(),
-            gens: Vec::new(),
             live: 0,
-            wheel: TimerWheel::new(WHEEL_SLOT, WHEEL_SLOTS, now),
             gauge,
         }
     }
@@ -378,10 +356,8 @@ impl ShardState {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.fds.push(PollFd::new(-1, 0));
-            self.gens.push(0);
             self.conns.len() - 1
         });
-        self.gens[slot] += 1;
         self.fds[slot + 1] = PollFd::new(stream.as_raw_fd(), POLLIN);
         self.conns[slot] = Some(Conn {
             stream,
@@ -391,27 +367,11 @@ impl ShardState {
             pending_out: 0,
             read_deadline: read_timeout.map(|t| now + t),
             write_deadline: None,
-            gen: self.gens[slot],
-            scheduled: false,
             close_after_flush: false,
         });
         self.live += 1;
-        self.ensure_scheduled(slot);
         stats.conn_started();
         self.gauge.inc();
-    }
-
-    /// Park the connection's nearest deadline in the wheel if it is not
-    /// already parked (lazy refresh: at most one live entry per conn).
-    fn ensure_scheduled(&mut self, slot: usize) {
-        if let Some(conn) = self.conns[slot].as_mut() {
-            if !conn.scheduled {
-                if let Some(deadline) = conn.nearest_deadline() {
-                    self.wheel.schedule(token_of(slot, conn.gen), deadline);
-                    conn.scheduled = true;
-                }
-            }
-        }
     }
 
     fn close(&mut self, slot: usize, stats: &ServerStats, open: &AtomicUsize) {
@@ -424,6 +384,30 @@ impl ShardState {
             open.fetch_sub(1, Ordering::SeqCst);
         }
     }
+
+    /// The deadline pass: close every connection whose nearer deadline
+    /// has passed by `now`, and return the earliest deadline left.
+    fn expire(&mut self, now: Instant, stats: &ServerStats, open: &AtomicUsize) -> Option<Instant> {
+        let mut next: Option<Instant> = None;
+        for slot in 0..self.conns.len() {
+            let Some(conn) = &self.conns[slot] else { continue };
+            match conn.nearest_deadline() {
+                Some(d) if d <= now => {
+                    // Write stalls always count; read expiries defer to
+                    // the protocol's idle semantics.
+                    if conn.write_deadline.is_some_and(|w| w <= now)
+                        || conn.handler.deadline_counts_as_timeout()
+                    {
+                        stats.timed_out();
+                    }
+                    self.close(slot, stats, open);
+                }
+                Some(d) => next = Some(next.map_or(d, |n| n.min(d))),
+                None => {}
+            }
+        }
+        next
+    }
 }
 
 fn shard_loop(
@@ -434,21 +418,21 @@ fn shard_loop(
     (read_timeout, write_timeout): (Option<Duration>, Option<Duration>),
 ) {
     let gauge = MetricsRegistry::global().gauge("openmeta_eventloop_connections");
-    let mut state = ShardState::new(&shard.wakee, gauge, clock::now());
+    let mut state = ShardState::new(&shard.wakee, gauge);
     let mut scratch = vec![0u8; SWEEP_READ_BUDGET];
-    let mut expired: Vec<u64> = Vec::new();
+    let mut next_deadline: Option<Instant> = None;
     let mut draining = false;
     let mut busy = false;
     loop {
-        // Block until a socket or the waker is ready, or the wheel's
-        // next deadline is due.  After a wake that found work, look once
+        // Block until a socket or the waker is ready, or the nearest
+        // deadline is due.  After a wake that found work, look once
         // more without blocking: under load more is usually ready, and a
         // zero-timeout poll neither sleeps nor queues on every socket.
         // `None` (poll failed) sweeps everyone.
         let timeout = if busy {
             Some(Duration::ZERO)
         } else {
-            state.wheel.next_fire().map(|t| t.saturating_duration_since(clock::now()))
+            next_deadline.map(|t| t.saturating_duration_since(clock::now()))
         };
         let ready = match sys::poll(&mut state.fds, timeout) {
             Ok(n) => Some(n),
@@ -500,13 +484,10 @@ fn shard_loop(
                     pending -= 1;
                 }
                 let verdict = {
-                    let ShardState { conns, wheel, fds, .. } = &mut state;
+                    let ShardState { conns, fds, .. } = &mut state;
                     let Some(conn) = conns[slot].as_mut() else { continue };
-                    let token = token_of(slot, conn.gen);
                     let verdict = sweep_conn(
                         conn,
-                        wheel,
-                        token,
                         &mut scratch,
                         stats,
                         draining,
@@ -522,46 +503,7 @@ fn shard_loop(
             }
         }
 
-        // Deadline sweep: validate lazy tokens against live state.
-        let now = clock::now();
-        expired.clear();
-        state.wheel.expired(now, &mut expired);
-        for &token in &expired {
-            let (slot, gen) = token_parts(token);
-            // 0 = stale, 1 = reschedule, 2 = expire (not timed_out),
-            // 3 = expire and count timed_out.
-            let action = match state.conns.get_mut(slot).and_then(|c| c.as_mut()) {
-                Some(conn) if conn.gen == gen => {
-                    conn.scheduled = false;
-                    match conn.nearest_deadline() {
-                        Some(d) if d <= now => {
-                            // Write stalls always count; read expiries
-                            // defer to the protocol's idle semantics.
-                            if conn.write_deadline.is_some_and(|w| w <= now)
-                                || conn.handler.deadline_counts_as_timeout()
-                            {
-                                3
-                            } else {
-                                2
-                            }
-                        }
-                        Some(_) => 1,
-                        None => 0,
-                    }
-                }
-                _ => 0,
-            };
-            match action {
-                1 => state.ensure_scheduled(slot),
-                2 | 3 => {
-                    if action == 3 {
-                        stats.timed_out();
-                    }
-                    state.close(slot, stats, open);
-                }
-                _ => {}
-            }
-        }
+        next_deadline = state.expire(clock::now(), stats, open);
 
         // register() rejects once draining, and the inbox was emptied
         // under the same lock that showed the flag, so nothing can
@@ -574,11 +516,8 @@ fn shard_loop(
 
 /// Advance one ready connection's state machine as far as its socket
 /// allows without blocking.
-#[allow(clippy::too_many_arguments)]
 fn sweep_conn(
     conn: &mut Conn,
-    wheel: &mut TimerWheel,
-    token: u64,
     scratch: &mut [u8],
     stats: &ServerStats,
     draining: bool,
@@ -638,13 +577,6 @@ fn sweep_conn(
                             // that fits the socket's send buffer whole.
                             if flush_out(conn, stats).is_err() {
                                 return SweepVerdict::Close;
-                            }
-                            // Queued output survived the eager flush: park
-                            // the anchored deadline now — the entry from
-                            // adopt time may be scheduled much later.
-                            if let Some(w) = conn.write_deadline {
-                                wheel.schedule(token, w);
-                                conn.scheduled = true;
                             }
                         }
                         if conn.close_after_flush {
@@ -821,6 +753,44 @@ mod tests {
         client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut buf = [0u8; 1];
         assert_eq!(client.read(&mut buf).unwrap_or(0), 0);
+        drop(el);
+    }
+
+    #[test]
+    fn every_byte_refreshes_the_read_deadline() {
+        let stats = ServerStats::new();
+        let cfg = ServerConfig {
+            read_timeout: Some(Duration::from_millis(200)),
+            ..ServerConfig::default()
+        };
+        let (el, listener) = echo_loop(&cfg, stats.clone());
+        let mut client = connect_registered(&el, &listener);
+        // Dribble a frame promising 100 bytes, one byte per 80 ms: each
+        // gap is well inside the 200 ms deadline, the whole run is not.
+        let frame = 100u32.to_be_bytes().into_iter().chain([0u8; 100]);
+        let start = std::time::Instant::now();
+        let mut last_byte = start;
+        for byte in frame {
+            client.write_all(&[byte]).unwrap();
+            last_byte = std::time::Instant::now();
+            if start.elapsed() >= Duration::from_millis(600) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(80));
+        }
+        client.set_nonblocking(true).unwrap();
+        let peeked = client.peek(&mut [0u8; 1]).map_err(|e| e.kind());
+        assert_eq!(peeked, Err(std::io::ErrorKind::WouldBlock), "refreshed conn must stay open");
+        assert_eq!(stats.snapshot().timed_out, 0);
+        // After the last byte the deadline runs out: the loop closes the
+        // socket no sooner than 200 ms later, and without a long delay.
+        client.set_nonblocking(false).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        let idle = last_byte.elapsed();
+        assert!(idle >= Duration::from_millis(200), "closed early, {idle:?} after the last byte");
+        assert!(idle < Duration::from_secs(1), "closed late, {idle:?} after the last byte");
+        assert_eq!(stats.snapshot().timed_out, 1);
         drop(el);
     }
 

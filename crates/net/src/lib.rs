@@ -15,7 +15,7 @@
 //!   helps frame-based protocols), and `Server` owns the accept thread,
 //!   the readiness event loop and the graceful drain on drop.  The loop's
 //!   shards block in `poll(2)` ([`sys`], the workspace's one `unsafe`
-//!   call) and keep per-connection deadlines in a [`TimerWheel`];
+//!   call) and check per-connection deadlines in one pass per wake;
 //! * [`ServerConfig`] — max-connections bound, per-connection deadlines
 //!   and the drain budget for servers;
 //! * [`ServerStats`] / [`TransportCounters`] — per-server counters
@@ -39,7 +39,6 @@ pub mod sansio;
 mod server;
 pub mod stats;
 pub mod sys;
-pub mod timer;
 
 pub use config::{
     connect_retrying, connect_with_deadline, harden_stream, ServerConfig, TransportConfig,
@@ -51,4 +50,3 @@ pub use retry::RetryPolicy;
 pub use sansio::{frame_header, read_frame_blocking, FrameHeader, LengthFramer};
 pub use server::Server;
 pub use stats::{ServerStats, TransportCounters};
-pub use timer::TimerWheel;

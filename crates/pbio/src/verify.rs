@@ -30,8 +30,9 @@
 //!   a hard error), and an independently derived var-op table indexing
 //!   the sender's slots.  A convert program runs between the two
 //!   descriptors' encode programs, whose slot tables locate the sender's
-//!   payloads and fix the receiver's length fields, so those tables are
-//!   proved once per format, by [`verify_encode_program`].
+//!   payloads and fix the receiver's length fields, so those tables and
+//!   both layouts are proved once per format, by
+//!   [`verify_encode_program`].
 //! * **Same layout** ([`verify_same_layout`]): the borrowed view reads a
 //!   sender's bytes through the receiver's encode program, so the two
 //!   layouts must be provably identical, leaf by leaf.
@@ -893,13 +894,17 @@ fn expand_ops(
 /// byte is written exactly once, no op writes outside matched fixed-field
 /// regions (pointer slots, padding, and receiver-only fields stay zero),
 /// and every width/order/signedness decision agrees with the spec.
+///
+/// Precondition: both descriptors' layouts are already certified.  The
+/// registry's pair gate certifies each side's encode plan first, and
+/// [`verify_encode_program`] runs [`verify_layout`]; this pass does not
+/// repeat it.
 pub fn verify_convert_program(
     from: &FormatDescriptor,
     to: &FormatDescriptor,
     prog: &ConvertProgram,
 ) -> Verdict {
-    let mut v = verify_layout(from);
-    v.merge(verify_layout(to));
+    let mut v = Verdict::default();
 
     // Fixed image: unit-expansion equivalence.
     let mut got_units = Vec::new();

@@ -556,7 +556,7 @@ fn miri() -> ExitCode {
 
 /// Print production Rust lines for each crate under `crates/` and
 /// `vendor/`, then the total.  A production line is a non-blank line of
-/// a `src/` file before its first `#[cfg(test)]` module.
+/// a `src/` file before its first test module.
 fn loc() -> ExitCode {
     let root = repo_root();
     let mut rows = Vec::new();
@@ -581,14 +581,42 @@ fn loc() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Non-blank lines before the first `#[cfg(test)]` that opens a `mod`.
+/// Non-blank lines before the first test module: a `mod` opened under
+/// a `#[cfg(..)]` whose predicate requires `test`.
 fn production_lines(text: &str) -> usize {
     let lines: Vec<&str> = text.lines().map(str::trim).collect();
     let end = lines
         .windows(2)
-        .position(|w| w[0] == "#[cfg(test)]" && w[1].split_whitespace().any(|t| t == "mod"))
+        .position(|w| {
+            let cfg = w[0].strip_prefix("#[cfg(").and_then(|p| p.strip_suffix(")]"));
+            cfg.is_some_and(requires_test) && w[1].split_whitespace().any(|t| t == "mod")
+        })
         .unwrap_or(lines.len());
     lines[..end].iter().filter(|l| !l.is_empty()).count()
+}
+
+/// Whether a `cfg` predicate holds only in test builds: `test` itself,
+/// or an `all(..)` with such a member.
+fn requires_test(pred: &str) -> bool {
+    let pred = pred.trim();
+    let Some(args) = pred.strip_prefix("all(").and_then(|a| a.strip_suffix(')')) else {
+        return pred == "test";
+    };
+    let (mut depth, mut start) = (0, 0);
+    for (i, c) in args.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth -= 1,
+            ',' if depth == 0 => {
+                if requires_test(&args[start..i]) {
+                    return true;
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    requires_test(&args[start..])
 }
 
 #[cfg(test)]
@@ -602,6 +630,14 @@ mod tests {
         assert_eq!(production_lines(src), 4);
         assert_eq!(production_lines("fn f() {}\n\n#[cfg(test)]\npub(crate) mod fixtures;\n"), 1);
         assert_eq!(production_lines("fn f() {}\n"), 1);
+        for cfg in ["all(test, loom)", "all(test, not(loom))", "all(unix, all(loom, test))"] {
+            let src = format!("fn f() {{}}\n\n#[cfg({cfg})]\nmod tests {{\n    fn t() {{}}\n}}\n");
+            assert_eq!(production_lines(&src), 1, "{cfg}");
+        }
+        for cfg in ["not(test)", "any(test, loom)", "all(not(test), loom)", "loom"] {
+            let src = format!("fn f() {{}}\n#[cfg({cfg})]\nmod m {{}}\n");
+            assert_eq!(production_lines(&src), 3, "{cfg}");
+        }
     }
 
     const OPTS: LintOpts = LintOpts {
